@@ -194,28 +194,30 @@ class ScenarioResult:
     config: ScenarioConfig
     eulerian: EulerianRun | None = None
     lagrangian: object | None = None
+    wall_times: dict = field(default_factory=dict)  # solver -> seconds
 
 
 def run_scenario(config, out_dir=None):
-    """Run the configured solver(s); optionally write a results directory."""
-    t0 = time.perf_counter()
+    """Run the configured solver(s), timing each; optionally write a results directory."""
     result = ScenarioResult(config)
-    if config.solver in ("eulerian", "both"):
-        result.eulerian = run_eulerian(config)
-    if config.solver in ("lagrangian", "both"):
-        result.lagrangian = run_lagrangian(config)
+    for solver, runner in (("eulerian", run_eulerian), ("lagrangian", run_lagrangian)):
+        if config.solver in (solver, "both"):
+            t0 = time.perf_counter()
+            setattr(result, solver, runner(config))
+            result.wall_times[solver] = time.perf_counter() - t0
     if out_dir is not None:
-        write_scenario_result(result, out_dir, wall_time=time.perf_counter() - t0)
+        write_scenario_result(result, out_dir)
     return result
 
 
-def _write_run_dir(path, series, snapshot_writer, manifest):
-    os.makedirs(path, exist_ok=True)
-    run_io.write_series_csv(os.path.join(path, "series.csv"), series)
-    snap_dir = os.path.join(path, "snapshots")
-    os.makedirs(snap_dir, exist_ok=True)
-    snapshot_writer(snap_dir)
-    run_io.write_manifest(os.path.join(path, "manifest.json"), manifest)
+def _snapshot_fields(solver, run, grid):
+    """Yield (t, theta, omega_values, rho, u) for each snapshot of a run."""
+    for t_s, snap in sorted(run.snapshots.items()):
+        if solver == "eulerian":
+            yield t_s, snap.grid.centers, snap.omega.nodes, snap.rho, snap.u
+        else:
+            omega_values, rho, u = pushforward_density(snap, grid, per_omega=True)
+            yield t_s, grid.centers, omega_values, rho, u
 
 
 def _manifest_payload(config, wall_time, solver, extra=None):
@@ -234,62 +236,37 @@ def _manifest_payload(config, wall_time, solver, extra=None):
     return payload
 
 
-def write_scenario_result(result, out_dir, wall_time=0.0):
-    """Write series/snapshots/manifest; 'both' runs get per-solver subdirs."""
+def write_scenario_result(result, out_dir):
+    """Write series/snapshots/manifest; 'both' runs get per-solver subdirs.
+
+    Each manifest's `wall_time_s` is that solver's own time from
+    `result.wall_times`; a result built outside run_scenario carries no
+    times and writes 0.0, as before.
+    """
     config = result.config
     grid, _ = build_grids(config)
-    targets = []
-    if result.eulerian is not None:
-        sub = os.path.join(out_dir, "eulerian") if config.solver == "both" else out_dir
-        targets.append(("eulerian", sub, result.eulerian))
-    if result.lagrangian is not None:
-        sub = os.path.join(out_dir, "lagrangian") if config.solver == "both" else out_dir
-        targets.append(("lagrangian", sub, result.lagrangian))
-    for solver, path, run in targets:
-        if solver == "eulerian":
-
-            def write_snaps(snap_dir, run=run):
-                for t_s, st in sorted(run.snapshots.items()):
-                    run_io.write_snapshot_csv(
-                        os.path.join(snap_dir, run_io.snapshot_filename(t_s)),
-                        st.grid.centers,
-                        st.omega.nodes,
-                        st.rho,
-                        st.u,
-                    )
-
-            extra = {
-                "blowup": None
-                if run.blowup is None
-                else {"t": run.blowup.t, "reason": run.blowup.reason},
-                "failure": run.failure,
-            }
-        else:
-
-            def write_snaps(snap_dir, run=run):
-                for t_s, ens in sorted(run.snapshots.items()):
-                    omega_values, rho, u = pushforward_density(ens, grid, per_omega=True)
-                    run_io.write_snapshot_csv(
-                        os.path.join(snap_dir, run_io.snapshot_filename(t_s)),
-                        grid.centers,
-                        omega_values,
-                        rho,
-                        u,
-                    )
-
-            extra = {
-                "blowup": None
-                if run.blowup is None
-                else {"t": run.blowup.t, "reason": run.blowup.reason},
-                "failure": None,
-            }
-        _write_run_dir(
-            path, run.series, write_snaps, _manifest_payload(config, wall_time, solver, extra)
-        )
-        if solver == "lagrangian" and run.trajectory is not None:
-            run_io.write_trajectory_csv(
-                os.path.join(path, "trajectory.csv"), run.series.t, run.trajectory
+    for solver in ("eulerian", "lagrangian"):
+        run = getattr(result, solver)
+        if run is None:
+            continue
+        path = os.path.join(out_dir, solver) if config.solver == "both" else out_dir
+        snap_dir = os.path.join(path, "snapshots")
+        os.makedirs(snap_dir, exist_ok=True)
+        run_io.write_series_csv(os.path.join(path, "series.csv"), run.series)
+        for t_s, *fields in _snapshot_fields(solver, run, grid):
+            run_io.write_snapshot_csv(
+                os.path.join(snap_dir, run_io.snapshot_filename(t_s)), *fields
             )
+        extra = {
+            "blowup": None
+            if run.blowup is None
+            else {"t": run.blowup.t, "reason": run.blowup.reason},
+            "failure": getattr(run, "failure", None),
+        }
+        run_io.write_manifest(
+            os.path.join(path, "manifest.json"),
+            _manifest_payload(config, result.wall_times.get(solver, 0.0), solver, extra),
+        )
 
 
 def marginalize(state, omega=None):
@@ -461,6 +438,7 @@ def _jumps_of(points):
 
 def hysteresis_sweep(sweep, base=None, out_dir=None):
     """Walk K forward then backward with warm starts; detect r jumps."""
+    t0 = time.perf_counter()
     config = base if base is not None else sweep.base
     if config is None:
         raise ValueError("hysteresis_sweep needs a base ScenarioConfig")
@@ -486,7 +464,9 @@ def hysteresis_sweep(sweep, base=None, out_dir=None):
         run_io.write_sweep_csv(os.path.join(out_dir, "sweep.csv"), result)
         run_io.write_manifest(
             os.path.join(out_dir, "manifest.json"),
-            _manifest_payload(config, 0.0, "sweep", {"sweep": _sweep_dict(sweep)}),
+            _manifest_payload(
+                config, time.perf_counter() - t0, "sweep", {"sweep": _sweep_dict(sweep)}
+            ),
         )
     return result
 

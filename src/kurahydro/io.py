@@ -3,41 +3,79 @@
 Layout of a run directory:
     series.csv           diagnostics rows (fixed column order)
     snapshots/t=<T>.csv  per-slice fields (theta, omega, rho, u)
-    trajectory.csv       oracle sample paths (t, sample_id, eta, v, d, log_rho)
     sweep.csv            (branch, K, r_inf, blowup_flag)
     manifest.json        resolved config + code version + wall time
 
-All numeric output is written at 17 significant digits.
+File format of series.csv and the snapshots:
+    - the header names the columns in a fixed order (SERIES_COLUMNS for
+      series.csv, SNAPSHOT_COLUMNS for a snapshot); the readers check it and
+      raise ValueError naming the file on any other header;
+    - every number is written with FLOAT_FMT, 17 significant digits, so a
+      float64 reads back bit for bit;
+    - lines end in "\\r\\n", as csv.writer writes them.
+
+Snapshots and series are formatted in bulk (one `%` per slice or chunk of
+rows) and parsed with numpy's C reader; a 600x1000 snapshot is 49 MB.
 """
 from __future__ import annotations
 
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 
 from .diagnostics import SERIES_COLUMNS, TimeSeries
 
 FLOAT_FMT = "%.17g"
+SNAPSHOT_COLUMNS = ("theta", "omega", "rho", "u")
+EOL = "\r\n"
+_SERIES_CHUNK_ROWS = 4096
 
 
 def _fmt(x):
     return FLOAT_FMT % float(x)
 
 
+def _header(columns):
+    return ",".join(columns) + EOL
+
+
+def _read_table(path, columns):
+    """Parse a CSV with the given header into an (n_rows, len(columns)) array."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\r\n")
+        if header != ",".join(columns):
+            raise ValueError(
+                f"{path}: header {header!r} is not {','.join(columns)!r}"
+            )
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported below, naming the file
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
+    if data.shape[0] == 0:
+        raise ValueError(f"{path}: no data rows")
+    if data.shape[1] != len(columns):
+        raise ValueError(f"{path}: {data.shape[1]} columns, header names {len(columns)}")
+    return data
+
+
 def write_series_csv(path, series):
+    data = series.data
+    row = ",".join([FLOAT_FMT] * data.shape[1]) + EOL
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SERIES_COLUMNS)
-        for row in series.data:
-            writer.writerow([_fmt(x) for x in row])
+        fh.write(_header(SERIES_COLUMNS))
+        for i in range(0, data.shape[0], _SERIES_CHUNK_ROWS):
+            chunk = data[i : i + _SERIES_CHUNK_ROWS]
+            fh.write((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
 def read_series_csv(path):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    cols = [np.atleast_1d(data[name]) for name in SERIES_COLUMNS]
-    return TimeSeries(np.column_stack(cols))
+    return TimeSeries(_read_table(path, SERIES_COLUMNS))
 
 
 def snapshot_filename(t):
@@ -63,55 +101,49 @@ def list_snapshots(run_dir):
 
 
 def write_snapshot_csv(path, theta, omega_values, rho, u):
-    """Write per-slice fields; rho/u have shape (n_omega, n_theta)."""
-    rho = np.atleast_2d(rho)
-    u = np.atleast_2d(u)
-    omega_values = np.atleast_1d(omega_values)
+    """Write per-slice fields; rho/u have shape (n_omega, n_theta).
+
+    Rows run over theta within a slice, slices in the given omega order.
+    Each slice is one row template (theta and omega already formatted)
+    filled with that slice's rho and u by a single `%`.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    omega_values = np.atleast_1d(np.asarray(omega_values, dtype=float))
+    rho = np.atleast_2d(np.asarray(rho, dtype=float))
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    shape = (omega_values.size, theta.size)
+    if rho.shape != shape or u.shape != shape:
+        raise ValueError(
+            f"{path}: rho {rho.shape} and u {u.shape} must both have shape {shape}"
+        )
+    # "\0" stands for the slice's omega; "%" never occurs in a formatted float
+    rows = "".join(
+        f"{FLOAT_FMT % th},\0,{FLOAT_FMT},{FLOAT_FMT}{EOL}" for th in theta.tolist()
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "omega", "rho", "u"])
-        for k, om in enumerate(omega_values):
-            for j, th in enumerate(theta):
-                writer.writerow([_fmt(th), _fmt(om), _fmt(rho[k, j]), _fmt(u[k, j])])
+        fh.write(_header(SNAPSHOT_COLUMNS))
+        for k, om in enumerate(omega_values.tolist()):
+            values = np.column_stack((rho[k], u[k])).ravel().tolist()
+            fh.write(rows.replace("\0", FLOAT_FMT % om) % tuple(values))
 
 
 def read_snapshot_csv(path):
-    """Read a snapshot back as (theta, omega_values, rho, u) arrays."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    theta_flat = np.atleast_1d(data["theta"])
-    omega_flat = np.atleast_1d(data["omega"])
+    """Read a snapshot back as (theta, omega_values, rho, u) arrays.
+
+    Rows may come in any order; they are sorted by omega, then theta.
+    """
+    data = _read_table(path, SNAPSHOT_COLUMNS)
+    theta_flat, omega_flat = data[:, 0], data[:, 1]
     omega_values, inverse = np.unique(omega_flat, return_inverse=True)
     n_omega = omega_values.size
     n_theta = theta_flat.size // n_omega
-    if n_omega * n_theta != theta_flat.size:
+    if np.any(np.bincount(inverse, minlength=n_omega) != n_theta):
         raise ValueError(f"{path}: ragged snapshot table")
     order = np.lexsort((theta_flat, inverse))
     theta = theta_flat[order][:n_theta]
-    rho = np.atleast_1d(data["rho"])[order].reshape(n_omega, n_theta)
-    u = np.atleast_1d(data["u"])[order].reshape(n_omega, n_theta)
+    rho = data[order, 2].reshape(n_omega, n_theta)
+    u = data[order, 3].reshape(n_omega, n_theta)
     return theta, omega_values, rho, u
-
-
-def write_trajectory_csv(path, times, trajectory):
-    """Dump oracle sample paths; trajectory holds (n_rec, n_samples) arrays."""
-    eta = trajectory["eta"]
-    n_rec, n_samples = eta.shape
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "sample_id", "eta", "v", "d", "log_rho"])
-        for i in range(n_rec):
-            t_s = _fmt(times[i])
-            for s in range(n_samples):
-                writer.writerow(
-                    [
-                        t_s,
-                        s,
-                        _fmt(eta[i, s]),
-                        _fmt(trajectory["v"][i, s]),
-                        _fmt(trajectory["d"][i, s]),
-                        _fmt(trajectory["log_rho"][i, s]),
-                    ]
-                )
 
 
 def write_sweep_csv(path, result):

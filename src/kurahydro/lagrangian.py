@@ -143,7 +143,6 @@ class OracleRun:
     final: CharEnsemble
     blowup: BlowupEvent | None
     snapshots: dict
-    trajectory: dict | None
 
 
 def _derivs(eta, v, d, w, Omega, m, K):
@@ -198,7 +197,6 @@ def evolve(
     dt=1e-3,
     record_every=1,
     snapshot_times=(),
-    store_trajectory=False,
     eps_blow=1e-6,
 ):
     """Integrate the characteristic system to time T with fixed-step RK4.
@@ -224,16 +222,10 @@ def evolve(
         snap_steps[int(round((ts - ens.t) / dt))] = float(ts)
 
     builder = SeriesBuilder()
-    traj = {"eta": [], "v": [], "d": [], "log_rho": []} if store_trajectory else None
 
     def record(step_t, ek_int):
         row, _ = _row(step_t, eta, v, d, lr, w, m, K, ek_int)
         builder.append(row)
-        if traj is not None:
-            traj["eta"].append(eta.copy())
-            traj["v"].append(v.copy())
-            traj["d"].append(d.copy())
-            traj["log_rho"].append(lr.copy())
 
     def kinetic():
         vc = float(np.dot(w, v))
@@ -291,10 +283,7 @@ def evolve(
             break
 
     final = replace(ens, eta=eta, v=v, d=d, log_rho=lr, t=t)
-    trajectory = None
-    if traj is not None:
-        trajectory = {k: np.array(vs) for k, vs in traj.items()}
-    return OracleRun(builder.build(), final, blowup, snapshots, trajectory)
+    return OracleRun(builder.build(), final, blowup, snapshots)
 
 
 def pushforward_density(ens, grid, per_omega=False):

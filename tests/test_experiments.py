@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from kurahydro import (
     steady_r,
 )
 from kurahydro.domain import FieldState
+from kurahydro.experiments import ScenarioResult, write_scenario_result
 from kurahydro.io import list_snapshots, read_manifest, read_series_csv, read_sweep_csv
 
 
@@ -223,11 +225,35 @@ def test_sweep_writes_results_layout(tmp_path):
     out = tmp_path / "sweep"
     cfg = _config(n_theta=48)
     sweep = SweepConfig(k_path=(0.0, 0.5, 0.0), steady_window=0.2, t_max=2.0)
+    t0 = time.perf_counter()
     hysteresis_sweep(sweep, base=cfg, out_dir=str(out))
+    total = time.perf_counter() - t0
     forward, backward = read_sweep_csv(str(out / "sweep.csv"))
     assert len(forward) == 2 and len(backward) == 2
     manifest = read_manifest(str(out / "manifest.json"))
     assert manifest["sweep"]["k_path"] == [0.0, 0.5, 0.0]
+    assert 0.0 < manifest["wall_time_s"] <= total
+
+
+def test_both_solvers_manifests_time_each_solver(tmp_path):
+    out = tmp_path / "run"
+    cfg = _config(solver="both")
+    t0 = time.perf_counter()
+    result = run_scenario(cfg, out_dir=str(out))
+    total = time.perf_counter() - t0
+    times = {}
+    for sub in ("eulerian", "lagrangian"):
+        times[sub] = read_manifest(str(out / sub / "manifest.json"))["wall_time_s"]
+        assert 0.0 < times[sub] <= total
+        assert times[sub] == result.wall_times[sub]
+    assert times["eulerian"] + times["lagrangian"] <= total
+
+
+def test_untimed_result_writes_zero_wall_time(tmp_path):
+    cfg = _config()
+    result = ScenarioResult(cfg, eulerian=run_eulerian(cfg))
+    write_scenario_result(result, str(tmp_path))
+    assert read_manifest(str(tmp_path / "manifest.json"))["wall_time_s"] == 0.0
 
 
 def test_manifest_round_trip_through_serialization():

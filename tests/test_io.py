@@ -1,0 +1,163 @@
+"""Run-directory file format: exact bytes, bitwise round trips, loud failures."""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from kurahydro.diagnostics import SERIES_COLUMNS, TimeSeries
+from kurahydro.io import (
+    read_series_csv,
+    read_snapshot_csv,
+    write_series_csv,
+    write_snapshot_csv,
+)
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: header, %.17g, \r\n
+
+
+def test_snapshot_golden_bytes(tmp_path):
+    path = tmp_path / "t=0.csv"
+    theta = np.array([0.0, 0.1, 2.5])
+    omega = np.array([-1.0, 0.5])
+    rho = np.array([[1.0, 0.25, 1.0 / 3.0], [2.0, 0.0, 1e-300]])
+    u = np.array([[-0.5, 0.1, 3.0], [0.0, -2.5, 1e20]])
+    write_snapshot_csv(str(path), theta, omega, rho, u)
+    assert path.read_bytes() == (
+        b"theta,omega,rho,u\r\n"
+        b"0,-1,1,-0.5\r\n"
+        b"0.10000000000000001,-1,0.25,0.10000000000000001\r\n"
+        b"2.5,-1,0.33333333333333331,3\r\n"
+        b"0,0.5,2,0\r\n"
+        b"0.10000000000000001,0.5,0,-2.5\r\n"
+        b"2.5,0.5,1e-300,1e+20\r\n"
+    )
+
+
+def test_series_golden_bytes(tmp_path):
+    path = tmp_path / "series.csv"
+    data = np.vstack([np.arange(14) * 0.25, np.full(14, 1.0 / 3.0)])
+    write_series_csv(str(path), TimeSeries(data))
+    assert path.read_bytes() == (
+        b"t,r,phi,Ek,Ep,vc,etac,d_eta,d_v,L,mass_err,min_du,max_rho,Ek_integral\r\n"
+        b"0,0.25,0.5,0.75,1,1.25,1.5,1.75,2,2.25,2.5,2.75,3,3.25\r\n"
+        + b",".join([b"0.33333333333333331"] * 14)
+        + b"\r\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# bitwise round trips
+
+
+@pytest.mark.parametrize("n_omega,n_theta", [(1, 64), (5, 17), (3, 1)])
+def test_snapshot_round_trip_is_bitwise(tmp_path, rng, n_omega, n_theta):
+    path = str(tmp_path / "snap.csv")
+    theta = np.sort(rng.uniform(-np.pi, np.pi, n_theta))
+    omega = np.sort(rng.normal(size=n_omega))
+    rho = rng.lognormal(size=(n_omega, n_theta)) * 10.0 ** rng.integers(
+        -200, 200, size=(n_omega, n_theta)
+    )
+    u = rng.normal(size=(n_omega, n_theta))
+    write_snapshot_csv(path, theta, omega, rho, u)
+    theta_r, omega_r, rho_r, u_r = read_snapshot_csv(path)
+    assert np.array_equal(theta_r, theta)
+    assert np.array_equal(omega_r, omega)
+    assert np.array_equal(rho_r, rho) and rho_r.shape == (n_omega, n_theta)
+    assert np.array_equal(u_r, u) and u_r.shape == (n_omega, n_theta)
+
+
+def test_dirac_snapshot_from_1d_fields(tmp_path, rng):
+    """A single slice given as 1-D arrays and a scalar omega."""
+    path = str(tmp_path / "snap.csv")
+    theta = np.linspace(-np.pi, np.pi, 32, endpoint=False)
+    rho, u = rng.random(32), rng.normal(size=32)
+    write_snapshot_csv(path, theta, 0.0, rho, u)
+    theta_r, omega_r, rho_r, u_r = read_snapshot_csv(path)
+    assert np.array_equal(theta_r, theta)
+    assert np.array_equal(omega_r, [0.0])
+    assert np.array_equal(rho_r, rho[None, :])
+    assert np.array_equal(u_r, u[None, :])
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 9000])
+def test_series_round_trip_is_bitwise(tmp_path, rng, n_rows):
+    path = str(tmp_path / "series.csv")
+    data = rng.normal(size=(n_rows, len(SERIES_COLUMNS))) * 10.0 ** rng.integers(
+        -300, 300, size=(n_rows, len(SERIES_COLUMNS))
+    )
+    write_series_csv(path, TimeSeries(data))
+    back = read_series_csv(path)
+    assert back.data.shape == data.shape
+    assert np.array_equal(back.data, data)
+
+
+def test_snapshot_with_slices_out_of_order_reads_sorted(tmp_path):
+    path = tmp_path / "snap.csv"
+    path.write_bytes(
+        b"theta,omega,rho,u\r\n"
+        b"0.5,2,5,50\r\n"
+        b"0.25,2,4,40\r\n"
+        b"0.5,-1,2,20\r\n"
+        b"0.25,-1,1,10\r\n"
+        b"0.25,0,3,30\r\n"
+        b"0.5,0,6,60\r\n"
+    )
+    theta, omega, rho, u = read_snapshot_csv(str(path))
+    assert np.array_equal(theta, [0.25, 0.5])
+    assert np.array_equal(omega, [-1.0, 0.0, 2.0])
+    assert np.array_equal(rho, [[1.0, 2.0], [3.0, 6.0], [4.0, 5.0]])
+    assert np.array_equal(u, 10.0 * rho)
+
+
+# ---------------------------------------------------------------------------
+# malformed files raise ValueError naming the file
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"omega,theta,rho,u\r\n0,0,1,1\r\n",  # columns swapped
+        b"theta,omega,rho\r\n0,0,1\r\n",  # column missing
+        b"theta,omega,rho,u\r\n0,0,1,1\r\n0.5,0,1\r\n",  # ragged row
+        b"theta,omega,rho,u\r\n0,0,1,1\r\n0.5,0,1,1\r\n1,0,1,1\r\n0,1,1,1\r\n",  # 3+1 rows
+        b"theta,omega,rho,u\r\n",  # header only
+        b"",  # empty file
+    ],
+    ids=["swapped-header", "short-header", "ragged-row", "ragged-slices", "header-only", "empty"],
+)
+def test_malformed_snapshot_names_the_file(tmp_path, body):
+    path = tmp_path / "bad_snapshot.csv"
+    path.write_bytes(body)
+    with pytest.raises(ValueError, match="bad_snapshot.csv"):
+        read_snapshot_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        ",".join(reversed(SERIES_COLUMNS)).encode() + b"\r\n" + b",".join([b"0"] * 14) + b"\r\n",
+        ",".join(SERIES_COLUMNS).encode() + b"\r\n" + b",".join([b"0"] * 13) + b"\r\n",
+        ",".join(SERIES_COLUMNS).encode()
+        + b"\r\n"
+        + b",".join([b"0"] * 14)
+        + b"\r\n"
+        + b",".join([b"0"] * 13)
+        + b"\r\n",
+        ",".join(SERIES_COLUMNS).encode() + b"\r\n",
+    ],
+    ids=["wrong-header", "short-rows", "ragged", "header-only"],
+)
+def test_malformed_series_names_the_file(tmp_path, body):
+    path = tmp_path / "bad_series.csv"
+    path.write_bytes(body)
+    with pytest.raises(ValueError, match="bad_series.csv"):
+        read_series_csv(str(path))
+
+
+def test_snapshot_write_rejects_mismatched_shapes(tmp_path):
+    with pytest.raises(ValueError, match="shape"):
+        write_snapshot_csv(
+            str(tmp_path / "s.csv"), np.zeros(4), np.zeros(2), np.zeros((2, 3)), np.zeros((2, 4))
+        )
