@@ -49,7 +49,6 @@ from .diagnostics import (
     BlowupEvent,
     BlowupMonitor,
     TimeSeries,
-    TimeSeriesRecord,
     diameters,
     dirac_distance_bound,
     energies,

@@ -14,27 +14,12 @@ from .experiments import ScenarioConfig, SweepConfig, hysteresis_sweep, run_scen
 from .io import list_snapshots, read_series_csv, read_snapshot_csv
 from .thresholds import classify
 
-THREADS_ENV = "KURAHYDRO_THREADS"
-
-
-def _apply_thread_env():
-    """Propagate the package thread-count variable to the BLAS/OpenMP knobs."""
-    n = os.environ.get(THREADS_ENV)
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kurahydro",
         description="Finite-volume and characteristic solvers for the "
         "inertial mean-field oscillator fluid on the circle.",
-    )
-    parser.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force single-threaded, ordered reductions (sets %s=1)" % THREADS_ENV,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -74,8 +59,8 @@ def _require_scenario(config):
 
 
 def _summarize_run(name, run):
-    last = run.series.records()[-1]
-    line = f"{name}: t={last.t:g} r={last.r:.6f} Ek={last.Ek:.3e}"
+    s = run.series
+    line = f"{name}: t={s.t[-1]:g} r={s.r[-1]:.6f} Ek={s.Ek[-1]:.3e}"
     if getattr(run, "failure", None):
         line += f" [solver failure: {run.failure}]"
     if run.blowup is not None:
@@ -186,9 +171,6 @@ _COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.deterministic:
-        os.environ[THREADS_ENV] = "1"
-    _apply_thread_env()
     try:
         return _COMMANDS[args.subcommand](args)
     except (ValueError, OSError) as err:

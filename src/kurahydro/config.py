@@ -1,15 +1,24 @@
 """Config file schema: YAML key:value mappings resolved to run configurations.
 
-Scenario keys (defaults in parentheses): m, K [required]; n_theta (1000);
-g: dirac|gaussian (dirac); omega0 (0.0); n_omega (600); omega_L (5.0);
-rho0 (gaussian); u0 ("0"); init_table [replaces rho0/u0]; t_end (5.0);
-record_dt (0.01); snapshot_times ([]); solver: eulerian|lagrangian|both
-(eulerian); n_samples (1024); dt_oracle (1e-3); scheme: {cfl, max_dt,
-blowup_rho_factor, blowup_grad, eps_speed, clip_abort}.  A sweep section
-turns the result into a SweepConfig: k_min (0) / k_max (4) / k_step (0.1)
-building the path k_min -> k_max -> k_min, or an explicit k_path list, plus
-steady_tol (1e-4), steady_window (1.0), t_max (50), refine_step (null),
-refine_window (0.3).
+The config dataclasses are the schema.  Each field of ScenarioConfig,
+SchemeConfig and SweepConfig declared int, float, str, tuple (of floats) or
+float | None is a config key of the same name; a given value is coerced to
+that type, and a key left out keeps the field's default.  The keys, with
+defaults in parentheses:
+
+Scenario: m, K [required]; n_theta (1000); g: dirac|gaussian (dirac);
+omega0 (0.0); n_omega (600); omega_L (5.0); rho0 (gaussian); u0 ("0");
+init_table [replaces rho0/u0]; t_end (5.0); record_dt (0.01);
+snapshot_times ([]); solver: eulerian|lagrangian|both (eulerian);
+n_samples (1024); dt_oracle (1e-3).
+
+scheme section: cfl (0.4); max_dt (1e-2); blowup_rho_factor (1e3);
+blowup_grad (1e6); eps_speed (1e-12); clip_abort (1e-8).
+
+A sweep section turns the result into a SweepConfig: k_min (0) / k_max (4) /
+k_step (0.1) building the path k_min -> k_max -> k_min, or an explicit
+k_path list, plus steady_tol (1e-4), steady_window (1.0), t_max (50),
+refine_step (null), refine_window (0.3).
 
 rho0 accepts the named forms uniform | gaussian | gaussian(mu,sigma) |
 point(theta0) or a nonnegative wave expression; u0 accepts wave expressions
@@ -17,7 +26,10 @@ point(theta0) or a nonnegative wave expression; u0 accepts wave expressions
 """
 from __future__ import annotations
 
+import functools
 import re
+import typing
+from dataclasses import fields
 
 import numpy as np
 import yaml
@@ -137,39 +149,57 @@ def format_rho0(spec):
     return format_wave(spec)
 
 
-_SCENARIO_DEFAULTS = {
-    "n_theta": 1000,
-    "g": "dirac",
-    "omega0": 0.0,
-    "n_omega": 600,
-    "omega_L": 5.0,
-    "rho0": "gaussian",
-    "u0": "0",
-    "t_end": 5.0,
-    "record_dt": 0.01,
-    "snapshot_times": (),
-    "solver": "eulerian",
-    "n_samples": 1024,
-    "dt_oracle": 1e-3,
+# The sweep's shorthand for k_path, k_min -> k_max -> k_min, with its defaults.
+_K_RANGE_DEFAULTS = {"k_min": 0.0, "k_max": 4.0, "k_step": 0.1}
+
+
+# Declared field type -> coercion of a config value.  YAML leaves
+# exponent-only literals such as 1e-2 as strings, so numbers go through
+# float() or int().
+_COERCE = {
+    int: int,
+    float: float,
+    str: str,
+    tuple: lambda value: tuple(float(x) for x in value or ()),
+    float | None: lambda value: None if value is None else float(value),
 }
-_SCHEME_DEFAULTS = {
-    "cfl": 0.4,
-    "max_dt": 1e-2,
-    "blowup_rho_factor": 1e3,
-    "blowup_grad": 1e6,
-    "eps_speed": 1e-12,
-    "clip_abort": 1e-8,
-}
-_SWEEP_DEFAULTS = {
-    "k_min": 0.0,
-    "k_max": 4.0,
-    "k_step": 0.1,
-    "steady_tol": 1e-4,
-    "steady_window": 1.0,
-    "t_max": 50.0,
-    "refine_step": None,
-    "refine_window": 0.3,
-}
+
+
+@functools.cache
+def _plain_fields(cls):
+    """{name: coercion} for each field of a config dataclass with a plain type.
+
+    Params, InitSpec and the nested configs (scheme, base) are resolved and
+    serialized by hand.
+    """
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: _COERCE[hints[f.name]] for f in fields(cls) if hints[f.name] in _COERCE
+    }
+
+
+def _resolve_fields(cls, data, section, by_hand=()):
+    """Coerced keyword arguments for the plain fields of cls given in data.
+
+    Keys that are neither plain fields nor in by_hand raise; fields not
+    given keep the dataclass default.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} section must be a key:value mapping")
+    plain = _plain_fields(cls)
+    unknown = sorted(set(data) - set(plain) - set(by_hand))
+    if unknown:
+        raise ValueError(f"unknown {section} keys: " + ", ".join(unknown))
+    return {k: plain[k](v) for k, v in data.items() if k in plain}
+
+
+def _serialize_fields(obj):
+    """Plain-field values of a config dataclass instance; tuples become lists."""
+    out = {}
+    for name in _plain_fields(type(obj)):
+        value = getattr(obj, name)
+        out[name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def resolve_config(data):
@@ -179,45 +209,29 @@ def resolve_config(data):
     data = dict(data)
     sweep_data = data.pop("sweep", None)
     scheme_data = data.pop("scheme", None) or {}
-    table_path = data.pop("init_table", None)
-    unknown = sorted(set(data) - set(_SCENARIO_DEFAULTS) - {"m", "K"})
-    if unknown:
-        raise ValueError("unknown config keys: " + ", ".join(unknown))
+    by_hand = ("m", "K", "rho0", "u0", "init_table")
+    kwargs = _resolve_fields(ScenarioConfig, data, "config", by_hand)
     missing = [k for k in ("m", "K") if k not in data]
     if missing:
         raise ValueError("missing required config keys: " + ", ".join(missing))
-    merged = {**_SCENARIO_DEFAULTS, **data}
 
+    table_path = data.get("init_table")
     if table_path is not None:
         if "rho0" in data or "u0" in data:
             raise ValueError("init_table replaces rho0/u0; remove those keys")
         init = InitSpec.from_table(table_path)
     else:
         init = InitSpec(
-            rho0=parse_rho0(merged["rho0"]), u0=parse_wave_expression(merged["u0"])
+            rho0=parse_rho0(data.get("rho0", "gaussian")),
+            u0=parse_wave_expression(data.get("u0", "0")),
         )
 
-    unknown_scheme = sorted(set(scheme_data) - set(_SCHEME_DEFAULTS))
-    if unknown_scheme:
-        raise ValueError("unknown scheme keys: " + ", ".join(unknown_scheme))
-    scheme_kwargs = {**_SCHEME_DEFAULTS, **scheme_data}
-    scheme = SchemeConfig(**{k: float(v) for k, v in scheme_kwargs.items()})
-
+    scheme = SchemeConfig(**_resolve_fields(SchemeConfig, scheme_data, "scheme"))
     scenario = ScenarioConfig(
-        params=Params(float(merged["m"]), float(merged["K"])),
+        params=Params(float(data["m"]), float(data["K"])),
         init=init,
-        n_theta=int(merged["n_theta"]),
-        g=str(merged["g"]),
-        omega0=float(merged["omega0"]),
-        n_omega=int(merged["n_omega"]),
-        omega_L=float(merged["omega_L"]),
-        t_end=float(merged["t_end"]),
-        record_dt=float(merged["record_dt"]),
-        snapshot_times=tuple(float(x) for x in merged["snapshot_times"] or ()),
-        solver=str(merged["solver"]),
         scheme=scheme,
-        n_samples=int(merged["n_samples"]),
-        dt_oracle=float(merged["dt_oracle"]),
+        **kwargs,
     )
     if sweep_data is None:
         return scenario
@@ -225,77 +239,29 @@ def resolve_config(data):
 
 
 def _resolve_sweep(data, base):
-    if not isinstance(data, dict):
-        raise ValueError("sweep section must be a key:value mapping")
-    data = dict(data)
-    unknown = sorted(set(data) - set(_SWEEP_DEFAULTS) - {"k_path"})
-    if unknown:
-        raise ValueError("unknown sweep keys: " + ", ".join(unknown))
-    merged = {**_SWEEP_DEFAULTS, **data}
-    if "k_path" in data:
-        k_path = tuple(float(k) for k in data["k_path"])
-    else:
-        lo, hi, step = (float(merged[k]) for k in ("k_min", "k_max", "k_step"))
+    kwargs = _resolve_fields(SweepConfig, data, "sweep", _K_RANGE_DEFAULTS)
+    if "k_path" not in kwargs:
+        lo, hi, step = (float(data.get(k, d)) for k, d in _K_RANGE_DEFAULTS.items())
         if not step > 0 or not hi >= lo:
             raise ValueError("sweep needs k_max >= k_min and k_step > 0")
         ks = np.round(np.arange(lo, hi + 0.5 * step, step), 12)
-        k_path = tuple(ks) + tuple(ks[-2::-1])
-    refine = merged["refine_step"]
-    return SweepConfig(
-        k_path=k_path,
-        steady_tol=float(merged["steady_tol"]),
-        steady_window=float(merged["steady_window"]),
-        t_max=float(merged["t_max"]),
-        refine_step=None if refine is None else float(refine),
-        refine_window=float(merged["refine_window"]),
-        base=base,
-    )
+        kwargs["k_path"] = tuple(ks) + tuple(ks[-2::-1])
+    return SweepConfig(base=base, **kwargs)
 
 
 def serialize_config(config):
     """Config object -> plain mapping; resolve_config inverts it exactly."""
     if isinstance(config, SweepConfig):
         out = serialize_config(config.base) if config.base is not None else {}
-        out["sweep"] = {
-            "k_path": [float(k) for k in config.k_path],
-            "steady_tol": config.steady_tol,
-            "steady_window": config.steady_window,
-            "t_max": config.t_max,
-            "refine_step": config.refine_step,
-            "refine_window": config.refine_window,
-        }
+        out["sweep"] = _serialize_fields(config)
         return out
-    c = config
-    out = {
-        "m": c.params.m,
-        "K": c.params.K,
-        "n_theta": c.n_theta,
-        "g": c.g,
-        "omega0": c.omega0,
-        "n_omega": c.n_omega,
-        "omega_L": c.omega_L,
-    }
-    if isinstance(c.init.rho0, TableData):
-        out["init_table"] = c.init.rho0.path
+    out = {"m": config.params.m, "K": config.params.K}
+    if isinstance(config.init.rho0, TableData):
+        out["init_table"] = config.init.rho0.path
     else:
-        out["rho0"] = format_rho0(c.init.rho0)
-        out["u0"] = format_wave(c.init.u0)
-    out.update(
-        t_end=c.t_end,
-        record_dt=c.record_dt,
-        snapshot_times=list(c.snapshot_times),
-        solver=c.solver,
-        n_samples=c.n_samples,
-        dt_oracle=c.dt_oracle,
-        scheme={
-            "cfl": c.scheme.cfl,
-            "max_dt": c.scheme.max_dt,
-            "blowup_rho_factor": c.scheme.blowup_rho_factor,
-            "blowup_grad": c.scheme.blowup_grad,
-            "eps_speed": c.scheme.eps_speed,
-            "clip_abort": c.scheme.clip_abort,
-        },
-    )
+        out["rho0"] = format_rho0(config.init.rho0)
+        out["u0"] = format_wave(config.init.u0)
+    out.update(_serialize_fields(config), scheme=_serialize_fields(config.scheme))
     return out
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import FieldState
-from .meanfield import mean_field_cos  # noqa: F401  (re-exported convenience)
 
 SERIES_COLUMNS = (
     "t",
@@ -32,29 +31,6 @@ SERIES_COLUMNS = (
     "max_rho",
     "Ek_integral",
 )
-
-
-@dataclass(frozen=True)
-class TimeSeriesRecord:
-    """One diagnostics row; the field order is the CSV column order."""
-
-    t: float
-    r: float
-    phi: float
-    Ek: float
-    Ep: float
-    vc: float
-    etac: float
-    d_eta: float
-    d_v: float
-    L: float
-    mass_err: float
-    min_du: float
-    max_rho: float
-    Ek_integral: float
-
-    def as_tuple(self):
-        return tuple(getattr(self, name) for name in SERIES_COLUMNS)
 
 
 class TimeSeries:
@@ -79,9 +55,6 @@ class TimeSeries:
         except ValueError:
             raise AttributeError(name) from None
         return self.data[:, j]
-
-    def records(self):
-        return [TimeSeriesRecord(*row) for row in self.data]
 
 
 class SeriesBuilder:

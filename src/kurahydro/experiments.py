@@ -241,7 +241,7 @@ def write_scenario_result(result, out_dir):
 
     Each manifest's `wall_time_s` is that solver's own time from
     `result.wall_times`; a result built outside run_scenario carries no
-    times and writes 0.0, as before.
+    times and writes null.
     """
     config = result.config
     grid, _ = build_grids(config)
@@ -265,7 +265,7 @@ def write_scenario_result(result, out_dir):
         }
         run_io.write_manifest(
             os.path.join(path, "manifest.json"),
-            _manifest_payload(config, result.wall_times.get(solver, 0.0), solver, extra),
+            _manifest_payload(config, result.wall_times.get(solver), solver, extra),
         )
 
 
@@ -364,14 +364,6 @@ class SweepResult:
     backward: list = field(default_factory=list)
     jumps: dict = field(default_factory=dict)
 
-    def jump_locations(self, branch):
-        points = getattr(self, branch)
-        out = []
-        for (k0, r0, _), (k1, r1, _) in zip(points, points[1:]):
-            if abs(r1 - r0) > 0.1:
-                out.append((k0, k1, r1 - r0))
-        return out
-
     def loop_area(self):
         """Area enclosed between branches: integral of |r_back - r_fwd| dK."""
         kf = np.array([p[0] for p in self.forward])
@@ -462,21 +454,11 @@ def hysteresis_sweep(sweep, base=None, out_dir=None):
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         run_io.write_sweep_csv(os.path.join(out_dir, "sweep.csv"), result)
+        from .config import serialize_config
+
+        extra = {"sweep": serialize_config(sweep)["sweep"]}
         run_io.write_manifest(
             os.path.join(out_dir, "manifest.json"),
-            _manifest_payload(
-                config, time.perf_counter() - t0, "sweep", {"sweep": _sweep_dict(sweep)}
-            ),
+            _manifest_payload(config, time.perf_counter() - t0, "sweep", extra),
         )
     return result
-
-
-def _sweep_dict(sweep):
-    return {
-        "k_path": list(sweep.k_path),
-        "steady_tol": sweep.steady_tol,
-        "steady_window": sweep.steady_window,
-        "t_max": sweep.t_max,
-        "refine_step": sweep.refine_step,
-        "refine_window": sweep.refine_window,
-    }

@@ -1,12 +1,18 @@
 """Config file parsing, profile expression grammar, and the command line."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import yaml
 
+import kurahydro
 from kurahydro import (
     InitSpec,
     Params,
@@ -14,6 +20,7 @@ from kurahydro import (
     RhoPointCell,
     RhoUniform,
     ScenarioConfig,
+    SchemeConfig,
     SweepConfig,
     UConst,
     UCosine,
@@ -100,6 +107,77 @@ def test_resolve_rejects_unknown_and_missing_keys():
         resolve_config(data)
     with pytest.raises(ValueError, match="missing required"):
         resolve_config({"m": 1.0})
+    with pytest.raises(ValueError, match="unknown scheme keys: cfll"):
+        resolve_config({**_minimal(), "scheme": {"cfll": 0.3}})
+    with pytest.raises(ValueError, match="scheme section must be a key:value mapping"):
+        resolve_config({**_minimal(), "scheme": [0.3]})
+    with pytest.raises(ValueError, match="unknown sweep keys: k_top"):
+        resolve_config({**_minimal(), "sweep": {"k_top": 1.0}})
+    with pytest.raises(ValueError, match="init_table replaces rho0/u0"):
+        resolve_config({**_minimal(), "init_table": "table.csv"})
+
+
+# Config-dataclass fields that are not plain config keys: m and K build
+# Params, rho0/u0/init_table build InitSpec, scheme is its own section, and a
+# sweep's base is the scenario around it.
+_NOT_PLAIN = {"params", "init", "scheme", "base"}
+
+
+def _plain_config_fields(with_default=False):
+    """pytest params (section, name, default) for every plain config field."""
+    out = []
+    for cls, section in ((ScenarioConfig, None), (SchemeConfig, "scheme"),
+                         (SweepConfig, "sweep")):
+        for f in dataclasses.fields(cls):
+            no_default = f.default is dataclasses.MISSING
+            if f.name in _NOT_PLAIN or (with_default and no_default):
+                continue
+            out.append(pytest.param(section, f.name, f.default,
+                                    id=f"{section or 'config'}.{f.name}"))
+    return out
+
+
+# Non-default values that the default's type alone does not give.
+_NON_DEFAULT = {"g": "gaussian", "solver": "both", "k_path": (0.0, 2.0, 0.0),
+                "refine_step": 0.05}
+
+
+def _non_default(name, default):
+    if name in _NON_DEFAULT:
+        return _NON_DEFAULT[name]
+    if isinstance(default, tuple):
+        return (0.5, 1.5)
+    return default + 1 if isinstance(default, int) else default + 0.25
+
+
+@pytest.mark.parametrize("section, name, default", _plain_config_fields())
+def test_every_config_field_resolves_and_round_trips(section, name, default):
+    value = _non_default(name, default)
+    # Given as strings, the way YAML hands back exponent-only literals.
+    raw = [str(v) for v in value] if isinstance(value, tuple) else str(value)
+    data = _minimal()
+    data["sweep"] = {"k_path": [0.0, 1.0, 0.0]}
+    (data if section is None else data.setdefault(section, {}))[name] = raw
+    sweep = resolve_config(data)
+    owner = {None: sweep.base, "scheme": sweep.base.scheme, "sweep": sweep}[section]
+    assert getattr(owner, name) == value
+    assert resolve_config(serialize_config(sweep)) == sweep
+
+
+@pytest.mark.parametrize(
+    "section, name, default", _plain_config_fields(with_default=True)
+)
+def test_config_docstring_gives_each_field_default(section, name, default):
+    doc = kurahydro.config.__doc__
+    found = re.search(rf"\b{name}(?::\s[\w|]+)?\s\(([^)]*)\)", doc)
+    assert found, f"{name} is not listed with its default in the config docstring"
+    documented = yaml.safe_load(found.group(1))
+    if isinstance(default, tuple):
+        assert documented == list(default)
+    elif default is None:
+        assert documented is None
+    else:
+        assert type(default)(documented) == default
 
 
 def test_resolve_coerces_yaml_string_numerics():
@@ -248,18 +326,27 @@ def test_cli_compare_two_solvers(tmp_path, capsys):
     assert report["max_abs_dr"] < 5e-3
 
 
-def test_cli_deterministic_sets_thread_env(tmp_path, monkeypatch):
-    for var in ("KURAHYDRO_THREADS", "OMP_NUM_THREADS",
-                "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    cfg = _write_cfg(tmp_path)
-    out = tmp_path / "out"
-    assert main(["--deterministic", "run", "--config", cfg,
-                 "--out", str(out)]) == 0
-    assert os.environ["KURAHYDRO_THREADS"] == "1"
-    assert os.environ["OMP_NUM_THREADS"] == "1"
-    manifest = read_manifest(str(out / "manifest.json"))
-    assert manifest["threads"] == "1"
+def test_cli_run_is_bit_identical_across_thread_counts(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("m: 0.5\nK: 1.0\nu0: -sin(theta)\ng: gaussian\nn_omega: 64\n"
+                   "n_theta: 200\nt_end: 0.2\nsnapshot_times: [0.2]\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kurahydro.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "kurahydro.cli", "run", "--config", str(cfg),
+             "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append(out)
+    for rel in ("series.csv", "snapshots/t=0.2.csv"):
+        a, b = ((o / rel).read_bytes() for o in outputs)
+        assert a == b, f"{rel} differs between 1 and 2 BLAS/OpenMP threads"
 
 
 def test_cli_bad_config_path_returns_error(tmp_path, capsys):

@@ -59,7 +59,7 @@ def test_series_columns_and_access():
     series = TimeSeries(rows)
     assert len(series) == 2
     assert series.t[1] == float(len(SERIES_COLUMNS))
-    assert series.records()[0].r == 1.0
+    assert series.r[0] == 1.0
     with pytest.raises(AttributeError):
         series.nonexistent
     with pytest.raises(ValueError, match="columns"):

@@ -249,11 +249,11 @@ def test_both_solvers_manifests_time_each_solver(tmp_path):
     assert times["eulerian"] + times["lagrangian"] <= total
 
 
-def test_untimed_result_writes_zero_wall_time(tmp_path):
+def test_untimed_result_writes_null_wall_time(tmp_path):
     cfg = _config()
     result = ScenarioResult(cfg, eulerian=run_eulerian(cfg))
     write_scenario_result(result, str(tmp_path))
-    assert read_manifest(str(tmp_path / "manifest.json"))["wall_time_s"] == 0.0
+    assert read_manifest(str(tmp_path / "manifest.json"))["wall_time_s"] is None
 
 
 def test_manifest_round_trip_through_serialization():
