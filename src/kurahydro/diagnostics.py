@@ -78,51 +78,53 @@ def _field_cell_masses(state):
     return state.grid.dtheta * state.rho * state.omega.weights[:, None]
 
 
+def _weighted(obj):
+    """(weights, phases, velocities) of an ensemble, or of a field's cells."""
+    if isinstance(obj, FieldState):
+        return _field_cell_masses(obj), obj.grid.centers[None, :], obj.u
+    return obj.weight, obj.eta, obj.v
+
+
+def _wsum(w, x):
+    """sum w*x: np.dot over 1-D sample arrays, np.sum over field cells."""
+    return float(np.dot(w, x) if w.ndim == 1 else np.sum(w * x))
+
+
 def mean_velocity(obj):
     """Mass-weighted mean velocity v_c."""
-    if isinstance(obj, FieldState):
-        return float(np.sum(_field_cell_masses(obj) * obj.u))
-    return float(np.dot(obj.weight, obj.v))
+    w, _, v = _weighted(obj)
+    return _wsum(w, v)
 
 
 def mean_phase(obj):
     """Mass-weighted mean phase (unwrapped for ensembles)."""
-    if isinstance(obj, FieldState):
-        return float(np.sum(_field_cell_masses(obj) * obj.grid.centers[None, :]))
-    return float(np.dot(obj.weight, obj.eta))
+    w, ang, _ = _weighted(obj)
+    return _wsum(w, ang)
+
+
+def kinetic_energy(w, v):
+    """E_k = (1/2) sum w (v - v_c)^2 with v_c = sum w v."""
+    vc = _wsum(w, v)
+    return 0.5 * _wsum(w, np.square(v - vc))
 
 
 def energies(obj, op, params):
     """Kinetic and potential energy (E_k, E_p).
 
-    E_k = (1/2) sum w (v - v_c)^2; E_p = (K/2m)(1 - r^2), the closed form of
-    the double integral -- exact under the shared quadrature.
+    E_p = (K/2m)(1 - r^2), the closed form of the double integral -- exact
+    under the shared quadrature.
     """
-    if isinstance(obj, FieldState):
-        w = _field_cell_masses(obj)
-        v = obj.u
-    else:
-        w = obj.weight
-        v = obj.v
-    vc = float(np.sum(w * v))
-    Ek = 0.5 * float(np.sum(w * np.square(v - vc)))
+    w, _, v = _weighted(obj)
     Ep = (params.K / (2.0 * params.m)) * (1.0 - op.r**2)
-    return Ek, Ep
+    return kinetic_energy(w, v), Ep
 
 
 def lyapunov(obj, op, params):
     """L = (1/2) sum w (v + K r sin(eta - phi))^2, via the moment form."""
-    if isinstance(obj, FieldState):
-        w = _field_cell_masses(obj)
-        v = obj.u
-        ang = obj.grid.centers[None, :]
-    else:
-        w = obj.weight
-        v = obj.v
-        ang = obj.eta
+    w, ang, v = _weighted(obj)
     # r sin(eta - phi) = C sin(eta) - S cos(eta)
     term = v + params.K * (op.C * np.sin(ang) - op.S * np.cos(ang))
-    return 0.5 * float(np.sum(w * np.square(term)))
+    return 0.5 * _wsum(w, np.square(term))
 
 
 def min_grad_u(state):

@@ -16,7 +16,8 @@ TWO_PI = 2.0 * np.pi
 
 
 def _readonly(a, dtype=float):
-    out = np.ascontiguousarray(a, dtype=dtype)
+    """Read-only contiguous view of a (no copy if a fits); a stays writeable."""
+    out = np.ascontiguousarray(a, dtype=dtype).view()
     out.flags.writeable = False
     return out
 
@@ -275,7 +276,10 @@ def min_du0(u0, n_scan=8192):
 
 @dataclass(frozen=True)
 class FieldState:
-    """Eulerian fields rho, u with shape (n_omega, n_theta) at time t."""
+    """Eulerian fields rho, u with shape (n_omega, n_theta) at time t.
+
+    rho and u are read-only views sharing memory with the caller's arrays.
+    """
 
     grid: ThetaGrid
     omega: OmegaGrid

@@ -6,11 +6,15 @@ t_end (or blow-up), returning diagnostics series and field snapshots, and
 optionally writing a results directory.  hysteresis_sweep walks a coupling
 path forward and backward with warm starts, reading off quasi-steady order
 parameters.
+
+Only the generator _advance steps the finite-volume solver; run_eulerian
+(series rows, snapshots) and steady_r (steady-state test) consume it.
 """
 from __future__ import annotations
 
 import os
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +26,7 @@ from .diagnostics import (
     _field_cell_masses,
     diameters,
     energies,
+    kinetic_energy,
     lyapunov,
     mean_phase,
     mean_velocity,
@@ -91,17 +96,23 @@ class EulerianRun:
     failure: str | None = None
 
 
-def _field_kinetic(state):
-    masses = _field_cell_masses(state)
-    vc = float(np.sum(masses * state.u))
-    return 0.5 * float(np.sum(masses * np.square(state.u - vc)))
+def _advance(state, params, scheme, monitor, t_stop):
+    """Step with dt = min(cfl_dt, t_stop - t), yielding each new state.
+
+    The monitor sees each state before it is yielded.  Stops at t_stop (within
+    1e-12) or once the monitor has fired; MassClipError propagates.
+    """
+    while state.t < t_stop - 1e-12 and not monitor.fired:
+        dt = min(cfl_dt(state, scheme), t_stop - state.t)
+        state = step_rk2(state, dt, params, scheme)
+        monitor.observe(state)
+        yield state
 
 
 def _field_row(state, params, eps_supp, Ek_integral):
     op = order_parameter(state)
     Ek, Ep = energies(state, op, params)
     d_eta, d_v = diameters(state, eps_supp)
-    mass_err = float(np.max(np.abs(state.per_slice_mass() - 1.0)))
     return (
         state.t,
         op.r,
@@ -113,11 +124,11 @@ def _field_row(state, params, eps_supp, Ek_integral):
         d_eta,
         d_v,
         lyapunov(state, op, params),
-        mass_err,
+        float(np.max(np.abs(state.per_slice_mass() - 1.0))),
         min_grad_u(state),
         float(np.max(state.rho)),
         Ek_integral,
-    ), Ek
+    )
 
 
 def run_eulerian(config, state=None):
@@ -142,9 +153,8 @@ def run_eulerian(config, state=None):
 
     builder = SeriesBuilder()
     Ek_integral = 0.0
-    Ek_prev = _field_kinetic(state)
-    row, _ = _field_row(state, params, eps_supp, Ek_integral)
-    builder.append(row)
+    Ek_prev = kinetic_energy(_field_cell_masses(state), state.u)
+    builder.append(_field_row(state, params, eps_supp, Ek_integral))
     snapshots = {}
     if round(state.t, 12) in snap_set:
         snapshots[float(state.t)] = state
@@ -153,20 +163,14 @@ def run_eulerian(config, state=None):
     for target in events:
         if target <= state.t:
             continue
-        while state.t < target - 1e-12 and not monitor.fired:
-            t_before = state.t
-            dt = min(cfl_dt(state, scheme), target - state.t)
-            try:
-                state = step_rk2(state, dt, params, scheme)
-            except MassClipError as err:
-                failure = str(err)
-                break
-            Ek_now = _field_kinetic(state)
-            Ek_integral += 0.5 * (state.t - t_before) * (Ek_prev + Ek_now)
-            Ek_prev = Ek_now
-            monitor.observe(state)
-        row, _ = _field_row(state, params, eps_supp, Ek_integral)
-        builder.append(row)
+        try:
+            for new_state in _advance(state, params, scheme, monitor, target):
+                Ek_now = kinetic_energy(_field_cell_masses(new_state), new_state.u)
+                Ek_integral += 0.5 * (new_state.t - state.t) * (Ek_prev + Ek_now)
+                Ek_prev, state = Ek_now, new_state
+        except MassClipError as err:
+            failure = str(err)
+        builder.append(_field_row(state, params, eps_supp, Ek_integral))
         if round(float(state.t), 12) in snap_set:
             snapshots[float(target)] = state
         if monitor.fired or failure is not None:
@@ -320,41 +324,44 @@ def steady_r(config, K, warm_state, sweep):
     """Integrate at coupling K until r settles; returns (r_inf, state, flag).
 
     Steady when |r(t) - r(t - window)| < tol (checked once the window has
-    elapsed), capped at t_max.  Blow-up or solver failure maps to r_inf = 1
-    with the flag set, returning the last finite state for warm-starting.
+    elapsed), capped at t_max, where an unsettled r warns (RuntimeWarning).
+    Blow-up or solver failure maps to r_inf = 1 with the flag set, returning
+    the last finite state for warm-starting.
     """
     params = replace(config.params, K=float(K))
     scheme = config.scheme
     state = replace(warm_state, t=0.0, clipped_mass=0.0)
     monitor = BlowupMonitor(scheme.blowup_rho_factor, scheme.blowup_grad)
-    monitor.observe(state)
+    if monitor.observe(state) is not None:  # a non-finite warm start
+        return 1.0, state, True
     history = [(0.0, order_parameter(state).r)]
     head = 0
     r_now = history[0][1]
-    while state.t < sweep.t_max:
-        dt = min(cfl_dt(state, scheme), sweep.t_max - state.t)
-        try:
-            new_state = step_rk2(state, dt, params, scheme)
-        except MassClipError:
-            return 1.0, state, True
-        if monitor.observe(new_state) is not None:
-            return 1.0, state, True
-        state = new_state
-        r_now = order_parameter(state).r
-        history.append((state.t, r_now))
-        # Compare against the latest record at or before t - window, so the
-        # criterion can only fire once a full window has elapsed.
-        while (
-            head + 1 < len(history)
-            and history[head + 1][0] <= state.t - sweep.steady_window
-        ):
-            head += 1
-        t_ref, r_ref = history[head]
-        if (
-            t_ref <= state.t - sweep.steady_window
-            and abs(r_now - r_ref) < sweep.steady_tol
-        ):
-            break
+    dr = 0.0
+    try:
+        for new_state in _advance(state, params, scheme, monitor, sweep.t_max):
+            if monitor.fired:
+                return 1.0, state, True
+            state = new_state
+            r_now = order_parameter(state).r
+            history.append((state.t, r_now))
+            # Compare against the latest record at or before t - window, so
+            # the criterion can only fire once a full window has elapsed.
+            while (
+                head + 1 < len(history)
+                and history[head + 1][0] <= state.t - sweep.steady_window
+            ):
+                head += 1
+            t_ref, r_ref = history[head]
+            dr = abs(r_now - r_ref)
+            if t_ref <= state.t - sweep.steady_window and dr < sweep.steady_tol:
+                break
+        else:
+            msg = f"r did not settle at K={K:g} by t_max={sweep.t_max:g}; last |dr|"
+            msg += f" over the window {dr:.3g} (tol {sweep.steady_tol:g})"
+            warnings.warn(msg, RuntimeWarning, stacklevel=2)
+    except MassClipError:
+        return 1.0, state, True
     return r_now, state, False
 
 

@@ -18,16 +18,27 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import BlowupEvent, SeriesBuilder
+from .diagnostics import (
+    BlowupEvent,
+    SeriesBuilder,
+    diameters,
+    energies,
+    kinetic_energy,
+    lyapunov,
+    mean_phase,
+    mean_velocity,
+)
 from .domain import (
     FieldState,
     InitSpec,
     TableData,
+    _readonly,
     evaluate_du0,
     evaluate_u0,
     rho0_profile,
     wrap_angle,
 )
+from .meanfield import ensemble_order_parameter
 
 TWO_PI = 2.0 * np.pi
 
@@ -40,15 +51,12 @@ class IntegrationFailure(RuntimeError):
         self.t_last = t_last
 
 
-def _frozen(a):
-    out = np.ascontiguousarray(a, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class CharEnsemble:
-    """Weighted characteristic samples at a common time t."""
+    """Weighted characteristic samples at a common time t.
+
+    The arrays are read-only views sharing memory with the caller's arrays.
+    """
 
     theta0: np.ndarray
     Omega: np.ndarray
@@ -61,7 +69,7 @@ class CharEnsemble:
 
     def __post_init__(self):
         for name in ("theta0", "Omega", "weight", "eta", "v", "d", "log_rho"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
         if abs(float(np.sum(self.weight)) - 1.0) > 1e-9:
             raise ValueError("sample weights must sum to 1")
 
@@ -157,37 +165,28 @@ def _derivs(eta, v, d, w, Omega, m, K):
     return v, dv, dd, -d
 
 
-def _row(t, eta, v, d, log_rho, w, m, K, Ek_integral):
-    cos_e = np.cos(eta)
-    sin_e = np.sin(eta)
-    C = float(np.dot(w, cos_e))
-    S = float(np.dot(w, sin_e))
-    r = float(np.hypot(C, S))
-    phi = float(np.arctan2(S, C)) if r > 0.0 else 0.0
-    vc = float(np.dot(w, v))
-    etac = float(np.dot(w, eta))
-    Ek = 0.5 * float(np.dot(w, np.square(v - vc)))
-    Ep = (K / (2.0 * m)) * (1.0 - r * r)
-    L = 0.5 * float(np.dot(w, np.square(v + K * (C * sin_e - S * cos_e))))
+def _row(ens, params, Ek_integral):
+    op = ensemble_order_parameter(ens.eta, ens.weight)
+    Ek, Ep = energies(ens, op, params)
+    d_eta, d_v = diameters(ens)
     with np.errstate(over="ignore"):
-        max_rho = float(np.exp(np.max(log_rho)))
-    row = (
-        t,
-        r,
-        phi,
+        max_rho = float(np.exp(np.max(ens.log_rho)))
+    return (
+        ens.t,
+        op.r,
+        op.phi,
         Ek,
         Ep,
-        vc,
-        etac,
-        float(np.max(eta) - np.min(eta)),
-        float(np.max(v) - np.min(v)),
-        L,
-        abs(float(np.sum(w)) - 1.0),
-        float(np.min(d)),
+        mean_velocity(ens),
+        mean_phase(ens),
+        d_eta,
+        d_v,
+        lyapunov(ens, op, params),
+        abs(float(np.sum(ens.weight)) - 1.0),
+        float(np.min(ens.d)),
         max_rho,
         Ek_integral,
     )
-    return row, Ek
 
 
 def evolve(
@@ -205,35 +204,20 @@ def evolve(
     step).  Stops early with a blow-up flag as soon as any d < -1/eps_blow;
     raises IntegrationFailure on non-finite states outside that flag.
     """
-    assert dt > 0 and T > ens.t
+    if not (dt > 0 and T > ens.t):
+        raise ValueError(f"evolve needs dt > 0 and T > t0={ens.t}; got dt={dt}, T={T}")
     m, K = params.m, params.K
-    w = ens.weight
-    Omega = ens.Omega
-    eta = ens.eta.copy()
-    v = ens.v.copy()
-    d = ens.d.copy()
-    lr = ens.log_rho.copy()
-    t = ens.t
+    w, Omega, t = ens.weight, ens.Omega, ens.t
+    eta, v, d, lr = ens.eta, ens.v, ens.d, ens.log_rho
     d_floor = -1.0 / eps_blow
 
     n_steps = int(round((T - ens.t) / dt))
-    snap_steps = {}
-    for ts in snapshot_times:
-        snap_steps[int(round((ts - ens.t) / dt))] = float(ts)
+    snap_steps = {int(round((ts - ens.t) / dt)): float(ts) for ts in snapshot_times}
 
     builder = SeriesBuilder()
-
-    def record(step_t, ek_int):
-        row, _ = _row(step_t, eta, v, d, lr, w, m, K, ek_int)
-        builder.append(row)
-
-    def kinetic():
-        vc = float(np.dot(w, v))
-        return 0.5 * float(np.dot(w, np.square(v - vc)))
-
     Ek_integral = 0.0
-    Ek_last = kinetic()
-    record(t, Ek_integral)
+    Ek_last = kinetic_energy(w, v)
+    builder.append(_row(ens, params, Ek_integral))
     snapshots = {}
     if 0 in snap_steps:
         snapshots[snap_steps[0]] = ens
@@ -267,18 +251,18 @@ def evolve(
         ):
             raise IntegrationFailure(t - dt)
 
-        Ek_now = kinetic()
+        Ek_now = kinetic_energy(w, v)
         Ek_integral += 0.5 * dt * (Ek_last + Ek_now)
         Ek_last = Ek_now
 
         at_record = blowup is not None or step == n_steps or step % record_every == 0
+        at_snapshot = step in snap_steps or blowup is not None
+        if at_record or at_snapshot:
+            now = replace(ens, eta=eta, v=v, d=d, log_rho=lr, t=t)
         if at_record:
-            record(t, Ek_integral)
-        if step in snap_steps or blowup is not None:
-            ts = snap_steps.get(step, t)
-            snapshots[ts] = replace(
-                ens, eta=eta.copy(), v=v.copy(), d=d.copy(), log_rho=lr.copy(), t=t
-            )
+            builder.append(_row(now, params, Ek_integral))
+        if at_snapshot:
+            snapshots[snap_steps.get(step, t)] = now
         if blowup is not None:
             break
 

@@ -85,7 +85,8 @@ def _category_of(value, roots):
 
 def classify_value(value, params, margin=0.0):
     """Verdict for a known min du0, widened to indeterminate within +/-margin."""
-    assert margin >= 0.0
+    if not margin >= 0.0:
+        raise ValueError(f"margin must be nonnegative, got {margin}")
     roots = critical_roots(params)
     cat = _category_of(value - margin, roots)
     if cat != _category_of(value + margin, roots):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kurahydro import (
     FieldState,
@@ -13,6 +14,12 @@ from kurahydro import (
 
 
 ACCEPTANCE_LINES = []
+
+# Property tests draw the same examples on every run (no example database)
+# and have no per-example deadline, so a slow or busy host cannot make them
+# flaky.
+settings.register_profile("kurahydro", derandomize=True, deadline=None, database=None)
+settings.load_profile("kurahydro")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

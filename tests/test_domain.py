@@ -153,6 +153,19 @@ def test_field_state_shape_validation():
         state.rho[0, 0] = 2.0  # readonly
 
 
+def test_field_state_freezes_a_view_not_the_callers_array():
+    grid = make_theta_grid(8)
+    om = discretize_frequency("dirac")
+    rho = np.ones((1, 8)) / (2 * np.pi)
+    u = np.zeros((1, 8))
+    state = FieldState(grid, om, rho, u)
+    assert rho.flags.writeable and u.flags.writeable
+    assert not state.rho.flags.writeable and not state.u.flags.writeable
+    assert np.shares_memory(state.rho, rho)  # a view: no copy is made
+    u[0, 0] = 1.0  # the caller may still write its own array
+    assert state.u[0, 0] == 1.0
+
+
 def test_table_round_trip(tmp_path):
     grid = make_theta_grid(16)
     om = discretize_frequency("dirac")

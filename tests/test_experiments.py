@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from kurahydro import (
+    BlowupMonitor,
     InitSpec,
     Params,
     RhoGaussian,
@@ -19,17 +21,20 @@ from kurahydro import (
     USine,
     build_grids,
     build_state,
+    cfl_dt,
     discretize_frequency,
     hysteresis_sweep,
     make_theta_grid,
     marginalize,
     normalize_slices,
+    order_parameter,
     resolve_config,
     run_eulerian,
     run_lagrangian,
     run_scenario,
     serialize_config,
     steady_r,
+    step_rk2,
 )
 from kurahydro.domain import FieldState
 from kurahydro.experiments import ScenarioResult, write_scenario_result
@@ -135,6 +140,80 @@ def test_steady_r_blowup_maps_to_one():
     assert flag
     assert r_inf == 1.0
     assert np.all(np.isfinite(final.rho))  # last state before the flag
+
+
+def test_steady_r_warns_when_t_max_stops_it_unsettled():
+    cfg = _config(n_theta=60)
+    sweep = SweepConfig(k_path=(0.1,), steady_window=1.0, t_max=0.5)
+    with pytest.warns(RuntimeWarning, match=r"K=0.1 by t_max=0.5; last \|dr\|"):
+        r_inf, final, flag = steady_r(cfg, 0.1, build_state(cfg), sweep)
+    assert not flag
+    assert final.t == pytest.approx(0.5)
+    assert 0.0 < r_inf < 1.0
+
+
+# A plain cfl_dt / step_rk2 / monitor loop, written out here so that the
+# solver's own stepping can be held to it bit for bit.
+def _reference_steps(state, params, scheme, targets):
+    """Step to each target in turn; returns (state, state before it, fired)."""
+    monitor = BlowupMonitor(scheme.blowup_rho_factor, scheme.blowup_grad)
+    monitor.observe(state)
+    before = state
+    for target in targets:
+        while state.t < target - 1e-12 and not monitor.fired:
+            before = state
+            dt = min(cfl_dt(state, scheme), target - state.t)
+            state = step_rk2(state, dt, params, scheme)
+            monitor.observe(state)
+    return state, before, monitor.fired
+
+
+def _assert_same_state(a, b):
+    assert a.t == b.t
+    assert a.clipped_mass == b.clipped_mass
+    assert np.array_equal(a.rho, b.rho)
+    assert np.array_equal(a.u, b.u)
+
+
+_GAUSSIAN = dict(g="gaussian", n_omega=5, n_theta=64, t_end=0.6, record_dt=0.2)
+_BLOWUP = dict(
+    params=Params(1.0, 1.0),
+    init=InitSpec(RhoGaussian(), USine(-2.0)),
+    n_theta=100,
+    t_end=1.0,
+    record_dt=0.25,
+    scheme=SchemeConfig(blowup_rho_factor=5.0),
+)
+
+
+@pytest.mark.parametrize("kw", [_GAUSSIAN, _BLOWUP], ids=["gaussian", "blowup"])
+def test_run_eulerian_matches_reference_loop_bitwise(kw):
+    cfg = _config(**kw)
+    n_records = round(cfg.t_end / cfg.record_dt)
+    targets = [round(k * cfg.record_dt, 12) for k in range(1, n_records + 1)]
+    ref, _, fired = _reference_steps(build_state(cfg), cfg.params, cfg.scheme, targets)
+    run = run_eulerian(cfg)
+    assert (run.blowup is not None) == fired == (kw is _BLOWUP)
+    _assert_same_state(run.final, ref)
+
+
+@pytest.mark.parametrize("kw", [_GAUSSIAN, _BLOWUP], ids=["t_max", "blowup"])
+def test_steady_r_matches_reference_loop_bitwise(kw):
+    cfg = _config(**kw)
+    K = cfg.params.K
+    sweep = SweepConfig(k_path=(K,), steady_window=1.0, t_max=0.6)
+    start = build_state(cfg)
+    ref, before, fired = _reference_steps(start, cfg.params, cfg.scheme, [0.6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # t_max < window
+        r_inf, state, flag = steady_r(cfg, K, start, sweep)
+    assert flag == fired == (kw is _BLOWUP)
+    if fired:
+        assert r_inf == 1.0
+        _assert_same_state(state, before)
+    else:
+        assert r_inf == order_parameter(ref).r
+        _assert_same_state(state, ref)
 
 
 def test_sweep_config_validation_and_branches():

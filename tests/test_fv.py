@@ -1,8 +1,12 @@
 """Finite-volume scheme: stencil oracle, conservation, TVD, convergence."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kurahydro import (
     FieldState,
@@ -17,6 +21,7 @@ from kurahydro import (
     init_state,
     make_theta_grid,
     minmod,
+    normalize_slices,
     order_parameter,
     rhs,
     step_rk2,
@@ -205,3 +210,68 @@ def test_clip_bookkeeping_smooth_run(random_state_factory):
     out = step_rk2(state, cfl_dt(state, config), Params(1.0, 0.5), config)
     assert out.clipped_mass == 0.0
     assert np.all(out.rho >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Symmetries and conservation of one step, over random states.
+
+
+@st.composite
+def _random_step_case(draw):
+    """(state, params, scheme): rho drawn in [0.1, 2], then slice-normalized."""
+    n_theta = draw(st.integers(8, 48))
+    n_omega = draw(st.sampled_from([1, 2, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = make_theta_grid(n_theta)
+    if n_omega == 1:
+        omega = discretize_frequency("dirac")
+    else:
+        omega = discretize_frequency("gaussian", n_omega, 5.0)
+    rho = rng.uniform(0.1, 2.0, size=(omega.n, n_theta))
+    rho = normalize_slices(rho, grid.dtheta)
+    u = draw(st.floats(0.0, 2.0)) * rng.normal(size=(omega.n, n_theta))
+    params = Params(draw(st.floats(0.2, 2.0)), draw(st.floats(0.0, 3.0)))
+    return FieldState(grid, omega, rho, u), params, SchemeConfig()
+
+
+def _assert_fields_close(a, b):
+    assert np.allclose(a.rho, b.rho, rtol=0.0, atol=1e-13)
+    assert np.allclose(a.u, b.u, rtol=0.0, atol=1e-13)
+
+
+@given(_random_step_case(), st.integers(1, 47))
+def test_whole_cell_rotation_commutes_with_step(case, shift):
+    state, params, scheme = case
+    dt = cfl_dt(state, scheme)
+
+    def rotate(s):
+        return replace(s, rho=np.roll(s.rho, shift, 1), u=np.roll(s.u, shift, 1))
+
+    _assert_fields_close(
+        step_rk2(rotate(state), dt, params, scheme),
+        rotate(step_rk2(state, dt, params, scheme)),
+    )
+
+
+@given(_random_step_case())
+def test_reflection_commutes_with_step(case):
+    """theta -> -theta, u -> -u, Omega -> -Omega: cell j <-> n-1-j, node k <-> n-1-k."""
+    state, params, scheme = case
+    dt = cfl_dt(state, scheme)
+
+    def reflect(s):
+        return replace(s, rho=s.rho[::-1, ::-1], u=-s.u[::-1, ::-1])
+
+    _assert_fields_close(
+        step_rk2(reflect(state), dt, params, scheme),
+        reflect(step_rk2(state, dt, params, scheme)),
+    )
+
+
+@given(_random_step_case())
+def test_cfl_step_conserves_slice_mass_and_positivity(case):
+    state, params, scheme = case
+    new = step_rk2(state, cfl_dt(state, scheme), params, scheme)
+    assert np.all(new.rho >= 0.0)
+    assert new.clipped_mass == 0.0
+    assert np.max(np.abs(new.per_slice_mass() - state.per_slice_mass())) < 1e-14

@@ -9,6 +9,7 @@ from kurahydro import (
     InitSpec,
     Params,
     RhoGaussian,
+    RhoPointCell,
     RhoUniform,
     UConst,
     USine,
@@ -78,6 +79,34 @@ def test_weights_must_sum_to_one():
             np.zeros(2),
             np.zeros(2),
         )
+
+
+def test_ensemble_arrays_are_readonly_views_of_the_callers_arrays():
+    eta = np.array([0.1, -0.2])
+    weight = np.array([0.25, 0.75])
+    zeros = np.zeros(2)
+    ens = CharEnsemble(zeros, zeros, weight, eta, zeros, zeros, zeros)
+    assert eta.flags.writeable and weight.flags.writeable
+    assert np.shares_memory(ens.eta, eta)
+    with pytest.raises(ValueError):
+        ens.eta[0] = 1.0
+
+
+def test_evolve_rejects_bad_step_and_horizon():
+    ens = _identical_ensemble(16)
+    with pytest.raises(ValueError, match="T > t0"):
+        evolve(ens, Params(0.5, 0.1), 0.0)
+    with pytest.raises(ValueError, match="dt > 0"):
+        evolve(ens, Params(0.5, 0.1), 1.0, dt=0.0)
+
+
+def test_series_diameters_skip_zero_weight_samples():
+    """A point-cell datum puts all mass on one sample: both diameters vanish."""
+    ens = _identical_ensemble(64, u0=USine(0.1), rho0=RhoPointCell(0.0))
+    assert np.count_nonzero(ens.weight) == 1
+    run = evolve(ens, Params(0.5, 0.1), 0.01, dt=1e-3)
+    assert run.series.d_eta[0] == 0.0
+    assert run.series.d_v[0] == 0.0
 
 
 def test_mean_velocity_exponential_law():

@@ -69,6 +69,11 @@ def test_margin_widens_to_indeterminate():
     assert classify_value(far, params, margin=1e-3).category == SUBCRITICAL
 
 
+def test_negative_margin_is_rejected():
+    with pytest.raises(ValueError, match="margin must be nonnegative"):
+        classify_value(0.0, Params(0.5, 0.1), margin=-1e-3)
+
+
 def test_no_indeterminate_band_without_coupling():
     params = Params(0.5, 0.0)
     threshold = -1.0 / params.m
