@@ -113,17 +113,25 @@ def _cmd_classify(args):
     return 0
 
 
+def _read_both(read, path_a, path_b):
+    """read(path_a), read(path_b); a file named on both sides is parsed once."""
+    first = read(path_a)
+    return first, (first if os.path.samefile(path_a, path_b) else read(path_b))
+
+
 def compare_runs(dir_a, dir_b):
     """Distance report between two results directories sharing grids/times."""
-    series_a = read_series_csv(os.path.join(dir_a, "series.csv"))
-    series_b = read_series_csv(os.path.join(dir_b, "series.csv"))
+    series_a, series_b = _read_both(
+        read_series_csv, *(os.path.join(d, "series.csv") for d in (dir_a, dir_b))
+    )
     snaps_a = list_snapshots(dir_a)
     snaps_b = list_snapshots(dir_b)
     common = sorted(set(snaps_a) & set(snaps_b))
     l1_rho = {}
     for t_s in common:
-        theta_a, omega_a, rho_a, _ = read_snapshot_csv(snaps_a[t_s])
-        theta_b, omega_b, rho_b, _ = read_snapshot_csv(snaps_b[t_s])
+        (theta_a, omega_a, rho_a, _), (theta_b, omega_b, rho_b, _) = _read_both(
+            read_snapshot_csv, snaps_a[t_s], snaps_b[t_s]
+        )
         if theta_a.shape != theta_b.shape or not np.allclose(
             theta_a, theta_b, rtol=0.0, atol=1e-12
         ):

@@ -119,20 +119,32 @@ def energies(obj, op, params):
     return kinetic_energy(w, v), Ep
 
 
-def lyapunov(obj, op, params):
-    """L = (1/2) sum w (v + K r sin(eta - phi))^2, via the moment form."""
+def lyapunov(obj, op, params, trig=None):
+    """L = (1/2) sum w (v + K r sin(eta - phi))^2, via the moment form.
+
+    trig is (cos, sin) of the phases if the caller has them already.
+    """
     w, ang, v = _weighted(obj)
+    cos_a, sin_a = trig if trig is not None else (np.cos(ang), np.sin(ang))
     # r sin(eta - phi) = C sin(eta) - S cos(eta)
-    term = v + params.K * (op.C * np.sin(ang) - op.S * np.cos(ang))
+    term = v + params.K * (op.C * sin_a - op.S * cos_a)
     return 0.5 * _wsum(w, np.square(term))
 
 
 def min_grad_u(state):
-    """Min over the grid of the centered-difference d(theta) u."""
-    du = (np.roll(state.u, -1, axis=-1) - np.roll(state.u, 1, axis=-1)) / (
-        2.0 * state.grid.dtheta
-    )
-    return float(np.min(du))
+    """Min over the grid of the centered-difference d(theta) u.
+
+    The smallest difference u_{j+1} - u_{j-1} (interior cells, then the two
+    that wrap around) is divided once: dividing by 2*dtheta > 0 is monotone
+    under rounding, so this is the min of the divided differences.
+    """
+    u = state.u
+    lowest = np.min((
+        np.min(u[:, 2:] - u[:, :-2]),
+        np.min(u[:, 1] - u[:, -1]),
+        np.min(u[:, 0] - u[:, -2]),
+    ))
+    return float(lowest / (2.0 * state.grid.dtheta))
 
 
 def _covering_arc(angles):
@@ -165,9 +177,15 @@ def diameters(obj, eps_supp=None):
     mask = obj.weight > 0.0
     if not np.any(mask):
         raise ValueError("empty support: all sample weights vanish")
-    eta = obj.eta[mask]
-    v = obj.v[mask]
-    return float(np.max(eta) - np.min(eta)), float(np.max(v) - np.min(v))
+    if mask.all():
+        mask = True  # the plain reductions, which are faster
+    return _range_over(obj.eta, mask), _range_over(obj.v, mask)
+
+
+def _range_over(x, mask):
+    """max - min of x where mask holds, without copying those entries."""
+    high = np.max(x, where=mask, initial=-np.inf)
+    return float(high - np.min(x, where=mask, initial=np.inf))
 
 
 # ---------------------------------------------------------------------------

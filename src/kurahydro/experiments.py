@@ -39,7 +39,7 @@ from .domain import (
     init_state,
     make_theta_grid,
 )
-from .fv import MassClipError, SchemeConfig, cfl_dt, step_rk2
+from .fv import MassClipError, SchemeConfig, Workspace, cfl_dt, step_rk2
 from .lagrangian import evolve, pushforward_density, sample_initial
 from .meanfield import order_parameter
 
@@ -100,11 +100,13 @@ def _advance(state, params, scheme, monitor, t_stop):
     """Step with dt = min(cfl_dt, t_stop - t), yielding each new state.
 
     The monitor sees each state before it is yielded.  Stops at t_stop (within
-    1e-12) or once the monitor has fired; MassClipError propagates.
+    1e-12) or once the monitor has fired; MassClipError propagates.  All steps
+    share one fv.Workspace.
     """
+    ws = Workspace()
     while state.t < t_stop - 1e-12 and not monitor.fired:
-        dt = min(cfl_dt(state, scheme), t_stop - state.t)
-        state = step_rk2(state, dt, params, scheme)
+        dt = min(cfl_dt(state, scheme, ws), t_stop - state.t)
+        state = step_rk2(state, dt, params, scheme, ws)
         monitor.observe(state)
         yield state
 

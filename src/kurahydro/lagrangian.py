@@ -166,7 +166,8 @@ def _derivs(eta, v, d, w, Omega, m, K):
 
 
 def _row(ens, params, Ek_integral):
-    op = ensemble_order_parameter(ens.eta, ens.weight)
+    trig = (np.cos(ens.eta), np.sin(ens.eta))
+    op = ensemble_order_parameter(ens.eta, ens.weight, trig)
     Ek, Ep = energies(ens, op, params)
     d_eta, d_v = diameters(ens)
     with np.errstate(over="ignore"):
@@ -181,7 +182,7 @@ def _row(ens, params, Ek_integral):
         mean_phase(ens),
         d_eta,
         d_v,
-        lyapunov(ens, op, params),
+        lyapunov(ens, op, params, trig),
         abs(float(np.sum(ens.weight)) - 1.0),
         float(np.min(ens.d)),
         max_rho,

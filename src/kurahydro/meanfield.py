@@ -30,14 +30,18 @@ def _from_moments(C, S):
     return OrderParam(r, phi, C, S)
 
 
-def order_parameter(state):
+def _cos_sin(angles, trig):
+    return trig if trig is not None else (np.cos(angles), np.sin(angles))
+
+
+def order_parameter(state, trig=None):
     """Order parameter of an Eulerian state: moments of rho weighted by g.
 
     C = dtheta * sum_k w_k sum_j cos(theta_j) rho_jk, S likewise with sin.
-    (Inner sum over theta first, then over frequency nodes.)
+    (Inner sum over theta first, then over frequency nodes.)  trig is
+    (cos, sin) of the cell centres if the caller has them already.
     """
-    cos_t = np.cos(state.grid.centers)
-    sin_t = np.sin(state.grid.centers)
+    cos_t, sin_t = _cos_sin(state.grid.centers, trig)
     per_slice_c = state.rho @ cos_t
     per_slice_s = state.rho @ sin_t
     C = state.grid.dtheta * float(np.dot(state.omega.weights, per_slice_c))
@@ -45,16 +49,24 @@ def order_parameter(state):
     return _from_moments(C, S)
 
 
-def ensemble_order_parameter(eta, weights):
-    """Order parameter of a weighted sample ensemble: r e^{i phi} = sum w e^{i eta}."""
-    C = float(np.dot(weights, np.cos(eta)))
-    S = float(np.dot(weights, np.sin(eta)))
+def ensemble_order_parameter(eta, weights, trig=None):
+    """Order parameter of a weighted sample ensemble: r e^{i phi} = sum w e^{i eta}.
+
+    trig is (cos eta, sin eta) if the caller has them already.
+    """
+    cos_e, sin_e = _cos_sin(eta, trig)
+    C = float(np.dot(weights, cos_e))
+    S = float(np.dot(weights, sin_e))
     return _from_moments(C, S)
 
 
-def mean_field_force(op, theta, params):
-    """K*(S*cos(theta) - C*sin(theta)), identically K*r*sin(phi - theta)."""
-    return params.K * (op.S * np.cos(theta) - op.C * np.sin(theta))
+def mean_field_force(op, theta, params, trig=None):
+    """K*(S*cos(theta) - C*sin(theta)), identically K*r*sin(phi - theta).
+
+    trig is (cos theta, sin theta) if the caller has them already.
+    """
+    cos_t, sin_t = _cos_sin(theta, trig)
+    return params.K * (op.S * cos_t - op.C * sin_t)
 
 
 def mean_field_cos(op, theta):

@@ -304,6 +304,27 @@ def test_cli_compare_self_is_zero(tmp_path, capsys):
     assert all(v == 0.0 for v in report["l1_rho"].values())
 
 
+def test_compare_self_parses_each_file_once(tmp_path, monkeypatch):
+    """compare_runs(d, d) reads each file once and reports the same as a copy."""
+    import shutil
+
+    from kurahydro import cli
+
+    cfg = _write_cfg(tmp_path, snapshot_times="[0.0, 0.3]")
+    out, copy = tmp_path / "out", tmp_path / "copy"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    shutil.copytree(out, copy)
+    expected = compare_runs(str(out), str(copy))
+    parsed = []
+    for name in ("read_series_csv", "read_snapshot_csv"):
+        read = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda path, read=read: parsed.append(path) or read(path)
+        )
+    assert compare_runs(str(out), str(out)) == expected
+    assert len(parsed) == len(set(parsed)) == 3  # series.csv and two snapshots
+
+
 def test_cli_compare_mismatched_grids_errors(tmp_path, capsys):
     cfg_a = _write_cfg(tmp_path, name="a.yaml", snapshot_times="[0.0]")
     cfg_b = _write_cfg(tmp_path, name="b.yaml", snapshot_times="[0.0]")

@@ -34,7 +34,7 @@ from kurahydro import (
     sample_initial,
     velocity_envelope,
 )
-from kurahydro.diagnostics import SeriesBuilder
+from kurahydro.diagnostics import SeriesBuilder, min_grad_u
 
 
 class _Ens:
@@ -242,3 +242,13 @@ def test_blowup_monitor_reference_density():
     mon = BlowupMonitor(rho_factor=2.0, max_rho0=1.0)
     assert mon.observe_values(0.0, 1.9, 0.0) is None
     assert mon.observe_values(0.1, 2.1, 0.0) is not None
+
+
+@pytest.mark.parametrize("n_theta", [4, 5, 64])
+def test_min_grad_u_equals_the_rolled_centred_difference(random_state_factory, n_theta):
+    """Min of the undivided differences, divided once, is the min of the quotients."""
+    state = random_state_factory(n_theta=n_theta, n_omega=3, kind="gaussian")
+    rolled = (np.roll(state.u, -1, axis=-1) - np.roll(state.u, 1, axis=-1)) / (
+        2.0 * state.grid.dtheta
+    )
+    assert min_grad_u(state) == float(np.min(rolled))

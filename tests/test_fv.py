@@ -1,6 +1,7 @@
 """Finite-volume scheme: stencil oracle, conservation, TVD, convergence."""
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from kurahydro import (
     step_rk2,
     wrap_angle,
 )
+from kurahydro import fv
 from kurahydro.fv import kt_flux, reconstruct
 
 
@@ -275,3 +277,79 @@ def test_cfl_step_conserves_slice_mass_and_positivity(case):
     assert np.all(new.rho >= 0.0)
     assert new.clipped_mass == 0.0
     assert np.max(np.abs(new.per_slice_mass() - state.per_slice_mass())) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# Workspace and slice blocks: the same bits, bounded memory.
+
+
+def _gaussian_state(n_omega, n_theta):
+    grid = make_theta_grid(n_theta)
+    omega = discretize_frequency("gaussian", n_omega, 5.0)
+    return init_state(InitSpec(RhoGaussian(0.3, 0.8), USine(-0.7)), grid, omega)
+
+
+def _assert_same_bits(a, b):
+    assert a.t == b.t and a.clipped_mass == b.clipped_mass
+    assert a.rho.tobytes() == b.rho.tobytes()
+    assert a.u.tobytes() == b.u.tobytes()
+
+
+def test_slice_blocks_do_not_change_a_bit(monkeypatch):
+    """rhs, cfl_dt and step_rk2 over 4 blocks (2, 2, 2, 1 slices) equal one block."""
+    state = _gaussian_state(7, 64)
+    params, scheme = Params(1.0, 3.6), SchemeConfig()
+    op = order_parameter(state)
+
+    def evaluate():
+        tendencies = [a.copy() for a in rhs(state, op, params, scheme)]
+        dt = cfl_dt(state, scheme)
+        return tendencies, dt, step_rk2(state, dt, params, scheme)
+
+    one_block = evaluate()
+    monkeypatch.setattr(fv, "BLOCK_CELLS", 2 * 64)
+    assert [hi - lo for lo, hi in fv._blocks(7, 64)] == [2, 2, 2, 1]
+    blocked = evaluate()
+    for a, b in zip(one_block[0], blocked[0]):
+        assert a.tobytes() == b.tobytes()
+    assert one_block[1] == blocked[1]
+    _assert_same_bits(one_block[2], blocked[2])
+
+
+def test_reused_workspace_matches_fresh_ones(monkeypatch):
+    """One workspace over 20 steps, then on a second shape, as fresh ones."""
+    monkeypatch.setattr(fv, "BLOCK_CELLS", 3 * 64)  # ragged blocks on both shapes
+    params, scheme = Params(0.8, 2.0), SchemeConfig()
+    ws = fv.Workspace()
+    for shape in ((7, 64), (3, 40)):
+        reused = fresh = _gaussian_state(*shape)
+        for _ in range(20):
+            reused = step_rk2(reused, cfl_dt(reused, scheme, ws), params, scheme, ws)
+            fresh = step_rk2(fresh, cfl_dt(fresh, scheme), params, scheme)
+            _assert_same_bits(reused, fresh)
+
+
+def test_advance_step_allocates_few_field_sized_arrays():
+    """After warm-up, one stepping-loop step at 120x100 peaks at <= 8 fields.
+
+    A step must keep its midpoint and new (rho, u), 4 field-sized arrays;
+    the monitor's centred difference adds one more while the new state is
+    alive.  8 leaves room for small arrays and numpy's own buffers while
+    still failing a step that builds full-size temporaries (the np.roll
+    step before the workspace peaked at 23 fields).
+    """
+    from kurahydro.diagnostics import BlowupMonitor
+    from kurahydro.experiments import _advance
+
+    state = _gaussian_state(120, 100)
+    field_bytes = state.rho.nbytes
+    steps = _advance(state, Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0)
+    for _ in range(3):
+        next(steps)
+    tracemalloc.start()
+    try:
+        next(steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * field_bytes, peak / field_bytes
