@@ -4,6 +4,15 @@ asymptotic order-parameter prediction, Dirac-distance bound, blow-up monitor.
 Most quantities exist in two guises -- over an Eulerian FieldState (mass
 weights dtheta*rho*w_k) or over a Lagrangian sample ensemble (quadrature
 weights) -- and the public functions dispatch on the argument type.
+
+Support.  Over an ensemble, the diameters and the min_du column span only the
+samples with positive weight: a zero-weight sample is a quadrature node
+that carries no mass (a point-cell datum puts all mass on one node), so its
+phase, velocity and gradient say nothing about the solution.  Over a field,
+min_grad_u spans every cell, empty ones included: the scheme solves u in
+every cell and carries it into cells that hold mass, so a steepening where
+rho = 0 is part of the computed flow, and a density floor would make the
+column and the blow-up monitor depend on a threshold.
 """
 from __future__ import annotations
 
@@ -174,12 +183,18 @@ def diameters(obj, eps_supp=None):
         d_v = float(np.max(obj.u[mask]) - np.min(obj.u[mask]))
         support_angles = obj.grid.centers[np.any(mask, axis=0)]
         return _covering_arc(support_angles), d_v
-    mask = obj.weight > 0.0
+    mask = sample_support(obj)
+    return _range_over(obj.eta, mask), _range_over(obj.v, mask)
+
+
+def sample_support(ens):
+    """The `where` mask of the samples with positive weight (True if all are)."""
+    mask = ens.weight > 0.0
     if not np.any(mask):
         raise ValueError("empty support: all sample weights vanish")
     if mask.all():
-        mask = True  # the plain reductions, which are faster
-    return _range_over(obj.eta, mask), _range_over(obj.v, mask)
+        return True  # the plain reductions, which are faster
+    return mask
 
 
 def _range_over(x, mask):
@@ -366,8 +381,11 @@ class BlowupMonitor:
     def observe(self, obj):
         """Observe a FieldState or a sample ensemble; returns the event or None."""
         if isinstance(obj, FieldState):
-            finite = bool(np.all(np.isfinite(obj.rho)) and np.all(np.isfinite(obj.u)))
-            max_rho = float(np.max(obj.rho)) if finite else math.inf
+            # NaN propagates through max and min, and +-inf is an extremum,
+            # so the four extrema are finite exactly when every entry is.
+            rho, u = obj.rho, obj.u
+            max_rho = float(rho.max())
+            finite = all(map(math.isfinite, (max_rho, rho.min(), u.max(), u.min())))
             min_du = min_grad_u(obj) if finite else -math.inf
         else:
             finite = bool(

@@ -19,15 +19,38 @@ kt_flux and minmod is optional: None means a fresh workspace.
 An array returned from a workspace is one of its buffers and is overwritten
 by the workspace's next use.
 
+Edge reuse.  cfl_dt reconstructs u to find the interface speeds, and stage 1
+of the step_rk2 that follows needs the same edge values of the same u.  The
+workspace records which array and block its u_e/u_w buffers hold, and rhs
+skips reconstruct(u) when the record matches (Workspace.u_edges); every
+write to those buffers goes through u_edges and renews the record.  This is
+safe because the key is the state's u object itself, held weakly, and a
+FieldState's u is a read-only view made for that state alone: a freed array
+never matches, and a live one holds the same values unless its owner writes
+to the array the state was built from between the two calls, which the
+stepping loop never does (step_rk2's arrays have no other owner).  On a grid
+of one block (120x100, 1x1000) a step reconstructs 4 times, not 5; on larger
+grids cfl_dt's last block is gone before stage 1 reaches it, so nothing is
+reused there.
+
 Bitwise contract.  Every cell goes through the same floating-point operations
 in the same order whatever the block size and whether a workspace is reused,
 so neither changes a bit of the result: blocks split only elementwise work,
 and the one reduction across cells here, the CFL speed, is a maximum, which
-is exact in any order.
+is exact in any order.  Where a kernel takes fewer passes than the plain
+formula, the rewrite is an exact IEEE identity, signed zeros included:
+minmod as copysign(min(|a|, |b|), a) where a*b > 0, each tendency as
+(F+ - F-) / (-dtheta) rather than -(F+ - F-) / dtheta, and the source's
+Omega - u in one subtraction rather than (-u) + Omega.  The one exception
+is the sign bit of a NaN tendency, which the dropped negation no longer
+flips; NaN stays NaN, and no output or test of finiteness sees the sign.
+Tests compare the kernels with the plain formulas on zeros, infinities,
+NaN and underflow.
 """
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,6 +103,8 @@ class Workspace:
         self._views = {}
         self._grid = None
         self._trig = None
+        # (weakref to u, lo, hi, dtheta) whose edges u_e/u_w hold
+        self._u_edges_of = None
 
     def get(self, name, shape, dtype=float):
         """The buffer `name` as an array of `shape` (contents left over)."""
@@ -100,6 +125,21 @@ class Workspace:
             self._trig = (np.cos(grid.centers), np.sin(grid.centers))
         return self._trig
 
+    def u_edges(self, u, lo, hi, dtheta):
+        """Padded east/west edge values of u[lo:hi], in the u_e/u_w buffers.
+
+        The reconstruction is skipped when the buffers already hold it: the
+        last call reconstructed the same block of the same array object.  The
+        record holds u weakly, so it keeps no array alive.
+        """
+        edges = [self.get(name, (hi - lo, u.shape[-1] + 2)) for name in ("u_e", "u_w")]
+        key = self._u_edges_of
+        if key is None or key[0]() is not u or key[1:] != (lo, hi, dtheta):
+            self._u_edges_of = None
+            reconstruct(u[lo:hi], dtheta, self, edges)
+            self._u_edges_of = (weakref.ref(u), lo, hi, dtheta)
+        return edges
+
 
 def _blocks(n_rows, n_cells):
     """(lo, hi) row ranges of about BLOCK_CELLS cells each."""
@@ -108,27 +148,27 @@ def _blocks(n_rows, n_cells):
         yield lo, min(lo + step, n_rows)
 
 
-def minmod(a, b, ws=None, out=None):
-    """Minmod slope: the smaller-magnitude argument if signs agree, else 0."""
+def minmod(a, b, ws=None, out=None, abs_ab=None):
+    """Minmod slope: the smaller-magnitude argument if signs agree, else 0.
+
+    Computed as copysign(min(|a|, |b|), a) where a*b > 0 and +0 elsewhere,
+    which is the same bits as where(a*b > 0, where(|a| < |b|, a, b), 0).
+    abs_ab, if given, is (|a|, |b|) already computed.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     ws = Workspace() if ws is None else ws
     shape = np.broadcast_shapes(a.shape, b.shape)
     out = np.empty(shape) if out is None else out
+    abs_a, abs_b = (np.abs(a), np.abs(b)) if abs_ab is None else abs_ab
     tmp = ws.get("minmod_tmp", shape)
-    abs_b = ws.get("minmod_abs_b", shape)
     same_sign = ws.get("minmod_same", shape, bool)
-    pick_a = ws.get("minmod_pick", shape, bool)
     np.multiply(a, b, out=tmp)
     np.greater(tmp, 0.0, out=same_sign)
-    np.abs(a, out=tmp)
-    np.abs(b, out=abs_b)
-    np.less(tmp, abs_b, out=pick_a)
-    # where(same_sign, where(pick_a, a, b), 0.0)
+    np.minimum(abs_a, abs_b, out=tmp)
+    np.copysign(tmp, a, out=tmp)
     out.fill(0.0)
-    np.copyto(out, b, where=same_sign)
-    np.logical_and(pick_a, same_sign, out=pick_a)
-    np.copyto(out, a, where=pick_a)
+    np.copyto(out, tmp, where=same_sign)
     return out
 
 
@@ -157,9 +197,11 @@ def reconstruct(Q, dtheta, ws=None, out=None):
     diff = ws.get("diff", (flat.size - 1,))  # diff[i] = flat[i+1] - flat[i]
     np.subtract(flat[1:], flat[:-1], out=diff)
     diff /= dtheta
+    abs_diff = ws.get("abs_diff", diff.shape)
+    np.abs(diff, out=abs_diff)
     half = ws.get("half", padded).reshape(-1)
     half[0] = half[-1] = 0.0
-    minmod(diff[:-1], diff[1:], ws, half[1:-1])
+    minmod(diff[:-1], diff[1:], ws, half[1:-1], (abs_diff[:-1], abs_diff[1:]))
     half *= 0.5 * dtheta
     q_e, q_w = (np.empty(padded), np.empty(padded)) if out is None else out
     np.add(flat, half, out=q_e.reshape(-1))
@@ -187,16 +229,17 @@ def kt_flux(rho_left, u_left, rho_right, u_right, eps_speed=1e-12, ws=None, out=
     spread = ws.get("spread", shape)
     prod = ws.get("prod", shape)
     tmp = ws.get("flux_tmp", shape)
-    degenerate = ws.get("degenerate", shape, bool)
     f_rho, f_u = (np.empty(shape), np.empty(shape)) if out is None else out
     np.maximum(u_left, u_right, out=a_plus)
     np.maximum(a_plus, 0.0, out=a_plus)
     np.minimum(u_left, u_right, out=a_minus)
     np.minimum(a_minus, 0.0, out=a_minus)
     np.subtract(a_plus, a_minus, out=spread)
-    np.less(spread, eps_speed, out=degenerate)
-    any_degenerate = bool(degenerate.any())
+    # fmin skips NaN, which `<` never counts: this is any(spread < eps_speed)
+    any_degenerate = bool(np.fmin.reduce(spread, axis=None) < eps_speed)
     if any_degenerate:
+        degenerate = ws.get("degenerate", shape, bool)
+        np.less(spread, eps_speed, out=degenerate)
         np.copyto(spread, 1.0, where=degenerate)  # a safe divisor there
     np.multiply(a_plus, a_minus, out=prod)
     # f_rho = (a+ * rhoL*uL - a- * rhoR*uR + a+*a- * (rhoR - rhoL)) / spread
@@ -253,9 +296,9 @@ def rhs(state, op, params, config=None, ws=None):
     force = mean_field_force(op, grid.centers, params, ws.trig(grid))
     for lo, hi in _blocks(n_omega, n):
         padded = (hi - lo, n + 2)
-        edges = [ws.get(name, padded) for name in ("rho_e", "rho_w", "u_e", "u_w")]
-        reconstruct(state.rho[lo:hi], dtheta, ws, edges[:2])
-        reconstruct(state.u[lo:hi], dtheta, ws, edges[2:])
+        edges = [ws.get(name, padded) for name in ("rho_e", "rho_w")]
+        reconstruct(state.rho[lo:hi], dtheta, ws, edges)
+        edges += ws.u_edges(state.u, lo, hi, dtheta)
         # Interface j+1/2 sees cell j from the left (east face) and j+1 from
         # the right (west face of the neighbor).  In padded columns, flux c
         # is interface c-1/2, from east value c and west value c+1; the last
@@ -266,14 +309,13 @@ def rhs(state, op, params, config=None, ws=None):
             rho_e[:-1], u_e[:-1], rho_w[1:], u_w[1:], eps_speed, ws,
             [f.reshape(-1)[:-1] for f in fluxes],
         )
+        # -(F_{j+1/2} - F_{j-1/2}) / dtheta, as one division by -dtheta
         for flux, tendency in zip(fluxes, (drho[lo:hi], du[lo:hi])):
             np.subtract(flux[:, 1:-1], flux[:, :-2], out=tendency)
-            np.negative(tendency, out=tendency)
-            tendency /= dtheta
-        # du += (-u + Omega + force) / m
+            tendency /= -dtheta
+        # du += (Omega - u + force) / m
         source = ws.get("source", (hi - lo, n))
-        np.negative(state.u[lo:hi], out=source)
-        source += state.omega.nodes[lo:hi, None]
+        np.subtract(state.omega.nodes[lo:hi, None], state.u[lo:hi], out=source)
         source += force
         source /= params.m
         du[lo:hi] += source
@@ -290,8 +332,7 @@ def cfl_dt(state, config, ws=None):
     n_omega, n = state.u.shape
     highs, lows = [0.0], [0.0]
     for lo, hi in _blocks(n_omega, n):
-        edges = [ws.get(name, (hi - lo, n + 2)) for name in ("u_e", "u_w")]
-        for q in reconstruct(state.u[lo:hi], state.grid.dtheta, ws, edges):
+        for q in ws.u_edges(state.u, lo, hi, state.grid.dtheta):
             highs.append(np.max(q))
             lows.append(np.min(q))
     speed = max(float(np.max(highs)), -float(np.min(lows)), config.eps_speed)
@@ -328,10 +369,10 @@ def step_rk2(state, dt, params, config, ws=None):
     u_new += k_u
     u_new *= 0.5
 
-    with np.errstate(invalid="ignore"):
-        negative = rho_new < 0.0
     clipped = 0.0
-    if np.any(negative):
+    # fmin skips NaN, which `<` never counts: this is any(rho_new < 0)
+    if np.fmin.reduce(rho_new, axis=None) < 0.0:
+        negative = rho_new < 0.0
         clipped_per_slice = -state.grid.dtheta * np.sum(
             np.where(negative, rho_new, 0.0), axis=-1
         )

@@ -27,6 +27,7 @@ from .diagnostics import (
     lyapunov,
     mean_phase,
     mean_velocity,
+    sample_support,
 )
 from .domain import (
     FieldState,
@@ -170,6 +171,7 @@ def _row(ens, params, Ek_integral):
     op = ensemble_order_parameter(ens.eta, ens.weight, trig)
     Ek, Ep = energies(ens, op, params)
     d_eta, d_v = diameters(ens)
+    min_du = float(np.min(ens.d, where=sample_support(ens), initial=np.inf))
     with np.errstate(over="ignore"):
         max_rho = float(np.exp(np.max(ens.log_rho)))
     return (
@@ -184,7 +186,7 @@ def _row(ens, params, Ek_integral):
         d_v,
         lyapunov(ens, op, params, trig),
         abs(float(np.sum(ens.weight)) - 1.0),
-        float(np.min(ens.d)),
+        min_du,
         max_rho,
         Ek_integral,
     )

@@ -252,3 +252,31 @@ def test_min_grad_u_equals_the_rolled_centred_difference(random_state_factory, n
         2.0 * state.grid.dtheta
     )
     assert min_grad_u(state) == float(np.min(rolled))
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [(f, v) for f in ("rho", "u") for v in (math.nan, math.inf, -math.inf)] + [(None, None)],
+)
+def test_monitor_observe_matches_the_isfinite_test(random_state_factory, field, bad):
+    """NaN or +-inf only in rho or only in u, against isfinite over both arrays."""
+    state = random_state_factory(n_theta=16, n_omega=3, kind="gaussian")
+    if field is not None:
+        values = np.array(getattr(state, field))
+        values[1, 7] = bad
+        state = FieldState(state.grid, state.omega, **{
+            "rho": state.rho, "u": state.u, field: values
+        }, t=0.25)
+    finite = bool(np.all(np.isfinite(state.rho)) and np.all(np.isfinite(state.u)))
+    reference = BlowupMonitor()
+    reference.observe_values(
+        state.t,
+        float(np.max(state.rho)) if finite else math.inf,
+        min_grad_u(state) if finite else -math.inf,
+        finite,
+    )
+    mon = BlowupMonitor()
+    mon.observe(state)
+    assert mon.event == reference.event
+    assert mon.max_rho0 == reference.max_rho0
+    assert mon.fired == (field is not None)

@@ -216,6 +216,40 @@ def test_steady_r_matches_reference_loop_bitwise(kw):
         _assert_same_state(state, ref)
 
 
+def test_each_step_calls_cfl_dt_then_step_rk2_on_the_same_state(monkeypatch):
+    """The stepping loop's call contract, which fv.cfl_limited_frac in the
+    benchmark tracer relies on: per step, cfl_dt(state) and then
+    step_rk2(state, dt) with dt = min(that value, next target - t)."""
+    from kurahydro import experiments
+
+    calls = []
+    real_cfl, real_step = experiments.cfl_dt, experiments.step_rk2
+
+    def record_cfl(state, *args):
+        dt = real_cfl(state, *args)
+        calls.append(("cfl_dt", state, dt))
+        return dt
+
+    def record_step(state, dt, *args):
+        calls.append(("step_rk2", state, dt))
+        return real_step(state, dt, *args)
+
+    monkeypatch.setattr(experiments, "cfl_dt", record_cfl)
+    monkeypatch.setattr(experiments, "step_rk2", record_step)
+    cfg = _config(**_GAUSSIAN)
+    targets = [round(k * cfg.record_dt, 12) for k in range(1, 4)]
+    run = run_eulerian(cfg)
+    assert run.final.t == pytest.approx(cfg.t_end)
+    assert [name for name, _, _ in calls] == ["cfl_dt", "step_rk2"] * (len(calls) // 2)
+    limited_by_target = 0
+    for (_, state, cfl), (_, stepped, dt) in zip(calls[::2], calls[1::2]):
+        assert stepped is state
+        target = next(t for t in targets if state.t < t - 1e-12)
+        assert dt == min(cfl, target - state.t)
+        limited_by_target += dt != cfl
+    assert 0 < limited_by_target < len(calls) // 2
+
+
 def test_sweep_config_validation_and_branches():
     with pytest.raises(ValueError, match="at least one"):
         SweepConfig(k_path=())

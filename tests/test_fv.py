@@ -353,3 +353,184 @@ def test_advance_step_allocates_few_field_sized_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * field_bytes, peak / field_bytes
+
+
+# ---------------------------------------------------------------------------
+# Fewer passes, the same bits: the kernels against the plain numpy formulas
+# they replace, written out here, on the edge cases of IEEE arithmetic.
+
+
+def _plain_minmod(a, b):
+    same_sign = a * b > 0.0
+    pick_a = np.abs(a) < np.abs(b)
+    return np.where(same_sign, np.where(pick_a, a, b), 0.0)
+
+
+def _plain_kt_flux(rho_left, u_left, rho_right, u_right, eps_speed=1e-12):
+    a_plus = np.maximum(np.maximum(u_left, u_right), 0.0)
+    a_minus = np.minimum(np.minimum(u_left, u_right), 0.0)
+    spread = a_plus - a_minus
+    frho_l, fu_l = rho_left * u_left, 0.5 * u_left * u_left
+    frho_r, fu_r = rho_right * u_right, 0.5 * u_right * u_right
+    safe = np.where(spread < eps_speed, 1.0, spread)
+    prod = a_plus * a_minus
+    f_rho = (a_plus * frho_l - a_minus * frho_r + prod * (rho_right - rho_left)) / safe
+    f_u = (a_plus * fu_l - a_minus * fu_r + prod * (u_right - u_left)) / safe
+    degenerate = spread < eps_speed
+    if np.any(degenerate):
+        f_rho = np.where(degenerate, 0.5 * (frho_l + frho_r), f_rho)
+        f_u = np.where(degenerate, 0.5 * (fu_l + fu_r), f_u)
+    return f_rho, f_u
+
+
+_EDGE_VALUES = np.array([
+    0.0, -0.0, 1.5, -1.5, 2.0, -2.0, np.inf, -np.inf, np.nan,
+    1e-200, -1e-200, 3e-170, -3e-170, 5e-324, -5e-324, 1e300, -1e300,
+])
+
+
+def test_minmod_matches_the_plain_formula_bitwise():
+    """±0, equal magnitudes, ±inf, NaN and underflowing products, sign of zero included."""
+    a, b = (x.ravel() for x in np.meshgrid(_EDGE_VALUES, _EDGE_VALUES))
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        assert np.any((a != 0) & (b != 0) & (a * b == 0))  # some products underflow
+        expected = _plain_minmod(a, b)
+        plain = minmod(a, b)
+        given_abs = minmod(a, b, fv.Workspace(), np.empty(a.size), (np.abs(a), np.abs(b)))
+    assert expected.tobytes() == plain.tobytes() == given_abs.tobytes()
+    assert not np.any(np.signbit(plain[plain == 0.0]))  # a zero slope is +0
+
+
+def test_kt_flux_matches_the_plain_formula_with_degenerate_interfaces(rng):
+    n = 300
+    u_left, u_right = rng.normal(size=n), rng.normal(size=n)
+    u_left[::7] = u_right[::7] = 0.0  # spread 0
+    u_left[3::11], u_right[3::11] = 1e-13, -1e-14  # spread below eps
+    u_left[5::13], u_right[5::13] = -0.0, 0.0
+    u_left[17] = np.nan  # a NaN spread is not degenerate
+    rho_left, rho_right = rng.uniform(size=n), rng.uniform(size=n)
+    with np.errstate(invalid="ignore"):
+        expected = _plain_kt_flux(rho_left, u_left, rho_right, u_right)
+        got = kt_flux(rho_left, u_left, rho_right, u_right)
+    assert np.any(np.abs(u_left - u_right) < 1e-12)
+    for e, g in zip(expected, got):
+        assert e.tobytes() == g.tobytes()
+
+
+def _plain_rhs(state, op, params, eps_speed=1e-12):
+    def reconstruct_(q, dtheta):
+        slope = _plain_minmod(
+            (q - np.roll(q, 1, axis=-1)) / dtheta, (np.roll(q, -1, axis=-1) - q) / dtheta
+        )
+        half = 0.5 * dtheta * slope
+        return q + half, q - half
+
+    dtheta = state.grid.dtheta
+    rho_e, rho_w = reconstruct_(state.rho, dtheta)
+    u_e, u_w = reconstruct_(state.u, dtheta)
+    f_rho, f_u = _plain_kt_flux(
+        rho_e, u_e, np.roll(rho_w, -1, axis=-1), np.roll(u_w, -1, axis=-1), eps_speed
+    )
+    drho = -(f_rho - np.roll(f_rho, 1, axis=-1)) / dtheta
+    du = -(f_u - np.roll(f_u, 1, axis=-1)) / dtheta
+    force = params.K * (op.S * np.cos(state.grid.centers) - op.C * np.sin(state.grid.centers))
+    du += (-state.u + state.omega.nodes[:, None] + force[None, :]) / params.m
+    return drho, du
+
+
+def test_rhs_matches_the_plain_formula_bitwise_with_signed_zeros(rng):
+    """Empty cells, u = +-0 and a resting slice: the tendency and source rewrites keep every bit."""
+    grid = make_theta_grid(40)
+    omega = discretize_frequency("gaussian", 4, 5.0)
+    rho = rng.uniform(0.1, 2.0, size=(4, 40))
+    rho[:, ::5] = 0.0
+    u = rng.normal(size=(4, 40))
+    u[:, ::3] = 0.0
+    u[:, 1::7] = -0.0
+    u[2] = 0.0
+    state = FieldState(grid, omega, rho, u)
+    for params in (Params(1.0, 0.0), Params(0.7, 2.5)):
+        op = order_parameter(state)
+        for got, expected in zip(rhs(state, op, params), _plain_rhs(state, op, params)):
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_clip_with_nan_and_negative_density_matches_the_plain_formula():
+    """A NaN velocity poisons one slice; a spike stepped past CFL goes negative."""
+    grid = make_theta_grid(32)
+    omega = discretize_frequency("gaussian", 3, 5.0)
+    rho = np.full((3, 32), 1.0 / (2.0 * np.pi))
+    rho[1] = 0.0
+    rho[1, 10] = 1.0 / grid.dtheta
+    u = np.zeros((3, 32))
+    u[1] = 1.0
+    u[1, 10:13] = [3.0, -2.0, 1.0]
+    u[0, 5] = np.nan
+    state = FieldState(grid, omega, rho, u)
+    params, scheme = Params(1.0, 1.0), SchemeConfig(clip_abort=1e9)
+    dt = 2.0 * grid.dtheta
+    with np.errstate(invalid="ignore"):
+        new = step_rk2(state, dt, params, scheme)
+        # The plain Heun step and clip, on the package's rhs.
+        k0_rho, k0_u = rhs(state, order_parameter(state), params, scheme)
+        mid = replace(state, rho=state.rho + dt * k0_rho, u=state.u + dt * k0_u)
+        k1_rho, k1_u = rhs(mid, order_parameter(mid), params, scheme)
+        rho_new = 0.5 * (state.rho + mid.rho + dt * k1_rho)
+        u_new = 0.5 * (state.u + mid.u + dt * k1_u)
+        negative = rho_new < 0.0
+        clipped = float(np.max(-grid.dtheta * np.sum(np.where(negative, rho_new, 0.0), axis=-1)))
+        rho_new = np.where(negative, 0.0, rho_new)
+    assert np.any(np.isnan(rho_new)) and np.any(negative)
+    assert new.clipped_mass == clipped > 0.0
+    assert new.rho.tobytes() == rho_new.tobytes()
+    assert new.u.tobytes() == u_new.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Stage 1 reuses the edge values of u that cfl_dt left in the workspace.
+
+
+def _rhs_bits(state, ws=None):
+    params = Params(0.8, 2.0)
+    return [a.tobytes() for a in rhs(state, order_parameter(state), params, SchemeConfig(), ws)]
+
+
+@pytest.mark.parametrize("block_slices", [None, 3])
+def test_rhs_after_cfl_dt_matches_a_fresh_workspace(monkeypatch, block_slices):
+    """cfl_dt(a) then rhs(b), and cfl_dt(a) then rhs(a), on one workspace."""
+    if block_slices is not None:
+        monkeypatch.setattr(fv, "BLOCK_CELLS", block_slices * 64)  # 3, 3, 1 slices
+    a = _gaussian_state(7, 64)
+    b = replace(a, u=a.u[:, ::-1])
+    for first, second in ((a, b), (a, a)):
+        ws = fv.Workspace()
+        assert cfl_dt(first, SchemeConfig(), ws) == cfl_dt(first, SchemeConfig())
+        assert _rhs_bits(second, ws) == _rhs_bits(second)
+
+
+def test_edge_record_of_a_dead_array_never_matches():
+    ws = fv.Workspace()
+    cfl_dt(_gaussian_state(7, 64), SchemeConfig(), ws)
+    state = _gaussian_state(7, 64)  # may reuse the dead array's address
+    state = replace(state, u=0.5 * state.u)
+    assert _rhs_bits(state, ws) == _rhs_bits(state)
+
+
+def test_advance_step_reconstructs_four_times(monkeypatch):
+    """cfl_dt and stage 1 share u's reconstruction: rho, u, then rho and u of the midpoint."""
+    from kurahydro.diagnostics import BlowupMonitor
+    from kurahydro.experiments import _advance
+
+    calls = []
+    real = fv.reconstruct
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fv, "reconstruct", counting)
+    steps = _advance(_gaussian_state(120, 100), Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0)
+    next(steps)
+    calls.clear()
+    next(steps)
+    assert len(calls) == 4

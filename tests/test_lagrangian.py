@@ -109,6 +109,16 @@ def test_series_diameters_skip_zero_weight_samples():
     assert run.series.d_v[0] == 0.0
 
 
+def test_series_min_du_skips_zero_weight_samples():
+    """min_du spans the samples with mass: here one, with d = +0.0999."""
+    ens = _identical_ensemble(64, u0=USine(0.1), rho0=RhoPointCell(0.0))
+    (massive,) = np.flatnonzero(ens.weight)
+    assert np.min(ens.d) < -0.099  # the zero-weight samples reach -0.0999
+    run = evolve(ens, Params(0.5, 0.1), 0.01, dt=1e-3)
+    assert run.series.min_du[0] == ens.d[massive]
+    assert run.series.min_du[0] == pytest.approx(0.0999, abs=1e-4)
+
+
 def test_mean_velocity_exponential_law():
     """Weighted mean velocity follows v_c(0) e^{-t/m} to machine precision."""
     params = Params(0.5, 0.1)

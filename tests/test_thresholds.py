@@ -5,22 +5,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from kurahydro import (
     FieldState,
     InitSpec,
     Params,
+    RhoGaussian,
     UConst,
+    UCosine,
     USine,
     blowup_time_bound,
     classify,
     classify_value,
     critical_roots,
     discretize_frequency,
+    evolve,
     init_state,
     make_theta_grid,
     riccati_comparison,
+    sample_initial,
     subcritical_density_bound,
     supercritical_density_bound,
     supercritical_envelope,
@@ -249,3 +255,40 @@ def test_documented_parameter_sets():
     assert classify(USine(-0.1), Params(2.0, 0.1)).category == SUBCRITICAL
     assert classify(USine(-10.0), Params(2.0, 0.1)).category == SUPERCRITICAL
     assert classify(USine(10.0, 2.0), Params(2.0, 0.1)).category == SUPERCRITICAL
+
+
+# The classifier against the characteristic oracle.  u0 = a*cos(theta) has
+# min du0 = -a at theta = pi/2, which is a sample node when the sample count
+# is 2 mod 4, so the oracle starts from the classified slope itself.
+
+
+def _oracle_run(amplitude, params, T, dt):
+    ens = sample_initial(
+        InitSpec(RhoGaussian(), UCosine(amplitude)), discretize_frequency("dirac"), 66
+    )
+    return evolve(ens, params, T, dt=dt, record_every=5)
+
+
+@settings(max_examples=8)
+@given(st.floats(0.1, 2.0), st.floats(0.0, 1.0), st.floats(0.05, 3.0))
+def test_subcritical_verdict_keeps_oracle_slope_above_riccati_curve(m, coupling, amplitude):
+    params = Params(m, coupling / (4.0 * m))  # 4Km <= 1: the subcritical test exists
+    verdict = classify(UCosine(amplitude), params)
+    assume(verdict.category == SUBCRITICAL)
+    run = _oracle_run(amplitude, params, T=2.0, dt=2e-3)
+    assert run.blowup is None
+    curve = riccati_comparison(verdict.min_du0, params, run.series.t)
+    assert np.all(run.series.min_du >= curve - 1e-9)
+
+
+@settings(max_examples=8)
+@given(st.floats(0.1, 2.0), st.floats(0.0, 2.0), st.floats(0.5, 4.0))
+def test_supercritical_verdict_blows_up_before_the_time_bound(m, K, amplitude):
+    params = Params(m, K)
+    verdict = classify(UCosine(amplitude), params)
+    assume(verdict.category == SUPERCRITICAL)
+    dt = 1e-3
+    bound = verdict.blowup_time_bound
+    run = _oracle_run(amplitude, params, T=bound + 2 * dt, dt=dt)
+    assert run.blowup is not None
+    assert run.blowup.t <= bound + dt  # the flag is raised at the end of a step
