@@ -119,6 +119,26 @@ def _read_both(read, path_a, path_b):
     return first, (first if os.path.samefile(path_a, path_b) else read(path_b))
 
 
+def _l1_rho(path_a, path_b, t_s):
+    """Max over slices of the L1 distance of rho between two snapshot files.
+
+    The fields read are freed on return, before the next snapshot is read.
+    """
+    (theta_a, omega_a, rho_a, _), (theta_b, omega_b, rho_b, _) = _read_both(
+        read_snapshot_csv, path_a, path_b
+    )
+    if theta_a.shape != theta_b.shape or not np.allclose(
+        theta_a, theta_b, rtol=0.0, atol=1e-12
+    ):
+        raise ValueError(f"mismatched grids: snapshot t={t_s:g} theta differs")
+    if omega_a.shape != omega_b.shape or not np.allclose(
+        omega_a, omega_b, rtol=0.0, atol=1e-12
+    ):
+        raise ValueError(f"mismatched grids: snapshot t={t_s:g} omega differs")
+    dtheta = 2.0 * np.pi / theta_a.size
+    return float(np.max(np.sum(np.abs(rho_a - rho_b), axis=-1)) * dtheta)
+
+
 def compare_runs(dir_a, dir_b):
     """Distance report between two results directories sharing grids/times."""
     series_a, series_b = _read_both(
@@ -127,23 +147,7 @@ def compare_runs(dir_a, dir_b):
     snaps_a = list_snapshots(dir_a)
     snaps_b = list_snapshots(dir_b)
     common = sorted(set(snaps_a) & set(snaps_b))
-    l1_rho = {}
-    for t_s in common:
-        (theta_a, omega_a, rho_a, _), (theta_b, omega_b, rho_b, _) = _read_both(
-            read_snapshot_csv, snaps_a[t_s], snaps_b[t_s]
-        )
-        if theta_a.shape != theta_b.shape or not np.allclose(
-            theta_a, theta_b, rtol=0.0, atol=1e-12
-        ):
-            raise ValueError(f"mismatched grids: snapshot t={t_s:g} theta differs")
-        if omega_a.shape != omega_b.shape or not np.allclose(
-            omega_a, omega_b, rtol=0.0, atol=1e-12
-        ):
-            raise ValueError(f"mismatched grids: snapshot t={t_s:g} omega differs")
-        dtheta = 2.0 * np.pi / theta_a.size
-        l1_rho["%g" % t_s] = float(
-            np.max(np.sum(np.abs(rho_a - rho_b), axis=-1)) * dtheta
-        )
+    l1_rho = {"%g" % t_s: _l1_rho(snaps_a[t_s], snaps_b[t_s], t_s) for t_s in common}
     t_lo = max(series_a.t[0], series_b.t[0])
     t_hi = min(series_a.t[-1], series_b.t[-1])
     mask = (series_a.t >= t_lo - 1e-12) & (series_a.t <= t_hi + 1e-12)

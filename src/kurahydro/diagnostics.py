@@ -24,6 +24,9 @@ import numpy as np
 
 from .domain import FieldState
 
+# Cells per chunk of min_grad_u's temporary: 2^13 float64 values, 64 KB.
+GRAD_CHUNK_CELLS = 1 << 13
+
 SERIES_COLUMNS = (
     "t",
     "r",
@@ -84,7 +87,9 @@ class SeriesBuilder:
 
 
 def _field_cell_masses(state):
-    return state.grid.dtheta * state.rho * state.omega.weights[:, None]
+    masses = state.grid.dtheta * state.rho
+    masses *= state.omega.weights[:, None]
+    return masses
 
 
 def _weighted(obj):
@@ -94,9 +99,12 @@ def _weighted(obj):
     return obj.weight, obj.eta, obj.v
 
 
-def _wsum(w, x):
-    """sum w*x: np.dot over 1-D sample arrays, np.sum over field cells."""
-    return float(np.dot(w, x) if w.ndim == 1 else np.sum(w * x))
+def _wsum(w, x, out=None):
+    """sum w*x: np.dot over 1-D sample arrays, np.sum over field cells.
+
+    out, if given, receives the field product w*x (it may be x itself).
+    """
+    return float(np.dot(w, x) if w.ndim == 1 else np.sum(np.multiply(w, x, out=out)))
 
 
 def mean_velocity(obj):
@@ -114,7 +122,10 @@ def mean_phase(obj):
 def kinetic_energy(w, v):
     """E_k = (1/2) sum w (v - v_c)^2 with v_c = sum w v."""
     vc = _wsum(w, v)
-    return 0.5 * _wsum(w, np.square(v - vc))
+    # one temporary the size of v, squared and weighted in place
+    dev = np.subtract(v, vc)
+    np.square(dev, out=dev)
+    return 0.5 * _wsum(w, dev, out=dev)
 
 
 def energies(obj, op, params):
@@ -143,17 +154,33 @@ def lyapunov(obj, op, params, trig=None):
 def min_grad_u(state):
     """Min over the grid of the centered-difference d(theta) u.
 
-    The smallest difference u_{j+1} - u_{j-1} (interior cells, then the two
-    that wrap around) is divided once: dividing by 2*dtheta > 0 is monotone
-    under rounding, so this is the min of the divided differences.
+    The smallest difference u_{j+1} - u_{j-1} is divided once: dividing by
+    2*dtheta > 0 is monotone under rounding, so this is the min of the
+    divided differences.  The differences are taken GRAD_CHUNK_CELLS cells
+    (whole slices, at least one) at a time, in one flat pass per chunk and
+    two columns for the cells that wrap around, so the temporary stays
+    small at any grid size.  A minimum is the same value in any order; the
+    order decides only the sign of a zero minimum when both +0 and -0 are
+    among the differences, which needs every slice's u to repeat with a
+    period of two cells.
     """
     u = state.u
-    lowest = np.min((
-        np.min(u[:, 2:] - u[:, :-2]),
-        np.min(u[:, 1] - u[:, -1]),
-        np.min(u[:, 0] - u[:, -2]),
-    ))
-    return float(lowest / (2.0 * state.grid.dtheta))
+    n_rows, n = u.shape
+    rows = max(1, GRAD_CHUNK_CELLS // n)
+    buf = np.empty(min(rows, n_rows) * n)
+    lows = []
+    for lo in range(0, n_rows, rows):
+        chunk = u[lo : lo + rows]
+        flat = chunk.reshape(-1)
+        diff = buf[: flat.size]
+        # diff[i*n + j] = u[i, j+2] - u[i, j], whose last two columns pair
+        # two rows; they get the differences of cells n-1 and 0 instead
+        np.subtract(flat[2:], flat[:-2], out=diff[:-2])
+        wrap = diff.reshape(chunk.shape)
+        np.subtract(chunk[:, 0], chunk[:, -2], out=wrap[:, -2])
+        np.subtract(chunk[:, 1], chunk[:, -1], out=wrap[:, -1])
+        lows.append(diff.min())
+    return float(np.min(lows) / (2.0 * state.grid.dtheta))
 
 
 def _covering_arc(angles):

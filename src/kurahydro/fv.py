@@ -12,26 +12,33 @@ Memory.  A Workspace owns the step's scratch arrays: the two tendency arrays
 that rhs returns, the cell-centre cos/sin, and one set of block buffers.
 rhs and cfl_dt walk the frequency slices in blocks of BLOCK_CELLS cells
 (whole slices, at least one), so every other temporary is block-sized and
-is reused from step to step; a step allocates only its midpoint and new
-(rho, u).  Periodic ghost cells come from one padded copy of each block, not
-from np.roll.  The `ws` argument of rhs, cfl_dt, step_rk2, reconstruct,
-kt_flux and minmod is optional: None means a fresh workspace.
-An array returned from a workspace is one of its buffers and is overwritten
-by the workspace's next use.
+is reused from step to step.  A step allocates only its midpoint (rho, u):
+Heun's average is written over the midpoint's arrays, which become the new
+state.  Periodic ghost cells come from one padded copy of each block, not
+from np.roll, and every operation on a block is on whole arrays of one
+shape (flat, or a plain copy out of a padded array), because numpy runs a
+broadcast or strided 2-D operand through buffers it allocates per call.
+The `ws` argument of rhs, cfl_dt, step_rk2, reconstruct, kt_flux and minmod
+is optional: None means a fresh workspace.  An array returned from a
+workspace is one of its buffers and is overwritten by the workspace's next
+use.
 
 Edge reuse.  cfl_dt reconstructs u to find the interface speeds, and stage 1
 of the step_rk2 that follows needs the same edge values of the same u.  The
 workspace records which array and block its u_e/u_w buffers hold, and rhs
 skips reconstruct(u) when the record matches (Workspace.u_edges); every
-write to those buffers goes through u_edges and renews the record.  This is
-safe because the key is the state's u object itself, held weakly, and a
-FieldState's u is a read-only view made for that state alone: a freed array
-never matches, and a live one holds the same values unless its owner writes
-to the array the state was built from between the two calls, which the
-stepping loop never does (step_rk2's arrays have no other owner).  On a grid
-of one block (120x100, 1x1000) a step reconstructs 4 times, not 5; on larger
-grids cfl_dt's last block is gone before stage 1 reaches it, so nothing is
-reused there.
+write to those buffers goes through u_edges and renews the record.  cfl_dt
+walks the blocks last to first, so the block it leaves in the buffers is the
+first, where rhs starts: on any grid a step reconstructs once less than
+5 per block (4 on one block, 14 on three).  Reusing every block would need
+full-size edge buffers, more memory than the step allocates.  The
+record is safe because its key is the state's u object itself, held weakly,
+and a FieldState's u is a read-only view made for that state alone: a freed
+array never matches, and a live one holds the values it was reconstructed
+from unless the array under it is written.  The only such write is
+step_rk2's average over the midpoint's arrays, and step_rk2 drops the record
+(Workspace.forget_u_edges) before it, so a state built on those arrays is
+never served the midpoint's old edges.
 
 Bitwise contract.  Every cell goes through the same floating-point operations
 in the same order whatever the block size and whether a workspace is reused,
@@ -41,8 +48,10 @@ is exact in any order.  Where a kernel takes fewer passes than the plain
 formula, the rewrite is an exact IEEE identity, signed zeros included:
 minmod as copysign(min(|a|, |b|), a) where a*b > 0, each tendency as
 (F+ - F-) / (-dtheta) rather than -(F+ - F-) / dtheta, and the source's
-Omega - u in one subtraction rather than (-u) + Omega.  The one exception
-is the sign bit of a NaN tendency, which the dropped negation no longer
+Omega - u in one subtraction rather than (-u) + Omega.  Heun's average
+keeps its operand order, state + mid, and only its destination moves to
+mid's arrays, so even a NaN keeps its bits there.  The one exception is
+the sign bit of a NaN tendency, which the dropped negation no longer
 flips; NaN stays NaN, and no output or test of finiteness sees the sign.
 Tests compare the kernels with the plain formulas on zeros, infinities,
 NaN and underflow.
@@ -135,15 +144,24 @@ class Workspace:
         edges = [self.get(name, (hi - lo, u.shape[-1] + 2)) for name in ("u_e", "u_w")]
         key = self._u_edges_of
         if key is None or key[0]() is not u or key[1:] != (lo, hi, dtheta):
-            self._u_edges_of = None
+            self.forget_u_edges()
             reconstruct(u[lo:hi], dtheta, self, edges)
             self._u_edges_of = (weakref.ref(u), lo, hi, dtheta)
         return edges
 
+    def forget_u_edges(self):
+        """Drop the edge record, before an array it may name is written to."""
+        self._u_edges_of = None
+
+
+def _block_rows(n_cells):
+    """Rows of n_cells cells per block: about BLOCK_CELLS cells, at least one row."""
+    return max(1, BLOCK_CELLS // n_cells)
+
 
 def _blocks(n_rows, n_cells):
     """(lo, hi) row ranges of about BLOCK_CELLS cells each."""
-    step = max(1, BLOCK_CELLS // n_cells)
+    step = _block_rows(n_cells)
     for lo in range(0, n_rows, step):
         yield lo, min(lo + step, n_rows)
 
@@ -293,7 +311,11 @@ def rhs(state, op, params, config=None, ws=None):
     n_omega, n = state.rho.shape
     drho = ws.get("drho", (n_omega, n))
     du = ws.get("du", (n_omega, n))
-    force = mean_field_force(op, grid.centers, params, ws.trig(grid))
+    # The force repeated on every row of a block, so that each operation
+    # below is on whole arrays of one shape: numpy runs a broadcast or a
+    # strided 2-D operand through buffers of its own.
+    force = ws.get("force", (min(n_omega, _block_rows(n)), n))
+    force[...] = mean_field_force(op, grid.centers, params, ws.trig(grid))
     for lo, hi in _blocks(n_omega, n):
         padded = (hi - lo, n + 2)
         edges = [ws.get(name, padded) for name in ("rho_e", "rho_w")]
@@ -304,19 +326,23 @@ def rhs(state, op, params, config=None, ws=None):
         # is interface c-1/2, from east value c and west value c+1; the last
         # column's flux would pair two rows and is never read.
         rho_e, rho_w, u_e, u_w = (q.reshape(-1) for q in edges)
-        fluxes = [ws.get(name, padded) for name in ("f_rho", "f_u")]
+        fluxes = [ws.get(name, padded).reshape(-1) for name in ("f_rho", "f_u")]
         kt_flux(
             rho_e[:-1], u_e[:-1], rho_w[1:], u_w[1:], eps_speed, ws,
-            [f.reshape(-1)[:-1] for f in fluxes],
+            [f[:-1] for f in fluxes],
         )
-        # -(F_{j+1/2} - F_{j-1/2}) / dtheta, as one division by -dtheta
+        # -(F_{j+1/2} - F_{j-1/2}) / dtheta, as one division by -dtheta; the
+        # difference is one flat pass whose columns n, n+1 pair two rows
+        diff = ws.get("flux_diff", padded)
         for flux, tendency in zip(fluxes, (drho[lo:hi], du[lo:hi])):
-            np.subtract(flux[:, 1:-1], flux[:, :-2], out=tendency)
+            np.subtract(flux[1:-1], flux[:-2], out=diff.reshape(-1)[:-2])
+            np.copyto(tendency, diff[:, :n])
             tendency /= -dtheta
         # du += (Omega - u + force) / m
         source = ws.get("source", (hi - lo, n))
-        np.subtract(state.omega.nodes[lo:hi, None], state.u[lo:hi], out=source)
-        source += force
+        source[...] = state.omega.nodes[lo:hi, None]
+        source -= state.u[lo:hi]
+        source += force[: hi - lo]
         source /= params.m
         du[lo:hi] += source
     return drho, du
@@ -326,12 +352,14 @@ def cfl_dt(state, config, ws=None):
     """CFL step: min(max_dt, cfl*dtheta / max interface speed).
 
     Over all interfaces, max(uE_j, uW_j+1, 0) and min(uE_j, uW_j+1, 0) are
-    the extrema of the edge values together with 0.
+    the extrema of the edge values together with 0.  The blocks are walked
+    last to first, so the edges left in the workspace are those of the first
+    block, where the next rhs of the same state starts.
     """
     ws = Workspace() if ws is None else ws
     n_omega, n = state.u.shape
     highs, lows = [0.0], [0.0]
-    for lo, hi in _blocks(n_omega, n):
+    for lo, hi in reversed(list(_blocks(n_omega, n))):
         for q in ws.u_edges(state.u, lo, hi, state.grid.dtheta):
             highs.append(np.max(q))
             lows.append(np.min(q))
@@ -351,7 +379,7 @@ def step_rk2(state, dt, params, config, ws=None):
     trig = ws.trig(state.grid)
     op0 = order_parameter(state, trig)
     k_rho, k_u = rhs(state, op0, params, config, ws)
-    # state + dt * k, in fresh arrays that the midpoint state keeps
+    # state + dt * k, in the step's only fresh arrays (mid's, then the result's)
     mid_rho = np.multiply(k_rho, dt)
     mid_rho += state.rho
     mid_u = np.multiply(k_u, dt)
@@ -359,15 +387,15 @@ def step_rk2(state, dt, params, config, ws=None):
     mid = replace(state, rho=mid_rho, u=mid_u, t=state.t + dt, clipped_mass=0.0)
     op1 = order_parameter(mid, trig)
     k_rho, k_u = rhs(mid, op1, params, config, ws)
-    # 0.5 * (state + mid + dt * k)
-    rho_new = np.add(state.rho, mid_rho)
-    k_rho *= dt
-    rho_new += k_rho
-    rho_new *= 0.5
-    u_new = np.add(state.u, mid_u)
-    k_u *= dt
-    u_new += k_u
-    u_new *= 0.5
+    # 0.5 * (state + mid + dt * k), written over the midpoint's arrays, so
+    # the workspace must stop serving edges of mid.u first
+    ws.forget_u_edges()
+    rho_new, u_new = mid_rho, mid_u
+    for new, old, k in ((rho_new, state.rho, k_rho), (u_new, state.u, k_u)):
+        np.add(old, new, out=new)
+        k *= dt
+        new += k
+        new *= 0.5
 
     clipped = 0.0
     # fmin skips NaN, which `<` never counts: this is any(rho_new < 0)
@@ -377,7 +405,7 @@ def step_rk2(state, dt, params, config, ws=None):
             np.where(negative, rho_new, 0.0), axis=-1
         )
         clipped = float(np.max(clipped_per_slice))
-        rho_new = np.where(negative, 0.0, rho_new)
+        np.copyto(rho_new, 0.0, where=negative)
         if np.isfinite(clipped) and clipped > config.clip_abort:
             raise MassClipError(state.t + dt, clipped)
     return FieldState(

@@ -15,7 +15,13 @@ File format of series.csv and the snapshots:
     - lines end in "\\r\\n", as csv.writer writes them.
 
 Snapshots and series are formatted in bulk (one `%` per slice or chunk of
-rows) and parsed with numpy's C reader; a 600x1000 snapshot is 49 MB.
+rows) and parsed with numpy's C reader; a 600x1000 snapshot is 49 MB.  A
+snapshot slice whose rho and u have the same bits as the previous slice's
+(every slice of a t=0 state that does not depend on omega) reuses that
+slice's formatted rows.  Snapshot rows may come in any order, but the
+writer's order, omega then theta ascending, is read without sorting: the
+parsed table is tested for that order and sliced into (theta, omega, rho,
+u); any other table is first put in that order by one lexsort of its rows.
 """
 from __future__ import annotations
 
@@ -104,8 +110,10 @@ def write_snapshot_csv(path, theta, omega_values, rho, u):
     """Write per-slice fields; rho/u have shape (n_omega, n_theta).
 
     Rows run over theta within a slice, slices in the given omega order.
-    Each slice is one row template (theta and omega already formatted)
-    filled with that slice's rho and u by a single `%`.
+    Each slice is one row template (theta already formatted) filled with
+    that slice's rho and u by a single `%`; a slice whose rho and u rows
+    have the same bits as the previous slice's reuses its formatted body,
+    and only the omega column differs.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     omega_values = np.atleast_1d(np.asarray(omega_values, dtype=float))
@@ -120,30 +128,50 @@ def write_snapshot_csv(path, theta, omega_values, rho, u):
     rows = "".join(
         f"{FLOAT_FMT % th},\0,{FLOAT_FMT},{FLOAT_FMT}{EOL}" for th in theta.tolist()
     )
+    # bits, not values: -0.0 == 0.0, but they print as -0 and 0
+    rho_bits, u_bits = rho.view(np.int64), u.view(np.int64)
+    body = None
     with open(path, "w", newline="") as fh:
         fh.write(_header(SNAPSHOT_COLUMNS))
         for k, om in enumerate(omega_values.tolist()):
-            values = np.column_stack((rho[k], u[k])).ravel().tolist()
-            fh.write(rows.replace("\0", FLOAT_FMT % om) % tuple(values))
+            if body is None or not (
+                np.array_equal(rho_bits[k], rho_bits[k - 1])
+                and np.array_equal(u_bits[k], u_bits[k - 1])
+            ):
+                body = rows % tuple(np.column_stack((rho[k], u[k])).ravel().tolist())
+            fh.write(body.replace("\0", FLOAT_FMT % om))
+
+
+def _in_writer_order(theta, omega):
+    """True if the rows ascend by omega, then by theta (equal rows allowed)."""
+    om_lo, om_hi = omega[:-1], omega[1:]
+    return bool(
+        np.all((om_lo < om_hi) | ((om_lo == om_hi) & (theta[:-1] <= theta[1:])))
+    )
 
 
 def read_snapshot_csv(path):
     """Read a snapshot back as (theta, omega_values, rho, u) arrays.
 
-    Rows may come in any order; they are sorted by omega, then theta.
+    Rows may come in any order; they are read sorted by omega, then theta.
+    A table the writer wrote is already in that order and is sliced as it
+    is; any other table is first sorted by one lexsort of its rows.
     """
     data = _read_table(path, SNAPSHOT_COLUMNS)
-    theta_flat, omega_flat = data[:, 0], data[:, 1]
-    omega_values, inverse = np.unique(omega_flat, return_inverse=True)
-    n_omega = omega_values.size
-    n_theta = theta_flat.size // n_omega
-    if np.any(np.bincount(inverse, minlength=n_omega) != n_theta):
+    if not _in_writer_order(data[:, 0], data[:, 1]):
+        data = data[np.lexsort((data[:, 0], data[:, 1]))]
+    omega_flat = data[:, 1]
+    n_omega = 1 + int(np.count_nonzero(omega_flat[1:] != omega_flat[:-1]))
+    n_theta = omega_flat.size // n_omega
+    table = data[: n_omega * n_theta].reshape(n_omega, n_theta, 4)
+    # sorted, so each slice holds one omega when its first and last rows agree
+    ragged = n_omega * n_theta != omega_flat.size
+    if ragged or np.any(table[:, 0, 1] != table[:, -1, 1]):
         raise ValueError(f"{path}: ragged snapshot table")
-    order = np.lexsort((theta_flat, inverse))
-    theta = theta_flat[order][:n_theta]
-    rho = data[order, 2].reshape(n_omega, n_theta)
-    u = data[order, 3].reshape(n_omega, n_theta)
-    return theta, omega_values, rho, u
+    theta, omega_values, rho, u = (
+        table[0, :, 0], table[:, 0, 1], table[:, :, 2], table[:, :, 3]
+    )
+    return theta.copy(), omega_values.copy(), rho.copy(), u.copy()
 
 
 def write_sweep_csv(path, result):

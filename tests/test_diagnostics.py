@@ -95,6 +95,21 @@ def test_kinetic_energy_definition(rng):
     assert Ek == pytest.approx(0.5 * np.dot(ens.weight, (ens.v - vc) ** 2), abs=1e-14)
 
 
+def test_kinetic_energy_matches_the_plain_formula_bitwise(rng, random_state_factory):
+    """The in-place form of E_k over a field's cells and over samples: same bits."""
+    from kurahydro.diagnostics import _field_cell_masses, kinetic_energy
+
+    state = random_state_factory(n_theta=64, n_omega=5, kind="gaussian")
+    w = state.grid.dtheta * state.rho * state.omega.weights[:, None]
+    assert _field_cell_masses(state).tobytes() == w.tobytes()
+    vc = float(np.sum(w * state.u))
+    assert kinetic_energy(w, state.u) == 0.5 * float(np.sum(w * np.square(state.u - vc)))
+    ens = _random_ensemble(rng)
+    vc = float(np.dot(ens.weight, ens.v))
+    expected = 0.5 * float(np.dot(ens.weight, np.square(ens.v - vc)))
+    assert kinetic_energy(ens.weight, ens.v) == expected
+
+
 def test_lyapunov_direct_form(rng):
     params = Params(0.4, 2.2)
     ens = _random_ensemble(rng)
@@ -252,6 +267,37 @@ def test_min_grad_u_equals_the_rolled_centred_difference(random_state_factory, n
         2.0 * state.grid.dtheta
     )
     assert min_grad_u(state) == float(np.min(rolled))
+
+
+def _plain_min_grad_u(state):
+    u = state.u
+    return float(np.min((
+        np.min(u[:, 2:] - u[:, :-2]), np.min(u[:, 1] - u[:, -1]), np.min(u[:, 0] - u[:, -2])
+    )) / (2.0 * state.grid.dtheta))
+
+
+@pytest.mark.parametrize("chunk_cells", [None, 1, 3 * 16])
+@pytest.mark.parametrize("where", ["interior", "seam-0", "seam-last", "last-row"])
+def test_min_grad_u_in_chunks_matches_the_plain_formula(
+    monkeypatch, random_state_factory, chunk_cells, where
+):
+    """Chunks of 1 and 3 slices (7 slices: a ragged last chunk), and one, with
+    the steepest drop placed inside a slice, at either side of the seam, or
+    in the last slice."""
+    from kurahydro import diagnostics
+
+    if chunk_cells is not None:
+        monkeypatch.setattr(diagnostics, "GRAD_CHUNK_CELLS", chunk_cells)
+    state = random_state_factory(n_theta=16, n_omega=7, kind="gaussian")
+    u = np.array(state.u)
+    row, col = {"interior": (2, 8), "seam-0": (4, 0), "seam-last": (5, 15), "last-row": (6, 3)}[where]
+    u[row, (col + 1) % 16] = -50.0
+    u[row, col - 1] = 50.0
+    state = FieldState(state.grid, state.omega, state.rho, u)
+    assert min_grad_u(state) == _plain_min_grad_u(state) == -100.0 / (2.0 * state.grid.dtheta)
+    u[6, 9] = math.nan
+    nan_state = FieldState(state.grid, state.omega, state.rho, u)
+    assert math.isnan(min_grad_u(nan_state))
 
 
 @pytest.mark.parametrize(

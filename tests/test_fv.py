@@ -355,6 +355,32 @@ def test_advance_step_allocates_few_field_sized_arrays():
     assert peak <= 8 * field_bytes, peak / field_bytes
 
 
+def test_advance_step_allocates_at_most_three_field_sized_arrays():
+    """One stepping-loop step at 120x100 peaks at <= 3 fields after warm-up.
+
+    Heun's average is written over the midpoint, so a step keeps only the
+    midpoint's 2 arrays, which become the new state.  The third field
+    covers the monitor's chunk of centred differences (0.68 of a field
+    here) and small arrays; numpy's own 128 KB buffers for a broadcast or
+    strided 2-D operand would not fit.  The parent's step peaked at 4.36.
+    """
+    from kurahydro.diagnostics import BlowupMonitor
+    from kurahydro.experiments import _advance
+
+    state = _gaussian_state(120, 100)
+    field_bytes = state.rho.nbytes
+    steps = _advance(state, Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0)
+    for _ in range(3):
+        next(steps)
+    tracemalloc.start()
+    try:
+        next(steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * field_bytes, peak / field_bytes
+
+
 # ---------------------------------------------------------------------------
 # Fewer passes, the same bits: the kernels against the plain numpy formulas
 # they replace, written out here, on the edge cases of IEEE arithmetic.
@@ -534,3 +560,51 @@ def test_advance_step_reconstructs_four_times(monkeypatch):
     calls.clear()
     next(steps)
     assert len(calls) == 4
+
+
+def test_advance_step_reconstructs_fourteen_times_on_three_blocks(monkeypatch):
+    """cfl_dt walks the blocks backwards, so stage 1 reuses its first block's edges."""
+    from kurahydro.diagnostics import BlowupMonitor
+    from kurahydro.experiments import _advance
+
+    monkeypatch.setattr(fv, "BLOCK_CELLS", 40 * 100)
+    assert [hi - lo for lo, hi in fv._blocks(120, 100)] == [40, 40, 40]
+    calls = []
+    real = fv.reconstruct
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fv, "reconstruct", counting)
+    steps = _advance(_gaussian_state(120, 100), Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0)
+    next(steps)
+    calls.clear()
+    next(steps)
+    # u for cfl_dt (3), rho (3) and u (2) for stage 1, rho and u for stage 2 (6)
+    assert len(calls) == 14
+
+
+@pytest.mark.parametrize("block_slices", [None, 3])
+def test_state_on_overwritten_midpoint_gets_fresh_edges(monkeypatch, block_slices):
+    """step_rk2 writes its result over the midpoint's arrays; the midpoint
+    state, kept alive here, then holds the result's values, and rhs on it
+    with the step's workspace must reconstruct them, not reuse stage 2's
+    edges of the midpoint."""
+    if block_slices is not None:
+        monkeypatch.setattr(fv, "BLOCK_CELLS", block_slices * 64)  # 3, 3, 1 slices
+    seen = []
+    real = fv.rhs
+
+    def recording(state, *args, **kwargs):
+        seen.append(state)
+        return real(state, *args, **kwargs)
+
+    monkeypatch.setattr(fv, "rhs", recording)
+    state = _gaussian_state(7, 64)
+    ws = fv.Workspace()
+    new = step_rk2(state, cfl_dt(state, SchemeConfig(), ws), Params(0.8, 2.0), SchemeConfig(), ws)
+    mid = seen[-1]
+    assert mid is not state and np.shares_memory(mid.u, new.u)
+    assert mid.u.tobytes() == new.u.tobytes()  # overwritten under the midpoint
+    assert _rhs_bits(mid, ws) == _rhs_bits(mid)

@@ -1,6 +1,8 @@
 """Run-directory file format: exact bytes, bitwise round trips, loud failures."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,84 @@ def test_snapshot_with_slices_out_of_order_reads_sorted(tmp_path):
     assert np.array_equal(theta, [0.25, 0.5])
     assert np.array_equal(omega, [-1.0, 0.0, 2.0])
     assert np.array_equal(rho, [[1.0, 2.0], [3.0, 6.0], [4.0, 5.0]])
+    assert np.array_equal(u, 10.0 * rho)
+
+
+def _signed_zero_snapshot(rng, n_omega, n_theta):
+    theta = np.linspace(-np.pi, np.pi, n_theta, endpoint=False)
+    omega = np.sort(rng.normal(size=n_omega))
+    rho = rng.lognormal(size=(n_omega, n_theta))
+    u = rng.normal(size=(n_omega, n_theta))
+    rho[:, ::3] = 0.0
+    u[:, 1::4] = -0.0
+    return theta, omega, rho, u
+
+
+def test_shuffled_snapshot_reads_the_same_bits_as_writer_order(tmp_path, rng):
+    path = tmp_path / "snap.csv"
+    fields = _signed_zero_snapshot(rng, 6, 40)
+    write_snapshot_csv(str(path), *fields)
+    in_order = read_snapshot_csv(str(path))
+    header, *rows = path.read_bytes().split(b"\r\n")[:-1]
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_bytes(b"\r\n".join([header, *rng.permutation(rows)]) + b"\r\n")
+    for written, ordered, from_shuffled in zip(fields, in_order, read_snapshot_csv(str(shuffled))):
+        assert ordered.tobytes() == from_shuffled.tobytes() == written.tobytes()
+        assert ordered.flags.c_contiguous and from_shuffled.flags.c_contiguous
+
+
+def test_snapshot_read_peaks_below_seven_fields(tmp_path, rng):
+    """A writer-ordered 64x200 snapshot is sliced, not sorted.
+
+    The peak is the parsed table (4 fields) with the parser's own overhead,
+    then the table and the copies of rho and u (6 fields).  Sorting the
+    table by np.unique, lexsort and fancy indexing peaked at 9.1 fields.
+    """
+    path = str(tmp_path / "snap.csv")
+    fields = _signed_zero_snapshot(rng, 64, 200)
+    write_snapshot_csv(path, *fields)
+    field_bytes = fields[2].nbytes
+    read_snapshot_csv(path)
+    tracemalloc.start()
+    try:
+        read_snapshot_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * field_bytes, peak / field_bytes
+
+
+def test_repeated_slices_are_written_from_their_own_bits(tmp_path):
+    """A slice equal to the previous one reuses its text, but not across -0.0 == 0.0."""
+    path = tmp_path / "t=0.csv"
+    theta = np.array([0.0, 0.5])
+    omega = np.array([-1.0, 0.0, 1.0, 2.0])
+    rho = np.array([[0.25, 0.0], [0.25, 0.0], [0.25, -0.0], [0.25, -0.0]])
+    u = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [1.0, 3.0]])
+    write_snapshot_csv(str(path), theta, omega, rho, u)
+    assert path.read_bytes() == (
+        b"theta,omega,rho,u\r\n"
+        b"0,-1,0.25,1\r\n0.5,-1,0,2\r\n"
+        b"0,0,0.25,1\r\n0.5,0,0,2\r\n"
+        b"0,1,0.25,1\r\n0.5,1,-0,2\r\n"
+        b"0,2,0.25,1\r\n0.5,2,-0,3\r\n"
+    )
+
+
+def test_snapshot_with_theta_out_of_order_within_a_slice_reads_sorted(tmp_path):
+    """Slices in omega order are not enough: theta must ascend within each."""
+    path = tmp_path / "snap.csv"
+    path.write_bytes(
+        b"theta,omega,rho,u\r\n"
+        b"0.25,-1,1,10\r\n"
+        b"0.5,-1,2,20\r\n"
+        b"0.5,2,5,50\r\n"
+        b"0.25,2,4,40\r\n"
+    )
+    theta, omega, rho, u = read_snapshot_csv(str(path))
+    assert np.array_equal(theta, [0.25, 0.5])
+    assert np.array_equal(omega, [-1.0, 2.0])
+    assert np.array_equal(rho, [[1.0, 2.0], [4.0, 5.0]])
     assert np.array_equal(u, 10.0 * rho)
 
 
