@@ -31,7 +31,6 @@ from .domain import (
 from .meanfield import (
     OrderParam,
     ensemble_order_parameter,
-    mean_field_cos,
     mean_field_force,
     order_parameter,
 )

@@ -405,22 +405,16 @@ class BlowupMonitor:
             self.event = BlowupEvent(t, "gradient-collapse")
         return self.event
 
-    def observe(self, obj):
-        """Observe a FieldState or a sample ensemble; returns the event or None."""
-        if isinstance(obj, FieldState):
-            # NaN propagates through max and min, and +-inf is an extremum,
-            # so the four extrema are finite exactly when every entry is.
-            rho, u = obj.rho, obj.u
-            max_rho = float(rho.max())
-            finite = all(map(math.isfinite, (max_rho, rho.min(), u.max(), u.min())))
-            min_du = min_grad_u(obj) if finite else -math.inf
-        else:
-            finite = bool(
-                np.all(np.isfinite(obj.eta))
-                and np.all(np.isfinite(obj.v))
-                and np.all(np.isfinite(obj.d))
-            )
-            with np.errstate(over="ignore"):
-                max_rho = float(np.exp(np.max(obj.log_rho))) if finite else math.inf
-            min_du = float(np.min(obj.d)) if finite else -math.inf
-        return self.observe_values(obj.t, max_rho, min_du, finite)
+    def observe(self, state):
+        """Observe a FieldState; returns the event or None.
+
+        The oracle does not come through here: lagrangian.evolve runs its
+        own gradient-collapse and finiteness tests on the ensemble.
+        """
+        # NaN propagates through max and min, and +-inf is an extremum, so
+        # the four extrema are finite exactly when every entry is.
+        rho, u = state.rho, state.u
+        max_rho = float(rho.max())
+        finite = all(map(math.isfinite, (max_rho, rho.min(), u.max(), u.min())))
+        min_du = min_grad_u(state) if finite else -math.inf
+        return self.observe_values(state.t, max_rho, min_du, finite)

@@ -102,11 +102,11 @@ def _advance(state, params, scheme, monitor, t_stop):
     The monitor sees each state before it is yielded.  Stops at t_stop (within
     1e-12) or once the monitor has fired; MassClipError propagates.  All steps
     share one fv.Workspace, and each calls cfl_dt and then step_rk2 on the
-    same state, so stage 1 reuses cfl_dt's edge values of u.
+    same state.
     """
     ws = Workspace()
     while state.t < t_stop - 1e-12 and not monitor.fired:
-        dt = min(cfl_dt(state, scheme, ws), t_stop - state.t)
+        dt = min(cfl_dt(state, scheme), t_stop - state.t)
         state = step_rk2(state, dt, params, scheme, ws)
         monitor.observe(state)
         yield state

@@ -10,35 +10,31 @@ time with the order parameter recomputed at every stage.
 
 Memory.  A Workspace owns the step's scratch arrays: the two tendency arrays
 that rhs returns, the cell-centre cos/sin, and one set of block buffers.
-rhs and cfl_dt walk the frequency slices in blocks of BLOCK_CELLS cells
-(whole slices, at least one), so every other temporary is block-sized and
-is reused from step to step.  A step allocates only its midpoint (rho, u):
+rhs walks the frequency slices in blocks of BLOCK_CELLS cells (whole
+slices, at least one), so every other temporary is block-sized and is
+reused from step to step.  A step allocates only its midpoint (rho, u):
 Heun's average is written over the midpoint's arrays, which become the new
 state.  Periodic ghost cells come from one padded copy of each block, not
 from np.roll, and every operation on a block is on whole arrays of one
 shape (flat, or a plain copy out of a padded array), because numpy runs a
 broadcast or strided 2-D operand through buffers it allocates per call.
-The `ws` argument of rhs, cfl_dt, step_rk2, reconstruct, kt_flux and minmod
-is optional: None means a fresh workspace.  An array returned from a
+The `ws` argument of rhs, step_rk2, reconstruct, kt_flux and minmod is
+optional: None means a fresh workspace.  An array returned from a
 workspace is one of its buffers and is overwritten by the workspace's next
 use.
 
-Edge reuse.  cfl_dt reconstructs u to find the interface speeds, and stage 1
-of the step_rk2 that follows needs the same edge values of the same u.  The
-workspace records which array and block its u_e/u_w buffers hold, and rhs
-skips reconstruct(u) when the record matches (Workspace.u_edges); every
-write to those buffers goes through u_edges and renews the record.  cfl_dt
-walks the blocks last to first, so the block it leaves in the buffers is the
-first, where rhs starts: on any grid a step reconstructs once less than
-5 per block (4 on one block, 14 on three).  Reusing every block would need
-full-size edge buffers, more memory than the step allocates.  The
-record is safe because its key is the state's u object itself, held weakly,
-and a FieldState's u is a read-only view made for that state alone: a freed
-array never matches, and a live one holds the values it was reconstructed
-from unless the array under it is written.  The only such write is
-step_rk2's average over the midpoint's arrays, and step_rk2 drops the record
-(Workspace.forget_u_edges) before it, so a state built on those arrays is
-never served the midpoint's old edges.
+CFL speed.  The local speeds are the reconstructed interface values of u,
+and their extrema are the extrema of u itself, bit for bit.  A minmod edge
+value u_j +- slope*dtheta/2 lies between u_j and the neighbour on that
+side, since the limited half-slope is at most half of either one-sided
+difference; and the cell that holds max u (or min u) has one-sided
+differences of opposite signs or a zero one, so its slope is +0 and its
+edges are u_j exactly.  So cfl_dt reads max u and min u off the state and
+reconstructs nothing: a step reconstructs 4 times per block (rho and u at
+each stage).  The one exception is a one-sided difference that overflows,
+|u_j+1 - u_j| / dtheta > DBL_MAX, where an edge value can become infinite
+and the edge extrema would give dt = 0; no run reaches such a state,
+because the blow-up monitor's gradient test fires long before.
 
 Bitwise contract.  Every cell goes through the same floating-point operations
 in the same order whatever the block size and whether a workspace is reused,
@@ -59,7 +55,6 @@ NaN and underflow.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -98,13 +93,18 @@ class SchemeConfig:
             raise ValueError("cfl must lie in (0, 1)")
         if not self.max_dt > 0:
             raise ValueError("max_dt must be positive")
+        if not self.eps_speed > 0:
+            raise ValueError("eps_speed must be positive")
 
 
 class Workspace:
     """Scratch arrays of the finite-volume step, reused across calls.
 
     Each named buffer is one flat array that grows to the largest shape asked
-    for; get() hands out C-contiguous views of it, so any shape works.
+    for; get() hands out C-contiguous views of it, so any shape works.  Every
+    buffer is written before it is read within a call, and the only value
+    kept between calls is the last grid's cos/sin, so a used workspace gives
+    the bits of a fresh one.
     """
 
     def __init__(self):
@@ -112,8 +112,6 @@ class Workspace:
         self._views = {}
         self._grid = None
         self._trig = None
-        # (weakref to u, lo, hi, dtheta) whose edges u_e/u_w hold
-        self._u_edges_of = None
 
     def get(self, name, shape, dtype=float):
         """The buffer `name` as an array of `shape` (contents left over)."""
@@ -133,25 +131,6 @@ class Workspace:
             self._grid = grid
             self._trig = (np.cos(grid.centers), np.sin(grid.centers))
         return self._trig
-
-    def u_edges(self, u, lo, hi, dtheta):
-        """Padded east/west edge values of u[lo:hi], in the u_e/u_w buffers.
-
-        The reconstruction is skipped when the buffers already hold it: the
-        last call reconstructed the same block of the same array object.  The
-        record holds u weakly, so it keeps no array alive.
-        """
-        edges = [self.get(name, (hi - lo, u.shape[-1] + 2)) for name in ("u_e", "u_w")]
-        key = self._u_edges_of
-        if key is None or key[0]() is not u or key[1:] != (lo, hi, dtheta):
-            self.forget_u_edges()
-            reconstruct(u[lo:hi], dtheta, self, edges)
-            self._u_edges_of = (weakref.ref(u), lo, hi, dtheta)
-        return edges
-
-    def forget_u_edges(self):
-        """Drop the edge record, before an array it may name is written to."""
-        self._u_edges_of = None
 
 
 def _block_rows(n_cells):
@@ -318,9 +297,9 @@ def rhs(state, op, params, config=None, ws=None):
     force[...] = mean_field_force(op, grid.centers, params, ws.trig(grid))
     for lo, hi in _blocks(n_omega, n):
         padded = (hi - lo, n + 2)
-        edges = [ws.get(name, padded) for name in ("rho_e", "rho_w")]
-        reconstruct(state.rho[lo:hi], dtheta, ws, edges)
-        edges += ws.u_edges(state.u, lo, hi, dtheta)
+        edges = [ws.get(name, padded) for name in ("rho_e", "rho_w", "u_e", "u_w")]
+        reconstruct(state.rho[lo:hi], dtheta, ws, edges[:2])
+        reconstruct(state.u[lo:hi], dtheta, ws, edges[2:])
         # Interface j+1/2 sees cell j from the left (east face) and j+1 from
         # the right (west face of the neighbor).  In padded columns, flux c
         # is interface c-1/2, from east value c and west value c+1; the last
@@ -348,22 +327,14 @@ def rhs(state, op, params, config=None, ws=None):
     return drho, du
 
 
-def cfl_dt(state, config, ws=None):
+def cfl_dt(state, config):
     """CFL step: min(max_dt, cfl*dtheta / max interface speed).
 
-    Over all interfaces, max(uE_j, uW_j+1, 0) and min(uE_j, uW_j+1, 0) are
-    the extrema of the edge values together with 0.  The blocks are walked
-    last to first, so the edges left in the workspace are those of the first
-    block, where the next rhs of the same state starts.
+    The interface speeds max(uE_j, uW_j+1, 0) and -min(uE_j, uW_j+1, 0)
+    peak at the extrema of u, which the edge values share (see the module
+    docstring), so no reconstruction is needed.
     """
-    ws = Workspace() if ws is None else ws
-    n_omega, n = state.u.shape
-    highs, lows = [0.0], [0.0]
-    for lo, hi in reversed(list(_blocks(n_omega, n))):
-        for q in ws.u_edges(state.u, lo, hi, state.grid.dtheta):
-            highs.append(np.max(q))
-            lows.append(np.min(q))
-    speed = max(float(np.max(highs)), -float(np.min(lows)), config.eps_speed)
+    speed = max(float(state.u.max()), -float(state.u.min()), config.eps_speed)
     return min(config.max_dt, config.cfl * state.grid.dtheta / speed)
 
 
@@ -387,9 +358,7 @@ def step_rk2(state, dt, params, config, ws=None):
     mid = replace(state, rho=mid_rho, u=mid_u, t=state.t + dt, clipped_mass=0.0)
     op1 = order_parameter(mid, trig)
     k_rho, k_u = rhs(mid, op1, params, config, ws)
-    # 0.5 * (state + mid + dt * k), written over the midpoint's arrays, so
-    # the workspace must stop serving edges of mid.u first
-    ws.forget_u_edges()
+    # 0.5 * (state + mid + dt * k), written over the midpoint's arrays
     rho_new, u_new = mid_rho, mid_u
     for new, old, k in ((rho_new, state.rho, k_rho), (u_new, state.u, k_u)):
         np.add(old, new, out=new)

@@ -68,7 +68,3 @@ def mean_field_force(op, theta, params, trig=None):
     cos_t, sin_t = _cos_sin(theta, trig)
     return params.K * (op.S * cos_t - op.C * sin_t)
 
-
-def mean_field_cos(op, theta):
-    """C*cos(theta) + S*sin(theta), identically r*cos(phi - theta)."""
-    return op.C * np.cos(theta) + op.S * np.sin(theta)

@@ -374,3 +374,18 @@ def test_cli_bad_config_path_returns_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.yaml"),
                  "--out", str(tmp_path / "x")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_nonpositive_eps_speed(tmp_path, capsys):
+    """eps_speed floors the CFL speed: at 0 a fluid at rest (u0 = 0) would
+    divide by zero, so the config is refused before anything runs."""
+    path = tmp_path / "eps.yaml"
+    path.write_text(
+        'm: 0.5\nK: 0.1\nu0: "0"\nn_theta: 48\nt_end: 0.1\n'
+        "scheme:\n  eps_speed: 0\n"
+    )
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "eps_speed must be positive" in err
+    assert not out.exists()

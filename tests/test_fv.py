@@ -40,6 +40,9 @@ def test_scheme_config_validation():
         SchemeConfig(cfl=0.0)
     with pytest.raises(ValueError, match="max_dt"):
         SchemeConfig(max_dt=0.0)
+    for eps_speed in (0.0, -1e-12, float("nan")):
+        with pytest.raises(ValueError, match="eps_speed must be positive"):
+            SchemeConfig(eps_speed=eps_speed)
 
 
 def test_minmod_properties(rng):
@@ -324,7 +327,7 @@ def test_reused_workspace_matches_fresh_ones(monkeypatch):
     for shape in ((7, 64), (3, 40)):
         reused = fresh = _gaussian_state(*shape)
         for _ in range(20):
-            reused = step_rk2(reused, cfl_dt(reused, scheme, ws), params, scheme, ws)
+            reused = step_rk2(reused, cfl_dt(reused, scheme), params, scheme, ws)
             fresh = step_rk2(fresh, cfl_dt(fresh, scheme), params, scheme)
             _assert_same_bits(reused, fresh)
 
@@ -513,7 +516,77 @@ def test_clip_with_nan_and_negative_density_matches_the_plain_formula():
 
 
 # ---------------------------------------------------------------------------
-# Stage 1 reuses the edge values of u that cfl_dt left in the workspace.
+# cfl_dt reads the extrema of u; rhs reconstructs u itself.
+
+
+def _edge_cfl_dt(state, config):
+    """cfl_dt by its definition through the interfaces: the CFL speed is the
+    larger of max and -min over the reconstructed edge values of u together
+    with 0 (NaN-propagating, as np.max and np.min are)."""
+    u_e, u_w = reconstruct(state.u, state.grid.dtheta)
+    high = np.max([0.0, np.max(u_e), np.max(u_w)])
+    low = np.min([0.0, np.min(u_e), np.min(u_w)])
+    speed = max(float(high), -float(low), config.eps_speed)
+    return min(config.max_dt, config.cfl * state.grid.dtheta / speed)
+
+
+def _slope_overflows(u, dtheta):
+    """Some one-sided difference of finite neighbours exceeds dtheta*DBL_MAX."""
+    padded = np.concatenate([u[:, -1:], u, u[:, :1]], axis=1)
+    slope = np.diff(padded, axis=1) / dtheta
+    finite = np.isfinite(padded[:, 1:]) & np.isfinite(padded[:, :-1])
+    return bool(np.any(np.isinf(slope) & finite))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_cfl_dt_is_the_edge_definition_bitwise(rng):
+    """cfl_dt from the extrema of u equals the extrema of the minmod edges,
+    bit for bit, on random states, plateaus and the IEEE edge values (±0,
+    subnormals, ±1e300, ±inf, NaN).  Excluded: states where a one-sided
+    difference of two finite neighbours overflows, |u_j+1 - u_j| > dtheta *
+    DBL_MAX; there an edge value can be infinite, the edge definition gives
+    dt = 0 and cfl_dt a positive dt (checked at the end)."""
+    configs = [SchemeConfig(), SchemeConfig(cfl=0.3, max_dt=5.0, eps_speed=1e-300)]
+    checked = excluded = 0
+    with np.errstate(all="ignore"):
+        for k in range(3000):
+            n_omega, n_theta = int(rng.integers(1, 4)), int(rng.integers(4, 24))
+            shape = (n_omega, n_theta)
+            kind = k % 3
+            if kind == 0:  # smooth-ish random values over many scales
+                u = rng.normal(size=shape) * 10.0 ** rng.uniform(-310, 300)
+            elif kind == 1:  # plateaus: a few levels, repeated in runs
+                levels = rng.normal(size=3) * 10.0 ** rng.integers(-5, 5, size=3)
+                u = np.repeat(rng.choice(levels, size=(n_omega, n_theta // 2 + 1)), 2, axis=1)
+                u = u[:, :n_theta]
+            else:  # IEEE edge values mixed with ordinary ones
+                pool = np.concatenate([_EDGE_VALUES, rng.normal(size=6)])
+                u = rng.choice(pool, size=shape)
+            grid = make_theta_grid(n_theta)
+            omega = (
+                discretize_frequency("gaussian", n_omega, 5.0)
+                if n_omega > 1 else discretize_frequency("dirac")
+            )
+            state = FieldState(grid, omega, np.ones(shape), u)
+            if _slope_overflows(state.u, grid.dtheta):
+                excluded += 1
+                continue
+            checked += 1
+            for config in configs:
+                assert _bits(cfl_dt(state, config)) == _bits(_edge_cfl_dt(state, config))
+    assert checked > 2500 and excluded < checked
+    # The excluded case: a slope of +inf between -M, 0 and M.
+    grid = make_theta_grid(16)
+    u = np.zeros((1, 16))
+    u[0, :3] = (-1.7e308, 0.0, 1.7e308)
+    state = FieldState(grid, discretize_frequency("dirac"), np.ones((1, 16)), u)
+    with np.errstate(all="ignore"):
+        assert _slope_overflows(state.u, grid.dtheta)
+        assert _edge_cfl_dt(state, SchemeConfig()) == 0.0
+    assert cfl_dt(state, SchemeConfig()) > 0.0
 
 
 def _rhs_bits(state, ws=None):
@@ -523,30 +596,36 @@ def _rhs_bits(state, ws=None):
 
 @pytest.mark.parametrize("block_slices", [None, 3])
 def test_rhs_after_cfl_dt_matches_a_fresh_workspace(monkeypatch, block_slices):
-    """cfl_dt(a) then rhs(b), and cfl_dt(a) then rhs(a), on one workspace."""
+    """A workspace that rhs(a) has used gives rhs(b), and rhs(a) again, the
+    bits of a fresh workspace."""
     if block_slices is not None:
         monkeypatch.setattr(fv, "BLOCK_CELLS", block_slices * 64)  # 3, 3, 1 slices
     a = _gaussian_state(7, 64)
     b = replace(a, u=a.u[:, ::-1])
     for first, second in ((a, b), (a, a)):
         ws = fv.Workspace()
-        assert cfl_dt(first, SchemeConfig(), ws) == cfl_dt(first, SchemeConfig())
+        _rhs_bits(first, ws)
         assert _rhs_bits(second, ws) == _rhs_bits(second)
 
 
 def test_edge_record_of_a_dead_array_never_matches():
+    """A state built after a used workspace's state has died (its arrays may
+    land at the same address) gets the bits of a fresh workspace."""
     ws = fv.Workspace()
-    cfl_dt(_gaussian_state(7, 64), SchemeConfig(), ws)
+    _rhs_bits(_gaussian_state(7, 64), ws)
     state = _gaussian_state(7, 64)  # may reuse the dead array's address
     state = replace(state, u=0.5 * state.u)
     assert _rhs_bits(state, ws) == _rhs_bits(state)
 
 
-def test_advance_step_reconstructs_four_times(monkeypatch):
-    """cfl_dt and stage 1 share u's reconstruction: rho, u, then rho and u of the midpoint."""
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_advance_step_reconstructs_four_times_per_block(monkeypatch, blocks):
+    """rho and u at each of the two stages, on every block; cfl_dt reconstructs nothing."""
     from kurahydro.diagnostics import BlowupMonitor
     from kurahydro.experiments import _advance
 
+    monkeypatch.setattr(fv, "BLOCK_CELLS", 120 // blocks * 100)
+    assert [hi - lo for lo, hi in fv._blocks(120, 100)] == [120 // blocks] * blocks
     calls = []
     real = fv.reconstruct
 
@@ -559,38 +638,14 @@ def test_advance_step_reconstructs_four_times(monkeypatch):
     next(steps)
     calls.clear()
     next(steps)
-    assert len(calls) == 4
-
-
-def test_advance_step_reconstructs_fourteen_times_on_three_blocks(monkeypatch):
-    """cfl_dt walks the blocks backwards, so stage 1 reuses its first block's edges."""
-    from kurahydro.diagnostics import BlowupMonitor
-    from kurahydro.experiments import _advance
-
-    monkeypatch.setattr(fv, "BLOCK_CELLS", 40 * 100)
-    assert [hi - lo for lo, hi in fv._blocks(120, 100)] == [40, 40, 40]
-    calls = []
-    real = fv.reconstruct
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(fv, "reconstruct", counting)
-    steps = _advance(_gaussian_state(120, 100), Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0)
-    next(steps)
-    calls.clear()
-    next(steps)
-    # u for cfl_dt (3), rho (3) and u (2) for stage 1, rho and u for stage 2 (6)
-    assert len(calls) == 14
+    assert len(calls) == 4 * blocks
 
 
 @pytest.mark.parametrize("block_slices", [None, 3])
 def test_state_on_overwritten_midpoint_gets_fresh_edges(monkeypatch, block_slices):
     """step_rk2 writes its result over the midpoint's arrays; the midpoint
     state, kept alive here, then holds the result's values, and rhs on it
-    with the step's workspace must reconstruct them, not reuse stage 2's
-    edges of the midpoint."""
+    with the step's workspace gives the bits of a fresh workspace."""
     if block_slices is not None:
         monkeypatch.setattr(fv, "BLOCK_CELLS", block_slices * 64)  # 3, 3, 1 slices
     seen = []
@@ -603,7 +658,7 @@ def test_state_on_overwritten_midpoint_gets_fresh_edges(monkeypatch, block_slice
     monkeypatch.setattr(fv, "rhs", recording)
     state = _gaussian_state(7, 64)
     ws = fv.Workspace()
-    new = step_rk2(state, cfl_dt(state, SchemeConfig(), ws), Params(0.8, 2.0), SchemeConfig(), ws)
+    new = step_rk2(state, cfl_dt(state, SchemeConfig()), Params(0.8, 2.0), SchemeConfig(), ws)
     mid = seen[-1]
     assert mid is not state and np.shares_memory(mid.u, new.u)
     assert mid.u.tobytes() == new.u.tobytes()  # overwritten under the midpoint

@@ -14,7 +14,6 @@ from kurahydro import (
     ensemble_order_parameter,
     init_state,
     make_theta_grid,
-    mean_field_cos,
     mean_field_force,
     order_parameter,
 )
@@ -58,14 +57,13 @@ def test_force_matches_double_sum(random_state_factory):
     assert np.allclose(force, brute, atol=1e-13)
 
 
-def test_mean_field_cos_identity(rng):
+def test_mean_field_force_is_k_r_sin(rng):
+    """K*(S*cos(theta) - C*sin(theta)) is K*r*sin(phi - theta)."""
     eta = rng.uniform(-np.pi, np.pi, size=200)
     w = rng.uniform(0, 1, size=200)
     w /= w.sum()
     op = ensemble_order_parameter(eta, w)
     theta = rng.uniform(-np.pi, np.pi, size=50)
-    expected = op.r * np.cos(op.phi - theta)
-    assert np.allclose(mean_field_cos(op, theta), expected, atol=1e-14)
     force = mean_field_force(op, theta, Params(1.0, 2.0))
     assert np.allclose(force, 2.0 * op.r * np.sin(op.phi - theta), atol=1e-14)
 
