@@ -136,7 +136,9 @@ def _l1_rho(path_a, path_b, t_s):
     ):
         raise ValueError(f"mismatched grids: snapshot t={t_s:g} omega differs")
     dtheta = 2.0 * np.pi / theta_a.size
-    return float(np.max(np.sum(np.abs(rho_a - rho_b), axis=-1)) * dtheta)
+    dist = np.subtract(rho_a, rho_b)
+    np.abs(dist, out=dist)
+    return float(np.max(np.sum(dist, axis=-1)) * dtheta)
 
 
 def compare_runs(dir_a, dir_b):

@@ -148,7 +148,9 @@ def lyapunov(obj, op, params, trig=None):
     cos_a, sin_a = trig if trig is not None else (np.cos(ang), np.sin(ang))
     # r sin(eta - phi) = C sin(eta) - S cos(eta)
     term = v + params.K * (op.C * sin_a - op.S * cos_a)
-    return 0.5 * _wsum(w, np.square(term))
+    # squared and weighted in place
+    np.square(term, out=term)
+    return 0.5 * _wsum(w, term, out=term)
 
 
 def min_grad_u(state):

@@ -71,6 +71,15 @@ class ScenarioConfig:
         if self.g not in ("dirac", "gaussian"):
             raise ValueError("g must be dirac or gaussian")
         object.__setattr__(self, "snapshot_times", tuple(self.snapshot_times))
+        # distinct times whose file names agree would overwrite one snapshot
+        named = {}
+        for t in self.snapshot_times:
+            other = named.setdefault(run_io.snapshot_filename(t), t)
+            if other is not t and float(other) != float(t):
+                raise ValueError(
+                    f"snapshot times {other!r} and {t!r} share the file name "
+                    f"{run_io.snapshot_filename(t)}"
+                )
 
 
 def build_grids(config):
@@ -168,9 +177,11 @@ def run_eulerian(config, state=None):
             continue
         try:
             for new_state in _advance(state, params, scheme, monitor, target):
-                Ek_now = kinetic_energy(_field_cell_masses(new_state), new_state.u)
-                Ek_integral += 0.5 * (new_state.t - state.t) * (Ek_prev + Ek_now)
-                Ek_prev, state = Ek_now, new_state
+                # rebind first, so the old state is freed before E_k's temporaries
+                t_prev, state = state.t, new_state
+                Ek_now = kinetic_energy(_field_cell_masses(state), state.u)
+                Ek_integral += 0.5 * (state.t - t_prev) * (Ek_prev + Ek_now)
+                Ek_prev = Ek_now
         except MassClipError as err:
             failure = str(err)
         builder.append(_field_row(state, params, eps_supp, Ek_integral))

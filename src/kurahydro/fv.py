@@ -8,20 +8,26 @@ reconstruction, local speeds from the reconstructed interface velocities
 midpoint-rule source at cell centers, and Heun's second-order Runge-Kutta in
 time with the order parameter recomputed at every stage.
 
-Memory.  A Workspace owns the step's scratch arrays: the two tendency arrays
-that rhs returns, the cell-centre cos/sin, and one set of block buffers.
-rhs walks the frequency slices in blocks of BLOCK_CELLS cells (whole
-slices, at least one), so every other temporary is block-sized and is
-reused from step to step.  A step allocates only its midpoint (rho, u):
-Heun's average is written over the midpoint's arrays, which become the new
-state.  Periodic ghost cells come from one padded copy of each block, not
-from np.roll, and every operation on a block is on whole arrays of one
-shape (flat, or a plain copy out of a padded array), because numpy runs a
-broadcast or strided 2-D operand through buffers it allocates per call.
-The `ws` argument of rhs, step_rk2, reconstruct, kt_flux and minmod is
-optional: None means a fresh workspace.  An array returned from a
-workspace is one of its buffers and is overwritten by the workspace's next
-use.
+Memory.  A Workspace owns the step's scratch arrays: the cell-centre
+cos/sin and one set of block buffers.  rhs walks the frequency slices in
+blocks of BLOCK_CELLS cells (whole slices, at least one), so every
+temporary is block-sized and is reused from step to step.  step_rk2 owns
+the block loop: it asks rhs for one block's tendency at a time (rows=) and
+applies that block's stage update at once, mid = state + dt*k in stage 1
+and Heun's average written over mid's rows in stage 2, so no full-size
+tendency is ever held.  This is exact because a block's tendency reads
+only its own rows (the slices are independent but for the order
+parameter, which is computed on the whole state, or the whole midpoint,
+before its stage starts).  A step allocates only its midpoint (rho, u),
+whose arrays become the new state.  Periodic ghost cells come from one
+padded copy of each block, not from np.roll, and every operation on a
+block is on whole arrays of one shape (flat, or a plain copy out of a
+padded array), because numpy runs a broadcast or strided 2-D operand
+through buffers it allocates per call.  rhs without rows returns the
+full-size tendency.  The `ws` argument of rhs, step_rk2, reconstruct,
+kt_flux and minmod is optional: None means a fresh workspace.  An array
+returned from a workspace is one of its buffers and is overwritten by the
+workspace's next use.
 
 CFL speed.  The local speeds are the reconstructed interface values of u,
 and their extrema are the extrema of u itself, bit for bit.  A minmod edge
@@ -278,24 +284,29 @@ def kt_flux(rho_left, u_left, rho_right, u_right, eps_speed=1e-12, ws=None, out=
     return f_rho, f_u
 
 
-def rhs(state, op, params, config=None, ws=None):
+def rhs(state, op, params, config=None, ws=None, rows=None):
     """Semi-discrete tendency (drho/dt, du/dt) with the order parameter frozen.
 
-    With a workspace the result is its two tendency buffers.
+    rows=(lo, hi), if given, restricts it to slices lo..hi-1, which are all
+    it reads: the result then has hi - lo rows.  With a workspace the
+    result is its two tendency buffers.
     """
     eps_speed = config.eps_speed if config is not None else 1e-12
     ws = Workspace() if ws is None else ws
     grid = state.grid
     dtheta = grid.dtheta
     n_omega, n = state.rho.shape
-    drho = ws.get("drho", (n_omega, n))
-    du = ws.get("du", (n_omega, n))
+    first, last = (0, n_omega) if rows is None else rows
+    drho = ws.get("drho", (last - first, n))
+    du = ws.get("du", (last - first, n))
     # The force repeated on every row of a block, so that each operation
     # below is on whole arrays of one shape: numpy runs a broadcast or a
     # strided 2-D operand through buffers of its own.
-    force = ws.get("force", (min(n_omega, _block_rows(n)), n))
+    force = ws.get("force", (min(last - first, _block_rows(n)), n))
     force[...] = mean_field_force(op, grid.centers, params, ws.trig(grid))
-    for lo, hi in _blocks(n_omega, n):
+    for lo, hi in _blocks(last - first, n):
+        out = slice(lo, hi)
+        lo, hi = lo + first, hi + first
         padded = (hi - lo, n + 2)
         edges = [ws.get(name, padded) for name in ("rho_e", "rho_w", "u_e", "u_w")]
         reconstruct(state.rho[lo:hi], dtheta, ws, edges[:2])
@@ -313,7 +324,7 @@ def rhs(state, op, params, config=None, ws=None):
         # -(F_{j+1/2} - F_{j-1/2}) / dtheta, as one division by -dtheta; the
         # difference is one flat pass whose columns n, n+1 pair two rows
         diff = ws.get("flux_diff", padded)
-        for flux, tendency in zip(fluxes, (drho[lo:hi], du[lo:hi])):
+        for flux, tendency in zip(fluxes, (drho[out], du[out])):
             np.subtract(flux[1:-1], flux[:-2], out=diff.reshape(-1)[:-2])
             np.copyto(tendency, diff[:, :n])
             tendency /= -dtheta
@@ -323,7 +334,7 @@ def rhs(state, op, params, config=None, ws=None):
         source -= state.u[lo:hi]
         source += force[: hi - lo]
         source /= params.m
-        du[lo:hi] += source
+        du[out] += source
     return drho, du
 
 
@@ -348,23 +359,29 @@ def step_rk2(state, dt, params, config, ws=None):
     assert dt > 0
     ws = Workspace() if ws is None else ws
     trig = ws.trig(state.grid)
+    blocks = list(_blocks(*state.rho.shape))
     op0 = order_parameter(state, trig)
-    k_rho, k_u = rhs(state, op0, params, config, ws)
-    # state + dt * k, in the step's only fresh arrays (mid's, then the result's)
-    mid_rho = np.multiply(k_rho, dt)
-    mid_rho += state.rho
-    mid_u = np.multiply(k_u, dt)
-    mid_u += state.u
+    # state + dt * k, in the step's only fresh arrays (mid's, then the
+    # result's), each block as soon as its tendency is known
+    mid_rho, mid_u = np.empty(state.rho.shape), np.empty(state.u.shape)
+    for lo, hi in blocks:
+        k_rho, k_u = rhs(state, op0, params, config, ws, (lo, hi))
+        for new, old, k in ((mid_rho, state.rho, k_rho), (mid_u, state.u, k_u)):
+            np.multiply(k, dt, out=new[lo:hi])
+            new[lo:hi] += old[lo:hi]
     mid = replace(state, rho=mid_rho, u=mid_u, t=state.t + dt, clipped_mass=0.0)
     op1 = order_parameter(mid, trig)
-    k_rho, k_u = rhs(mid, op1, params, config, ws)
-    # 0.5 * (state + mid + dt * k), written over the midpoint's arrays
+    # 0.5 * (state + mid + dt * k), written over the midpoint's rows once
+    # their tendency is known: a block's tendency reads its own rows only
+    for lo, hi in blocks:
+        k_rho, k_u = rhs(mid, op1, params, config, ws, (lo, hi))
+        for new, old, k in ((mid_rho, state.rho, k_rho), (mid_u, state.u, k_u)):
+            new, old = new[lo:hi], old[lo:hi]
+            np.add(old, new, out=new)
+            k *= dt
+            new += k
+            new *= 0.5
     rho_new, u_new = mid_rho, mid_u
-    for new, old, k in ((rho_new, state.rho, k_rho), (u_new, state.u, k_u)):
-        np.add(old, new, out=new)
-        k *= dt
-        new += k
-        new *= 0.5
 
     clipped = 0.0
     # fmin skips NaN, which `<` never counts: this is any(rho_new < 0)

@@ -18,10 +18,23 @@ Snapshots and series are formatted in bulk (one `%` per slice or chunk of
 rows) and parsed with numpy's C reader; a 600x1000 snapshot is 49 MB.  A
 snapshot slice whose rho and u have the same bits as the previous slice's
 (every slice of a t=0 state that does not depend on omega) reuses that
-slice's formatted rows.  Snapshot rows may come in any order, but the
-writer's order, omega then theta ascending, is read without sorting: the
-parsed table is tested for that order and sliced into (theta, omega, rho,
-u); any other table is first put in that order by one lexsort of its rows.
+slice's formatted rows.
+
+Snapshot rows may come in any order, but the writer's order, omega then
+theta ascending, is streamed: rho and u are allocated for one row per line
+of the file (a newline count), and the rows are parsed in chunks straight
+into them.  theta is taken from the first slice and
+omega at each slice start, and each chunk is checked as it arrives: the
+order, continued from the previous chunk's last row, and a slice start
+exactly every n_theta rows.  A chunk is about 1/32 of the rows, at least
+64 and at most _SNAPSHOT_CHUNK_ROWS, because np.loadtxt with max_rows=R
+allocates its result and buffers for R rows before it parses (32k-row
+chunks peaked at 19 fields on a 64x200 file) while each call has a fixed
+cost (512-row chunks read a 600x1000 snapshot about 10% slower than 8192).  Any other table -- out of
+order, ragged, malformed, or with lines that are not one row each (blank
+lines, bare CR endings) -- falls back to parsing the whole table and
+sorting it by one lexsort of its rows; the fallback also raises every
+error, so a message names the row in the file, not in a chunk.
 """
 from __future__ import annotations
 
@@ -38,6 +51,8 @@ FLOAT_FMT = "%.17g"
 SNAPSHOT_COLUMNS = ("theta", "omega", "rho", "u")
 EOL = "\r\n"
 _SERIES_CHUNK_ROWS = 4096
+# Most rows per parse of a streamed snapshot read (see _stream_snapshot).
+_SNAPSHOT_CHUNK_ROWS = 8192
 
 
 def _fmt(x):
@@ -48,14 +63,16 @@ def _header(columns):
     return ",".join(columns) + EOL
 
 
+def _check_header(fh, path, columns):
+    header = fh.readline().rstrip("\r\n")
+    if header != ",".join(columns):
+        raise ValueError(f"{path}: header {header!r} is not {','.join(columns)!r}")
+
+
 def _read_table(path, columns):
     """Parse a CSV with the given header into an (n_rows, len(columns)) array."""
     with open(path) as fh:
-        header = fh.readline().rstrip("\r\n")
-        if header != ",".join(columns):
-            raise ValueError(
-                f"{path}: header {header!r} is not {','.join(columns)!r}"
-            )
+        _check_header(fh, path, columns)
         try:
             with warnings.catch_warnings():
                 # an empty body is reported below, naming the file
@@ -150,16 +167,94 @@ def _in_writer_order(theta, omega):
     )
 
 
+def _count_lines(path):
+    """Lines after the header: newlines, plus an unterminated last line."""
+    n, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        fh.readline()
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            n += block.count(b"\n")
+            last = block[-1:]
+    return n + (last != b"\n")
+
+
+def _stream_snapshot(path):
+    """(theta, omega_values, rho, u) of a table in the writer's order, or None.
+
+    The rows are parsed in chunks of 1/32 of the rows (64 to
+    _SNAPSHOT_CHUNK_ROWS) straight into rho and u, preallocated for one row
+    per line of the file.  Each chunk is checked
+    against the previous chunk's last row: the rows ascend by omega, then
+    theta, and a slice starts exactly every n_theta rows, n_theta being the
+    length of the first slice.  Any other table -- out of order, ragged,
+    malformed, or with lines that hold no row -- gives None.
+    """
+    n_rows = _count_lines(path)
+    rho, u = np.empty(n_rows), np.empty(n_rows)
+    theta_parts, omega_parts = [], []
+    n_theta = prev_theta = prev_omega = None
+    with open(path) as fh, warnings.catch_warnings():
+        _check_header(fh, path, SNAPSHOT_COLUMNS)
+        # a file that ends early gives a short chunk, which returns None
+        warnings.simplefilter("ignore", UserWarning)
+        # np.loadtxt allocates its result and buffers for max_rows rows before
+        # it parses, so a chunk is kept to about 1/32 of the rows; each parse
+        # has a fixed cost too, hence at least 64 rows
+        step = min(_SNAPSHOT_CHUNK_ROWS, max(64, n_rows // 32))
+        for done in range(0, n_rows, step):
+            want = min(step, n_rows - done)
+            try:
+                chunk = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=want)
+            except ValueError:
+                return None
+            if chunk.shape != (want, len(SNAPSHOT_COLUMNS)):
+                return None
+            th, om = chunk[:, 0], chunk[:, 1]
+            if prev_omega is not None and not (
+                prev_omega < om[0] or (prev_omega == om[0] and prev_theta <= th[0])
+            ):
+                return None
+            if not _in_writer_order(th, om):
+                return None
+            # the file's rows where a slice starts
+            starts = done + np.flatnonzero(om[1:] != om[:-1]) + 1
+            if prev_omega is None or prev_omega != om[0]:
+                starts = np.concatenate(([done], starts))
+            if n_theta is None:
+                theta_parts.append(th.copy())
+                later = starts[starts > 0]
+                n_theta = int(later[0]) if later.size else None
+            if n_theta is not None:
+                first = -(-done // n_theta) * n_theta
+                if not np.array_equal(starts, np.arange(first, done + want, n_theta)):
+                    return None
+            omega_parts.append(om[starts - done])
+            rho[done : done + want] = chunk[:, 2]
+            u[done : done + want] = chunk[:, 3]
+            prev_theta, prev_omega = th[-1], om[-1]
+        if fh.read().strip():
+            return None  # rows that the line count missed
+    n_theta = n_rows if n_theta is None else n_theta
+    if n_rows == 0 or n_rows % n_theta:
+        return None
+    shape = (n_rows // n_theta, n_theta)
+    theta = np.concatenate(theta_parts)[:n_theta]
+    return theta, np.concatenate(omega_parts), rho.reshape(shape), u.reshape(shape)
+
+
 def read_snapshot_csv(path):
     """Read a snapshot back as (theta, omega_values, rho, u) arrays.
 
     Rows may come in any order; they are read sorted by omega, then theta.
-    A table the writer wrote is already in that order and is sliced as it
-    is; any other table is first sorted by one lexsort of its rows.
+    A table in the writer's order is streamed into rho and u chunk by chunk
+    (see _stream_snapshot); any other table is parsed whole and sorted by
+    one lexsort of its rows.
     """
+    fields = _stream_snapshot(path)
+    if fields is not None:
+        return fields
     data = _read_table(path, SNAPSHOT_COLUMNS)
-    if not _in_writer_order(data[:, 0], data[:, 1]):
-        data = data[np.lexsort((data[:, 0], data[:, 1]))]
+    data = data[np.lexsort((data[:, 0], data[:, 1]))]
     omega_flat = data[:, 1]
     n_omega = 1 + int(np.count_nonzero(omega_flat[1:] != omega_flat[:-1]))
     n_theta = omega_flat.size // n_omega

@@ -1,6 +1,8 @@
 """Shared fixtures: seeded RNG and random normalized field states."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -20,6 +22,17 @@ ACCEPTANCE_LINES = []
 # flaky.
 settings.register_profile("kurahydro", derandomize=True, deadline=None, database=None)
 settings.load_profile("kurahydro")
+
+
+def peak_fields(fn, field_bytes):
+    """Peak memory that one call fn() allocates, in arrays of field_bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / field_bytes
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

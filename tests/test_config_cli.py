@@ -325,6 +325,30 @@ def test_compare_self_parses_each_file_once(tmp_path, monkeypatch):
     assert len(parsed) == len(set(parsed)) == 3  # series.csv and two snapshots
 
 
+def test_compare_self_peaks_below_three_and_a_half_fields(tmp_path, rng):
+    """A 64x200 snapshot compared with itself: rho and u read (2 fields),
+    and |rho_a - rho_b| taken in one temporary (1 more).  The parent,
+    parsing the whole table and taking abs of a difference, peaked at 6.05."""
+    from conftest import peak_fields
+
+    from kurahydro.diagnostics import TimeSeries
+    from kurahydro.io import write_series_csv, write_snapshot_csv
+
+    (tmp_path / "snapshots").mkdir()
+    rho = rng.lognormal(size=(64, 200))
+    write_snapshot_csv(
+        str(tmp_path / "snapshots" / "t=0.csv"),
+        np.linspace(-np.pi, np.pi, 200, endpoint=False),
+        np.sort(rng.normal(size=64)),
+        rho,
+        rng.normal(size=(64, 200)),
+    )
+    write_series_csv(str(tmp_path / "series.csv"), TimeSeries(np.zeros((3, 14))))
+    assert compare_runs(str(tmp_path), str(tmp_path))["l1_rho"] == {"0": 0.0}
+    peak = peak_fields(lambda: compare_runs(str(tmp_path), str(tmp_path)), rho.nbytes)
+    assert peak <= 3.5, peak
+
+
 def test_cli_compare_mismatched_grids_errors(tmp_path, capsys):
     cfg_a = _write_cfg(tmp_path, name="a.yaml", snapshot_times="[0.0]")
     cfg_b = _write_cfg(tmp_path, name="b.yaml", snapshot_times="[0.0]")
@@ -388,4 +412,19 @@ def test_cli_rejects_nonpositive_eps_speed(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "eps_speed must be positive" in err
+    assert not out.exists()
+
+
+def test_cli_rejects_snapshot_times_that_share_a_file_name(tmp_path, capsys):
+    """Snapshot files are named t=%g: two times that print alike would leave
+    one snapshot unwritten, so the config is refused before anything runs."""
+    path = tmp_path / "snaps.yaml"
+    path.write_text(
+        'm: 0.5\nK: 0.1\nn_theta: 48\nt_end: 0.2\n'
+        "snapshot_times: [0.1234561, 0.1234564]\n"
+    )
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "0.1234561 and 0.1234564" in err
     assert not out.exists()

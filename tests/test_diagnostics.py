@@ -124,6 +124,18 @@ def test_lyapunov_direct_form(rng):
     assert L == pytest.approx(direct, abs=1e-12)
 
 
+def test_field_lyapunov_peaks_below_three_fields(random_state_factory):
+    """The cell masses and one temporary, squared and weighted in place;
+    squaring and weighting into fresh arrays peaked at 4.03 fields."""
+    from conftest import peak_fields
+
+    state = random_state_factory(n_theta=100, n_omega=120, kind="gaussian")
+    op, params = order_parameter(state), Params(1.0, 2.0)
+    lyapunov(state, op, params)
+    peak = peak_fields(lambda: lyapunov(state, op, params), state.rho.nbytes)
+    assert peak <= 3, peak
+
+
 def test_field_vs_ensemble_moments():
     grid = make_theta_grid(400)
     om = discretize_frequency("dirac")

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import peak_fields
 
 from kurahydro import (
     BlowupMonitor,
@@ -36,6 +37,7 @@ from kurahydro import (
     steady_r,
     step_rk2,
 )
+from kurahydro.diagnostics import _field_cell_masses, kinetic_energy
 from kurahydro.domain import FieldState
 from kurahydro.experiments import ScenarioResult, write_scenario_result
 from kurahydro.io import list_snapshots, read_manifest, read_series_csv, read_sweep_csv
@@ -63,6 +65,14 @@ def test_scenario_config_validation():
         _config(solver="spectral")
     with pytest.raises(ValueError, match="g must be"):
         _config(g="cauchy")
+
+
+def test_snapshot_times_that_share_a_file_name_are_rejected():
+    """t=%g names both times t=0.123456.csv: one snapshot would overwrite the other."""
+    with pytest.raises(ValueError, match=r"0\.1234561 and 0\.1234564 .*t=0\.123456\.csv"):
+        _config(snapshot_times=[0.1, 0.1234561, 0.1234564])
+    assert _config(snapshot_times=[0.1, 0.1, 0.2]).snapshot_times == (0.1, 0.1, 0.2)
+    assert _config(snapshot_times=[0, 0.0]).snapshot_times == (0, 0.0)
 
 
 def test_build_grids_kinds():
@@ -214,6 +224,39 @@ def test_steady_r_matches_reference_loop_bitwise(kw):
     else:
         assert r_inf == order_parameter(ref).r
         _assert_same_state(state, ref)
+
+
+def test_ek_integral_is_the_trapezoid_over_every_step_bitwise():
+    """Ek_integral sums 0.5 * dt * (E_k before + E_k after) over every step."""
+    cfg = _config(**_GAUSSIAN)
+    state = build_state(cfg)
+    targets = [round(k * cfg.record_dt, 12) for k in range(1, 4)]
+    ek_prev, integral, expected = kinetic_energy(_field_cell_masses(state), state.u), 0.0, [0.0]
+    for target in targets:
+        while state.t < target - 1e-12:
+            dt = min(cfl_dt(state, cfg.scheme), target - state.t)
+            new = step_rk2(state, dt, cfg.params, cfg.scheme)
+            ek = kinetic_energy(_field_cell_masses(new), new.u)
+            integral += 0.5 * (new.t - state.t) * (ek_prev + ek)
+            ek_prev, state = ek, new
+        expected.append(integral)
+    assert run_eulerian(cfg).series.Ek_integral.tolist() == expected
+
+
+def test_run_eulerian_peaks_below_six_and_a_half_fields(monkeypatch):
+    """A 120x100 run in 20 blocks of 6 slices holds its old state and
+    midpoint while it steps (4 fields), the new state and E_k's two
+    temporaries after (4), and block-sized scratch.  The parent, with
+    full-size tendency buffers and E_k taken while the old state was still
+    alive, peaked at 9.1 fields here."""
+    from kurahydro import fv
+
+    monkeypatch.setattr(fv, "BLOCK_CELLS", 6 * 100)
+    cfg = _config(g="gaussian", n_omega=120, n_theta=100, t_end=0.05, record_dt=0.01)
+    state = build_state(cfg)
+    run_eulerian(cfg, state)
+    peak = peak_fields(lambda: run_eulerian(cfg, state), state.rho.nbytes)
+    assert peak <= 6.5, peak
 
 
 def test_each_step_calls_cfl_dt_then_step_rk2_on_the_same_state(monkeypatch):

@@ -1,11 +1,11 @@
 """Finite-volume scheme: stencil oracle, conservation, TVD, convergence."""
 from __future__ import annotations
 
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import peak_fields
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -349,13 +349,8 @@ def test_advance_step_allocates_few_field_sized_arrays():
     steps = _advance(state, Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0)
     for _ in range(3):
         next(steps)
-    tracemalloc.start()
-    try:
-        next(steps)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * field_bytes, peak / field_bytes
+    peak = peak_fields(lambda: next(steps), field_bytes)
+    assert peak <= 8, peak
 
 
 def test_advance_step_allocates_at_most_three_field_sized_arrays():
@@ -375,13 +370,56 @@ def test_advance_step_allocates_at_most_three_field_sized_arrays():
     steps = _advance(state, Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0)
     for _ in range(3):
         next(steps)
-    tracemalloc.start()
-    try:
+    peak = peak_fields(lambda: next(steps), field_bytes)
+    assert peak <= 3, peak
+
+
+def test_advance_workspace_holds_no_field_sized_buffer(monkeypatch):
+    """Each block's stage update is applied as soon as its tendency is known,
+    so after steps on a 3-block grid every workspace buffer is block-sized.
+    The parent's workspace kept full-size tendency buffers (drho, du)."""
+    from kurahydro import experiments
+    from kurahydro.diagnostics import BlowupMonitor
+
+    monkeypatch.setattr(fv, "BLOCK_CELLS", 40 * 100)
+    assert [hi - lo for lo, hi in fv._blocks(120, 100)] == [40] * 3
+    workspaces = []
+
+    class Recorded(fv.Workspace):
+        def __init__(self):
+            super().__init__()
+            workspaces.append(self)
+
+    monkeypatch.setattr(experiments, "Workspace", Recorded)
+    state = _gaussian_state(120, 100)
+    steps = experiments._advance(state, Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0)
+    for _ in range(3):
         next(steps)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * field_bytes, peak / field_bytes
+    (ws,) = workspaces
+    assert "drho" in ws._flat and "du" in ws._flat
+    largest = max(flat.nbytes for flat in ws._flat.values())
+    assert largest < state.rho.nbytes, (largest, state.rho.nbytes)
+
+
+def test_rhs_over_rows_is_those_rows_of_the_full_tendency(monkeypatch):
+    """rhs(rows=(lo, hi)) reads rows lo..hi-1 only: a state that differs
+    elsewhere gives the same bits."""
+    monkeypatch.setattr(fv, "BLOCK_CELLS", 2 * 64)  # rows split into blocks too
+    state = _gaussian_state(7, 64)
+    params, op = Params(0.8, 2.0), order_parameter(state)
+    full = [a.copy() for a in rhs(state, op, params)]
+    other = replace(state, rho=np.full_like(state.rho, np.nan), u=-state.u)
+    for lo, hi in ((0, 7), (0, 2), (2, 5), (6, 7)):
+        rows = slice(lo, hi)
+        mixed = replace(
+            other,
+            rho=np.concatenate((other.rho[:lo], state.rho[rows], other.rho[hi:])),
+            u=np.concatenate((other.u[:lo], state.u[rows], other.u[hi:])),
+        )
+        got = rhs(mixed, op, params, None, fv.Workspace(), (lo, hi))
+        for part, whole in zip(got, full):
+            assert part.shape == (hi - lo, 64)
+            assert part.tobytes() == whole[rows].tobytes()
 
 
 # ---------------------------------------------------------------------------

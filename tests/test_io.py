@@ -1,11 +1,11 @@
 """Run-directory file format: exact bytes, bitwise round trips, loud failures."""
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import peak_fields
 
+from kurahydro import io as run_io
 from kurahydro.diagnostics import SERIES_COLUMNS, TimeSeries
 from kurahydro.io import (
     read_series_csv,
@@ -148,13 +148,110 @@ def test_snapshot_read_peaks_below_seven_fields(tmp_path, rng):
     write_snapshot_csv(path, *fields)
     field_bytes = fields[2].nbytes
     read_snapshot_csv(path)
-    tracemalloc.start()
-    try:
-        read_snapshot_csv(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 7 * field_bytes, peak / field_bytes
+    peak = peak_fields(lambda: read_snapshot_csv(path), field_bytes)
+    assert peak <= 7, peak
+
+
+def test_snapshot_read_peaks_below_three_fields(tmp_path, rng):
+    """A writer-ordered 64x200 snapshot is parsed in small chunks straight
+    into rho and u (2 fields); a chunk and the parser's buffers stay under
+    one more.  Slicing the whole parsed table peaked at 6.0 fields."""
+    path = str(tmp_path / "snap.csv")
+    fields = _signed_zero_snapshot(rng, 64, 200)
+    write_snapshot_csv(path, *fields)
+    read_snapshot_csv(path)
+    peak = peak_fields(lambda: read_snapshot_csv(path), fields[2].nbytes)
+    assert peak <= 3, peak
+
+
+def _streamed_only(monkeypatch):
+    """Make the whole-table fallback fail, so a read must stream."""
+
+    def no_fallback(path, columns):
+        raise AssertionError(f"{path} was not streamed")
+
+    monkeypatch.setattr(run_io, "_read_table", no_fallback)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 39, 40, 41])
+def test_streamed_read_gives_the_writer_bits_at_any_chunk_size(
+    tmp_path, rng, monkeypatch, chunk_rows
+):
+    """Chunks of 1, 3, n_theta - 1, n_theta and n_theta + 1 rows (n_theta = 40)."""
+    path = str(tmp_path / "snap.csv")
+    fields = _signed_zero_snapshot(rng, 6, 40)
+    write_snapshot_csv(path, *fields)
+    monkeypatch.setattr(run_io, "_SNAPSHOT_CHUNK_ROWS", chunk_rows)
+    _streamed_only(monkeypatch)
+    for written, read in zip(fields, read_snapshot_csv(path)):
+        assert read.tobytes() == written.tobytes()
+        assert read.shape == written.shape and read.flags.c_contiguous
+
+
+def _snapshot_rows(tmp_path, rng, n_omega=6, n_theta=40):
+    """A written snapshot's fields, header line and data lines."""
+    fields = _signed_zero_snapshot(rng, n_omega, n_theta)
+    write_snapshot_csv(str(tmp_path / "written.csv"), *fields)
+    header, *rows = (tmp_path / "written.csv").read_bytes().split(b"\r\n")[:-1]
+    return fields, header, rows
+
+
+@pytest.mark.parametrize(
+    "swap",
+    [(100, 101), (139, 140), (159, 160)],
+    ids=["within-a-chunk", "across-chunks", "across-slices"],
+)
+def test_out_of_order_row_in_a_later_chunk_reads_the_writer_bits(
+    tmp_path, rng, monkeypatch, swap
+):
+    """Chunks of 7 rows: the swap sits in chunk 14, across chunks 19 and 20
+    (a slice's theta order), or across slices 3 and 4 (the omega order)."""
+    fields, header, rows = _snapshot_rows(tmp_path, rng)
+    i, j = swap
+    rows[i], rows[j] = rows[j], rows[i]
+    path = tmp_path / "swapped.csv"
+    path.write_bytes(b"\r\n".join([header, *rows]) + b"\r\n")
+    monkeypatch.setattr(run_io, "_SNAPSHOT_CHUNK_ROWS", 7)
+    for written, read in zip(fields, read_snapshot_csv(str(path))):
+        assert read.tobytes() == written.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dropped,repeated",
+    [(12, None), (137, None), (100, 130)],
+    ids=["first-slice", "later-slice", "same-row-count"],
+)
+def test_slice_ragged_across_a_chunk_boundary_names_the_file(
+    tmp_path, rng, monkeypatch, dropped, repeated
+):
+    """One row fewer in a slice (40 rows each), read in chunks of 7 rows,
+    so the short slice ends inside a chunk it shares with the next; in the
+    last case the next slice has one row more (a repeated row), so the
+    table still has 6 x 40 rows."""
+    _, header, rows = _snapshot_rows(tmp_path, rng)
+    if repeated is not None:
+        rows.insert(repeated, rows[repeated])
+    del rows[dropped]
+    path = tmp_path / "bad_snapshot.csv"
+    path.write_bytes(b"\r\n".join([header, *rows]) + b"\r\n")
+    monkeypatch.setattr(run_io, "_SNAPSHOT_CHUNK_ROWS", 7)
+    with pytest.raises(ValueError, match="bad_snapshot.csv: ragged snapshot table"):
+        read_snapshot_csv(str(path))
+
+
+@pytest.mark.parametrize("ending", ["no-final-newline", "lf-only"])
+def test_snapshot_line_endings_read_the_writer_bits(tmp_path, rng, monkeypatch, ending):
+    fields, header, rows = _snapshot_rows(tmp_path, rng)
+    if ending == "lf-only":
+        body = b"\n".join([header, *rows]) + b"\n"
+    else:
+        body = b"\r\n".join([header, *rows])
+    path = tmp_path / "snap.csv"
+    path.write_bytes(body)
+    monkeypatch.setattr(run_io, "_SNAPSHOT_CHUNK_ROWS", 7)
+    _streamed_only(monkeypatch)
+    for written, read in zip(fields, read_snapshot_csv(str(path))):
+        assert read.tobytes() == written.tobytes()
 
 
 def test_repeated_slices_are_written_from_their_own_bits(tmp_path):
@@ -212,6 +309,58 @@ def test_malformed_snapshot_names_the_file(tmp_path, body):
     path.write_bytes(body)
     with pytest.raises(ValueError, match="bad_snapshot.csv"):
         read_snapshot_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        (b"omega,theta,rho,u\r\n0,0,1,1\r\n",
+         "header 'omega,theta,rho,u' is not 'theta,omega,rho,u'"),
+        (b"theta,omega,rho\r\n0,0,1\r\n", "header 'theta,omega,rho' is not 'theta,omega,rho,u'"),
+        (b"theta,omega,rho,u\r\n0,0,1,1\r\n0.5,0,1\r\n",
+         "the number of columns changed from 4 to 3 at row 2; use `usecols` to select "
+         "a subset and avoid this error"),
+        (b"theta,omega,rho,u\r\n0,0,1,1\r\n0.5,0,1,1\r\n1,0,1,1\r\n0,1,1,1\r\n",
+         "ragged snapshot table"),
+        (b"theta,omega,rho,u\r\n", "no data rows"),
+        (b"", "header '' is not 'theta,omega,rho,u'"),
+        (b"theta,omega,rho,u\r\n0,0,1,1\r\n0.5,0,x,1\r\n",
+         "could not convert string 'x' to float64 at row 1, column 3."),
+        (b"theta,omega,rho,u\r\n0,0,1,1,5\r\n", "5 columns, header names 4"),
+    ],
+    ids=[
+        "swapped-header", "short-header", "ragged-row", "ragged-slices", "header-only",
+        "empty", "not-a-number", "extra-column",
+    ],
+)
+def test_malformed_snapshot_messages_are_whole_file_messages(tmp_path, monkeypatch, body, message):
+    """Chunked parsing does not change what an error says: a row number is
+    the row in the file, never in a chunk."""
+    path = tmp_path / "bad_snapshot.csv"
+    path.write_bytes(body)
+    monkeypatch.setattr(run_io, "_SNAPSHOT_CHUNK_ROWS", 1)
+    with pytest.raises(ValueError) as err:
+        read_snapshot_csv(str(path))
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"theta,omega,rho,u\r\n0,0,1,1\r\n\r\n0.5,0,1,1\r\n",
+        b"theta,omega,rho,u\r\n0,0,1,1\r\n0.5,0,1,1\r\n\r\n",
+        b"theta,omega,rho,u\r\n0,0,1,1\r0.5,0,1,1\r",
+    ],
+    ids=["blank-line", "blank-last-line", "cr-only"],
+)
+def test_snapshot_lines_without_one_row_each_read_whole(tmp_path, body):
+    """Blank lines and bare CR endings break the one-row-per-newline count
+    that the streamed read allocates for; the whole-table parse reads them."""
+    path = tmp_path / "snap.csv"
+    path.write_bytes(body)
+    theta, omega, rho, u = read_snapshot_csv(str(path))
+    assert np.array_equal(theta, [0.0, 0.5]) and np.array_equal(omega, [0.0])
+    assert np.array_equal(rho, [[1.0, 1.0]]) and np.array_equal(u, [[1.0, 1.0]])
 
 
 @pytest.mark.parametrize(
