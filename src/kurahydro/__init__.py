@@ -24,7 +24,6 @@ from .domain import (
     make_theta_grid,
     min_du0,
     normalize_slices,
-    read_initial_table,
     rho0_profile,
     wrap_angle,
 )

@@ -4,10 +4,11 @@ The model lives on the periodic phase circle [-pi, pi) crossed with a set of
 natural frequencies Omega_k carrying probability weights w_k ~ g(Omega_k).
 A FieldState holds the density rho(theta, Omega) -- per unit theta, each
 Omega-slice carrying unit mass -- and the phase velocity u(theta, Omega).
+Tabulated initial data (TableData) is a table in the snapshot format, read
+by io.read_snapshot_csv, the one reader of that format.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,7 +171,7 @@ class UConst:
 
 @dataclass(frozen=True)
 class TableData:
-    """Tabulated initial data: flat arrays of (theta, omega, rho, u) rows."""
+    """Tabulated initial data: theta (n,), omega (k,), rho and u (k, n), all finite."""
 
     theta: np.ndarray
     omega: np.ndarray
@@ -180,10 +181,16 @@ class TableData:
 
     def __post_init__(self):
         for name in ("theta", "omega", "rho", "u"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-        n = self.theta.size
-        if not (self.omega.size == self.rho.size == self.u.size == n):
-            raise ValueError("table columns must have equal length")
+            values = _readonly(getattr(self, name))
+            object.__setattr__(self, name, values)
+            if not np.isfinite(values).all():
+                raise ValueError(f"{self.path}: table {name} has non-finite values")
+        shape = (self.omega.size, self.theta.size)
+        if self.theta.ndim != 1 or self.omega.ndim != 1 or not self.rho.shape == self.u.shape == shape:
+            raise ValueError(
+                f"{self.path}: table needs 1-D theta and omega, and rho and u of shape "
+                f"{shape}; got {self.rho.shape}/{self.u.shape}"
+            )
 
     def __eq__(self, other):
         if not isinstance(other, TableData):
@@ -192,34 +199,6 @@ class TableData:
             np.array_equal(getattr(self, f), getattr(other, f))
             for f in ("theta", "omega", "rho", "u")
         )
-
-
-def read_initial_table(path):
-    """Read a (theta, omega, rho, u) CSV table; the header row is required."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty initial-condition table")
-        header = [h.strip() for h in header]
-        required = ["theta", "omega", "rho", "u"]
-        if sorted(header) != sorted(required):
-            raise ValueError(
-                f"{path}: expected header columns {required}, got {header}"
-            )
-        cols = {name: [] for name in header}
-        for row in reader:
-            if not row:
-                continue
-            for name, value in zip(header, row):
-                cols[name].append(float(value))
-    return TableData(
-        np.array(cols["theta"]),
-        np.array(cols["omega"]),
-        np.array(cols["rho"]),
-        np.array(cols["u"]),
-        path=str(path),
-    )
 
 
 @dataclass(frozen=True)
@@ -231,7 +210,9 @@ class InitSpec:
 
     @classmethod
     def from_table(cls, path):
-        table = read_initial_table(path)
+        from .io import read_snapshot_csv  # io imports domain (via diagnostics)
+
+        table = TableData(*read_snapshot_csv(path), path=str(path))
         return cls(rho0=table, u0=table)
 
 
@@ -305,22 +286,13 @@ class FieldState:
 
 
 def _table_to_fields(table, grid, omega):
-    """Map a flat (theta, omega, rho, u) table onto grid x omega arrays."""
-    n_rows = table.theta.size
-    if n_rows != grid.n * omega.n:
-        raise ValueError(
-            f"table has {n_rows} rows, grid needs {grid.n * omega.n}"
-        )
-    order = np.lexsort((table.theta, table.omega))
-    th = table.theta[order].reshape(omega.n, grid.n)
-    om = table.omega[order].reshape(omega.n, grid.n)
-    if not np.allclose(th, grid.centers[None, :], atol=1e-9, rtol=0.0):
-        raise ValueError("table theta values do not match the grid centers")
-    if not np.allclose(om, omega.nodes[:, None], atol=1e-9, rtol=0.0):
-        raise ValueError("table omega values do not match the frequency nodes")
-    rho = table.rho[order].reshape(omega.n, grid.n)
-    u = table.u[order].reshape(omega.n, grid.n)
-    return rho, u
+    """rho and u of a table whose theta and omega match grid and omega."""
+    for name, values, nodes in (
+        ("theta", table.theta, grid.centers), ("omega", table.omega, omega.nodes)
+    ):
+        if values.shape != nodes.shape or not np.allclose(values, nodes, atol=1e-9, rtol=0.0):
+            raise ValueError(f"{table.path}: table {name} values do not match the grid")
+    return table.rho, table.u
 
 
 def rho0_profile(rho0, theta):
@@ -357,21 +329,17 @@ def normalize_slices(rho, dtheta):
 def init_state(spec, grid, omega):
     """Resolve an InitSpec to a normalized FieldState at t = 0."""
     if isinstance(spec.rho0, TableData):
-        rho, table_u = _table_to_fields(spec.rho0, grid, omega)
+        rho, _ = _table_to_fields(spec.rho0, grid, omega)
         if np.any(rho < 0):
-            raise ValueError("initial density table contains negative values")
+            raise ValueError(f"{spec.rho0.path}: table rho has negative values")
     else:
         rho = np.broadcast_to(
             rho0_profile(spec.rho0, grid.centers), (omega.n, grid.n)
         ).copy()
-        table_u = None
     rho = normalize_slices(rho, grid.dtheta)
 
     if isinstance(spec.u0, TableData):
-        if spec.u0 is spec.rho0 and table_u is not None:
-            u = table_u
-        else:
-            _, u = _table_to_fields(spec.u0, grid, omega)
+        _, u = _table_to_fields(spec.u0, grid, omega)
     else:
         u = np.broadcast_to(evaluate_u0(spec.u0, grid.centers), (omega.n, grid.n)).copy()
     return FieldState(grid, omega, rho, u, t=0.0)

@@ -105,15 +105,14 @@ class EulerianRun:
     failure: str | None = None
 
 
-def _advance(state, params, scheme, monitor, t_stop):
+def _advance(state, params, scheme, monitor, t_stop, ws):
     """Step with dt = min(cfl_dt, t_stop - t), yielding each new state.
 
     The monitor sees each state before it is yielded.  Stops at t_stop (within
     1e-12) or once the monitor has fired; MassClipError propagates.  All steps
-    share one fv.Workspace, and each calls cfl_dt and then step_rk2 on the
-    same state.
+    share the caller's fv.Workspace ws (one per run), and each calls cfl_dt
+    and then step_rk2 on the same state.
     """
-    ws = Workspace()
     while state.t < t_stop - 1e-12 and not monitor.fired:
         dt = min(cfl_dt(state, scheme), t_stop - state.t)
         state = step_rk2(state, dt, params, scheme, ws)
@@ -171,12 +170,13 @@ def run_eulerian(config, state=None):
     if round(state.t, 12) in snap_set:
         snapshots[float(state.t)] = state
     failure = None
+    ws = Workspace()
 
     for target in events:
         if target <= state.t:
             continue
         try:
-            for new_state in _advance(state, params, scheme, monitor, target):
+            for new_state in _advance(state, params, scheme, monitor, target, ws):
                 # rebind first, so the old state is freed before E_k's temporaries
                 t_prev, state = state.t, new_state
                 Ek_now = kinetic_energy(_field_cell_masses(state), state.u)
@@ -247,7 +247,6 @@ def _manifest_payload(config, wall_time, solver, extra=None):
         "solver": solver,
         "version": __version__,
         "wall_time_s": wall_time,
-        "threads": os.environ.get("KURAHYDRO_THREADS"),
     }
     if extra:
         payload.update(extra)
@@ -353,7 +352,7 @@ def steady_r(config, K, warm_state, sweep):
     r_now = history[0][1]
     dr = 0.0
     try:
-        for new_state in _advance(state, params, scheme, monitor, sweep.t_max):
+        for new_state in _advance(state, params, scheme, monitor, sweep.t_max, Workspace()):
             if monitor.fired:
                 return 1.0, state, True
             state = new_state

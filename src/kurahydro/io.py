@@ -14,6 +14,9 @@ File format of series.csv and the snapshots:
       float64 reads back bit for bit;
     - lines end in "\\r\\n", as csv.writer writes them.
 
+An initial-condition table (config key init_table) is a snapshot, read by
+the same read_snapshot_csv, so a run restarts from any of its snapshots.
+
 Snapshots and series are formatted in bulk (one `%` per slice or chunk of
 rows) and parsed with numpy's C reader; a 600x1000 snapshot is 49 MB.  A
 snapshot slice whose rho and u have the same bits as the previous slice's
@@ -23,18 +26,19 @@ slice's formatted rows.
 Snapshot rows may come in any order, but the writer's order, omega then
 theta ascending, is streamed: rho and u are allocated for one row per line
 of the file (a newline count), and the rows are parsed in chunks straight
-into them.  theta is taken from the first slice and
-omega at each slice start, and each chunk is checked as it arrives: the
-order, continued from the previous chunk's last row, and a slice start
-exactly every n_theta rows.  A chunk is about 1/32 of the rows, at least
-64 and at most _SNAPSHOT_CHUNK_ROWS, because np.loadtxt with max_rows=R
-allocates its result and buffers for R rows before it parses (32k-row
-chunks peaked at 19 fields on a 64x200 file) while each call has a fixed
-cost (512-row chunks read a 600x1000 snapshot about 10% slower than 8192).  Any other table -- out of
-order, ragged, malformed, or with lines that are not one row each (blank
-lines, bare CR endings) -- falls back to parsing the whole table and
-sorting it by one lexsort of its rows; the fallback also raises every
-error, so a message names the row in the file, not in a chunk.
+into them.  theta is taken from the first slice and omega at each slice
+start, and each chunk is checked as it arrives: the order, continued from
+the previous chunk's last row, a slice start exactly every n_theta rows,
+and each row's theta equal to the first slice's.  A chunk is about 1/32 of
+the rows, at least 64 and at most _SNAPSHOT_CHUNK_ROWS, because np.loadtxt
+with max_rows=R allocates its result and buffers for R rows before it
+parses (32k-row chunks peaked at 19 fields on a 64x200 file) while each
+call has a fixed cost (512-row chunks read a 600x1000 snapshot about 10%
+slower than 8192).  Any other table -- out of order, ragged, malformed, or
+with lines that are not one row each (blank lines, bare CR endings) --
+falls back to parsing the whole table and sorting it by one lexsort of its
+rows; the fallback also raises every error, so a message names the row in
+the file, not in a chunk.
 """
 from __future__ import annotations
 
@@ -183,16 +187,16 @@ def _stream_snapshot(path):
 
     The rows are parsed in chunks of 1/32 of the rows (64 to
     _SNAPSHOT_CHUNK_ROWS) straight into rho and u, preallocated for one row
-    per line of the file.  Each chunk is checked
-    against the previous chunk's last row: the rows ascend by omega, then
-    theta, and a slice starts exactly every n_theta rows, n_theta being the
-    length of the first slice.  Any other table -- out of order, ragged,
+    per line of the file.  Each chunk is checked against the previous
+    chunk's last row: the rows ascend by omega, then theta, a slice starts
+    exactly every n_theta rows (the first slice's length), and every row's
+    theta is the first slice's.  Any other table -- out of order, ragged,
     malformed, or with lines that hold no row -- gives None.
     """
     n_rows = _count_lines(path)
     rho, u = np.empty(n_rows), np.empty(n_rows)
     theta_parts, omega_parts = [], []
-    n_theta = prev_theta = prev_omega = None
+    theta = n_theta = prev_theta = prev_omega = None
     with open(path) as fh, warnings.catch_warnings():
         _check_header(fh, path, SNAPSHOT_COLUMNS)
         # a file that ends early gives a short chunk, which returns None
@@ -224,9 +228,13 @@ def _stream_snapshot(path):
                 theta_parts.append(th.copy())
                 later = starts[starts > 0]
                 n_theta = int(later[0]) if later.size else None
+                if n_theta is not None:
+                    theta = np.concatenate(theta_parts)[:n_theta]
             if n_theta is not None:
                 first = -(-done // n_theta) * n_theta
                 if not np.array_equal(starts, np.arange(first, done + want, n_theta)):
+                    return None
+                if not np.array_equal(th, theta[np.arange(done, done + want) % n_theta]):
                     return None
             omega_parts.append(om[starts - done])
             rho[done : done + want] = chunk[:, 2]
@@ -238,7 +246,7 @@ def _stream_snapshot(path):
     if n_rows == 0 or n_rows % n_theta:
         return None
     shape = (n_rows // n_theta, n_theta)
-    theta = np.concatenate(theta_parts)[:n_theta]
+    theta = np.concatenate(theta_parts) if theta is None else theta
     return theta, np.concatenate(omega_parts), rho.reshape(shape), u.reshape(shape)
 
 
@@ -246,7 +254,8 @@ def read_snapshot_csv(path):
     """Read a snapshot back as (theta, omega_values, rho, u) arrays.
 
     Rows may come in any order; they are read sorted by omega, then theta.
-    A table in the writer's order is streamed into rho and u chunk by chunk
+    Every slice must hold the first slice's theta values exactly.  A table
+    in the writer's order is streamed into rho and u chunk by chunk
     (see _stream_snapshot); any other table is parsed whole and sorted by
     one lexsort of its rows.
     """
@@ -263,6 +272,8 @@ def read_snapshot_csv(path):
     ragged = n_omega * n_theta != omega_flat.size
     if ragged or np.any(table[:, 0, 1] != table[:, -1, 1]):
         raise ValueError(f"{path}: ragged snapshot table")
+    if np.any(table[1:, :, 0] != table[0, :, 0]):
+        raise ValueError(f"{path}: slices lie on different theta grids")
     theta, omega_values, rho, u = (
         table[0, :, 0], table[:, 0, 1], table[:, :, 2], table[:, :, 3]
     )

@@ -97,19 +97,12 @@ def classify_value(value, params, margin=0.0):
     return ThresholdVerdict(cat, float(value), float(margin), roots, bound)
 
 
-def _tabulated_min_du(theta, u, dtheta):
+def _tabulated_min_du(u, dtheta):
     """Centered-difference min du and a curvature-based uncertainty margin."""
     du = (np.roll(u, -1, axis=-1) - np.roll(u, 1, axis=-1)) / (2.0 * dtheta)
     d2u = (np.roll(u, -1, axis=-1) - 2.0 * u + np.roll(u, 1, axis=-1)) / dtheta**2
     margin = 2.0 * dtheta * float(np.max(np.abs(d2u)))
     return float(np.min(du)), margin
-
-
-def _table_slices(table):
-    for w in np.unique(table.omega):
-        sel = table.omega == w
-        order = np.argsort(table.theta[sel])
-        yield table.theta[sel][order], table.u[sel][order]
 
 
 def classify(source, params):
@@ -122,20 +115,15 @@ def classify(source, params):
     if isinstance(source, InitSpec):
         source = source.u0
     if isinstance(source, FieldState):
-        m0, margin = _tabulated_min_du(
-            source.grid.centers, source.u, source.grid.dtheta
-        )
+        m0, margin = _tabulated_min_du(source.u, source.grid.dtheta)
         return classify_value(m0, params, margin)
     if isinstance(source, TableData):
-        m0, margin = math.inf, 0.0
-        for theta, u in _table_slices(source):
-            if theta.size < 4:
-                raise ValueError("tabulated slice too short to differentiate")
-            h = theta[1] - theta[0]
-            if not np.allclose(np.diff(theta), h, rtol=0.0, atol=1e-9):
-                raise ValueError("tabulated theta grid must be uniform")
-            v, mg = _tabulated_min_du(theta, u, h)
-            m0, margin = min(m0, v), max(margin, mg)
+        steps = np.diff(source.theta)
+        if steps.size < 3:
+            raise ValueError("tabulated slice too short to differentiate")
+        if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-9):
+            raise ValueError("tabulated theta grid must be uniform")
+        m0, margin = _tabulated_min_du(source.u, steps[0])
         return classify_value(m0, params, margin)
     return classify_value(min_du0(source), params, 0.0)
 

@@ -26,8 +26,11 @@ from kurahydro import (
     UCosine,
     USine,
     apply_overrides,
+    build_state,
     format_rho0,
     format_wave,
+    make_theta_grid,
+    normalize_slices,
     parse_config,
     parse_rho0,
     parse_wave_expression,
@@ -36,7 +39,7 @@ from kurahydro import (
     write_config,
 )
 from kurahydro.cli import compare_runs, main
-from kurahydro.io import read_manifest
+from kurahydro.io import read_manifest, read_snapshot_csv, write_snapshot_csv
 
 
 # ---------------------------------------------------------------------------
@@ -427,4 +430,46 @@ def test_cli_rejects_snapshot_times_that_share_a_file_name(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "0.1234561 and 0.1234564" in err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# init_table: a table in the snapshot format
+
+
+def test_restart_from_a_snapshot_is_bitwise(tmp_path):
+    """A run's snapshots/t=<t>.csv as init_table: u has the snapshot's bits,
+    rho those of the snapshot's rho normalized per slice, and the restarted
+    run goes on."""
+    cfg = _write_cfg(tmp_path, g="gaussian", n_omega=5, snapshot_times="[0.2]")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    snap = tmp_path / "out" / "snapshots" / "t=0.2.csv"
+    data = {"m": 0.5, "K": 0.1, "n_theta": 48, "g": "gaussian", "n_omega": 5,
+            "t_end": 0.1, "init_table": str(snap)}
+    state = build_state(resolve_config(data))
+    _, _, rho, u = read_snapshot_csv(str(snap))
+    assert state.u.tobytes() == u.tobytes()
+    assert state.rho.tobytes() == normalize_slices(rho, state.grid.dtheta).tobytes()
+    restart = tmp_path / "restart.yaml"
+    restart.write_text(yaml.safe_dump(data))
+    assert main(["run", "--config", str(restart), "--out", str(tmp_path / "again")]) == 0
+    manifest = read_manifest(str(tmp_path / "again" / "manifest.json"))
+    assert manifest["config"]["init_table"] == str(snap)
+
+
+@pytest.mark.parametrize("name,value", [("u", np.inf), ("rho", np.nan)])
+def test_cli_rejects_a_table_with_non_finite_values(tmp_path, capsys, name, value):
+    """A u=inf table used to run and report blow-up at t=0, a rho=NaN one to
+    fail with "empty support"; both are refused before anything runs."""
+    theta = make_theta_grid(48).centers
+    fields = {"rho": np.ones((1, 48)), "u": np.zeros((1, 48))}
+    fields[name][0, 7] = value
+    table = tmp_path / "init.csv"
+    write_snapshot_csv(str(table), theta, [0.0], fields["rho"], fields["u"])
+    path = tmp_path / "table.yaml"
+    path.write_text(f"m: 0.5\nK: 0.1\nn_theta: 48\nt_end: 0.1\ninit_table: {table}\n")
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{table}: table {name} has non-finite values" in err
     assert not out.exists()

@@ -13,6 +13,7 @@ from kurahydro import (
     RhoGaussian,
     RhoPointCell,
     RhoUniform,
+    TableData,
     UConst,
     UCosine,
     USine,
@@ -22,7 +23,6 @@ from kurahydro import (
     init_state,
     make_theta_grid,
     min_du0,
-    read_initial_table,
     rho0_profile,
     wrap_angle,
 )
@@ -198,5 +198,38 @@ def test_table_grid_mismatch(tmp_path):
 def test_table_header_required(tmp_path):
     path = tmp_path / "nohdr.csv"
     path.write_text("0.1,0,1,0\n")
-    with pytest.raises(ValueError, match="header"):
-        read_initial_table(path)
+    with pytest.raises(ValueError, match="nohdr.csv: header"):
+        InitSpec.from_table(path)
+
+
+@pytest.mark.parametrize("header", ["omega,theta,rho,u", "theta, omega, rho, u"])
+def test_table_header_must_be_the_snapshot_header(tmp_path, header):
+    """A table is read by the snapshot reader: a permuted or space-padded
+    header is rejected, and the error names the file."""
+    path = tmp_path / "permuted.csv"
+    path.write_text(header + "\n0,0,1,0\n")
+    with pytest.raises(ValueError, match="permuted.csv: header"):
+        InitSpec.from_table(path)
+
+
+@pytest.mark.parametrize(
+    "theta,omega,rho,u",
+    [
+        (np.zeros(4), np.zeros(2), np.ones((2, 3)), np.zeros((2, 3))),  # rho, u too short
+        (np.zeros(4), np.zeros(2), np.ones((2, 4)), np.zeros((2, 3))),  # u alone
+        (np.zeros(4), np.zeros(4), np.ones(4), np.zeros(4)),  # flat columns
+        (np.zeros((1, 4)), np.zeros(1), np.ones((1, 4)), np.zeros((1, 4))),  # 2-D theta
+    ],
+    ids=["rho-and-u", "u", "flat", "2d-theta"],
+)
+def test_table_data_needs_gridded_shapes(theta, omega, rho, u):
+    with pytest.raises(ValueError, match="t.csv: table needs 1-D theta and omega, and rho and u of shape"):
+        TableData(theta, omega, rho, u, path="t.csv")
+
+
+@pytest.mark.parametrize("name,value", [("rho", np.nan), ("u", np.inf), ("theta", -np.inf)])
+def test_table_data_rejects_non_finite_values(name, value):
+    cols = dict(theta=np.linspace(-3, 3, 4), omega=np.zeros(1), rho=np.ones((1, 4)), u=np.zeros((1, 4)))
+    cols[name][..., 1] = value
+    with pytest.raises(ValueError, match=f"t.csv: table {name} has non-finite values"):
+        TableData(**cols, path="t.csv")

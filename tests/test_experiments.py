@@ -293,6 +293,31 @@ def test_each_step_calls_cfl_dt_then_step_rk2_on_the_same_state(monkeypatch):
     assert 0 < limited_by_target < len(calls) // 2
 
 
+def test_run_eulerian_steps_every_record_time_with_one_workspace(monkeypatch):
+    """One fv.Workspace per run, handed to every step_rk2 of every record time."""
+    from kurahydro import experiments, fv
+
+    built, used = [], []
+
+    class Counted(fv.Workspace):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    real_step = experiments.step_rk2
+
+    def record_step(state, dt, params, scheme, ws):
+        used.append(ws)
+        return real_step(state, dt, params, scheme, ws)
+
+    monkeypatch.setattr(experiments, "Workspace", Counted)
+    monkeypatch.setattr(experiments, "step_rk2", record_step)
+    run = run_eulerian(_config(**_GAUSSIAN))
+    assert len(run.series.t) == 4  # three record times after t=0
+    assert len(built) == 1
+    assert len(used) > 3 and all(ws is built[0] for ws in used)
+
+
 def test_sweep_config_validation_and_branches():
     with pytest.raises(ValueError, match="at least one"):
         SweepConfig(k_path=())

@@ -346,7 +346,7 @@ def test_advance_step_allocates_few_field_sized_arrays():
 
     state = _gaussian_state(120, 100)
     field_bytes = state.rho.nbytes
-    steps = _advance(state, Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0)
+    steps = _advance(state, Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0, fv.Workspace())
     for _ in range(3):
         next(steps)
     peak = peak_fields(lambda: next(steps), field_bytes)
@@ -367,7 +367,7 @@ def test_advance_step_allocates_at_most_three_field_sized_arrays():
 
     state = _gaussian_state(120, 100)
     field_bytes = state.rho.nbytes
-    steps = _advance(state, Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0)
+    steps = _advance(state, Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0, fv.Workspace())
     for _ in range(3):
         next(steps)
     peak = peak_fields(lambda: next(steps), field_bytes)
@@ -383,19 +383,11 @@ def test_advance_workspace_holds_no_field_sized_buffer(monkeypatch):
 
     monkeypatch.setattr(fv, "BLOCK_CELLS", 40 * 100)
     assert [hi - lo for lo, hi in fv._blocks(120, 100)] == [40] * 3
-    workspaces = []
-
-    class Recorded(fv.Workspace):
-        def __init__(self):
-            super().__init__()
-            workspaces.append(self)
-
-    monkeypatch.setattr(experiments, "Workspace", Recorded)
     state = _gaussian_state(120, 100)
-    steps = experiments._advance(state, Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0)
+    ws = fv.Workspace()
+    steps = experiments._advance(state, Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0, ws)
     for _ in range(3):
         next(steps)
-    (ws,) = workspaces
     assert "drho" in ws._flat and "du" in ws._flat
     largest = max(flat.nbytes for flat in ws._flat.values())
     assert largest < state.rho.nbytes, (largest, state.rho.nbytes)
@@ -672,7 +664,9 @@ def test_advance_step_reconstructs_four_times_per_block(monkeypatch, blocks):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(fv, "reconstruct", counting)
-    steps = _advance(_gaussian_state(120, 100), Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0)
+    steps = _advance(
+        _gaussian_state(120, 100), Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0, fv.Workspace()
+    )
     next(steps)
     calls.clear()
     next(steps)

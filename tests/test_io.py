@@ -239,6 +239,47 @@ def test_slice_ragged_across_a_chunk_boundary_names_the_file(
         read_snapshot_csv(str(path))
 
 
+_TWO_THETA_GRIDS = [  # theta 0.1-0.4 at omega 0, 0.5-0.8 at omega 1, writer's order
+    b"%g,%d,1,0" % (0.1 * j + 0.4 * k, k) for k in (0, 1) for j in range(1, 5)
+]
+
+
+@pytest.mark.parametrize("chunk_rows", [3, 8192])
+def test_writer_ordered_slices_on_different_theta_grids_name_the_file(
+    tmp_path, monkeypatch, chunk_rows
+):
+    """The streamed read gives up on the second slice's theta (read in chunks
+    of 3 rows, or in one), and the whole-table read raises."""
+    path = tmp_path / "two_grids.csv"
+    path.write_bytes(b"\r\n".join([b"theta,omega,rho,u", *_TWO_THETA_GRIDS]) + b"\r\n")
+    monkeypatch.setattr(run_io, "_SNAPSHOT_CHUNK_ROWS", chunk_rows)
+    assert run_io._stream_snapshot(str(path)) is None
+    with pytest.raises(ValueError, match="two_grids.csv: slices lie on different theta grids"):
+        read_snapshot_csv(str(path))
+
+
+def test_shuffled_slices_on_different_theta_grids_name_the_file(tmp_path, rng):
+    path = tmp_path / "two_grids.csv"
+    rows = list(rng.permutation(_TWO_THETA_GRIDS))
+    path.write_bytes(b"\r\n".join([b"theta,omega,rho,u", *rows]) + b"\r\n")
+    with pytest.raises(ValueError, match="two_grids.csv: slices lie on different theta grids"):
+        read_snapshot_csv(str(path))
+
+
+def test_one_theta_off_the_grid_in_a_later_chunk_names_the_file(tmp_path, rng, monkeypatch):
+    """Row 10 of slice 3 (file row 130, chunk 19 of 7 rows) moves halfway to
+    its successor: the rows keep their order and count, only theta differs."""
+    fields, header, rows = _snapshot_rows(tmp_path, rng)
+    theta = fields[0]
+    rows[130] = b",".join([b"%.17g" % (0.5 * (theta[10] + theta[11])), *rows[130].split(b",")[1:]])
+    path = tmp_path / "off_grid.csv"
+    path.write_bytes(b"\r\n".join([header, *rows]) + b"\r\n")
+    monkeypatch.setattr(run_io, "_SNAPSHOT_CHUNK_ROWS", 7)
+    assert run_io._stream_snapshot(str(path)) is None
+    with pytest.raises(ValueError, match="off_grid.csv: slices lie on different theta grids"):
+        read_snapshot_csv(str(path))
+
+
 @pytest.mark.parametrize("ending", ["no-final-newline", "lf-only"])
 def test_snapshot_line_endings_read_the_writer_bits(tmp_path, rng, monkeypatch, ending):
     fields, header, rows = _snapshot_rows(tmp_path, rng)

@@ -62,7 +62,7 @@ def test_sample_initial_from_field_state():
 
 def test_sample_initial_rejects_tables():
     table = TableData(
-        np.array([0.0]), np.array([0.0]), np.array([1.0]), np.array([0.0])
+        np.array([0.0]), np.array([0.0]), np.array([[1.0]]), np.array([[0.0]])
     )
     with pytest.raises(TypeError, match="FieldState"):
         sample_initial(InitSpec(table, table), discretize_frequency("dirac"), 16)

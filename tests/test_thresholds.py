@@ -116,17 +116,17 @@ def test_classify_table_data():
     theta = np.linspace(-np.pi, np.pi, 128, endpoint=False)
     table = TableData(
         theta,
-        np.zeros_like(theta),
-        np.full_like(theta, 1.0 / (2 * np.pi)),
-        -2.0 * np.sin(theta),
+        np.zeros(1),
+        np.full((1, theta.size), 1.0 / (2 * np.pi)),
+        -2.0 * np.sin(theta)[None, :],
     )
     verdict = classify(table, Params(1.0, 1.0))
     assert verdict.category == SUPERCRITICAL
     bad = TableData(
         np.array([0.0, 0.1, 0.3, 0.35]),
-        np.zeros(4),
-        np.ones(4),
-        np.zeros(4),
+        np.zeros(1),
+        np.ones((1, 4)),
+        np.zeros((1, 4)),
     )
     with pytest.raises(ValueError, match="uniform"):
         classify(bad, Params(1.0, 1.0))
