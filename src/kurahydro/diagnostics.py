@@ -4,6 +4,7 @@ asymptotic order-parameter prediction, Dirac-distance bound, blow-up monitor.
 Most quantities exist in two guises -- over an Eulerian FieldState (mass
 weights dtheta*rho*w_k) or over a Lagrangian sample ensemble (quadrature
 weights) -- and the public functions dispatch on the argument type.
+series_row is the one row of the SERIES_COLUMNS series for both solvers.
 
 Support.  Over an ensemble, the diameters and the min_du column span only the
 samples with positive weight: a zero-weight sample is a quadrature node
@@ -23,9 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import FieldState
+from .meanfield import ensemble_order_parameter, order_parameter
 
 # Cells per chunk of min_grad_u's temporary: 2^13 float64 values, 64 KB.
 GRAD_CHUNK_CELLS = 1 << 13
+
+# Gradient-collapse limit: the blow-up monitor's default and the oracle's
+# floor on d both fire below -BLOWUP_GRAD.
+BLOWUP_GRAD = 1e6
 
 SERIES_COLUMNS = (
     "t",
@@ -232,6 +238,35 @@ def _range_over(x, mask):
     return float(high - np.min(x, where=mask, initial=np.inf))
 
 
+def series_row(obj, params, Ek_integral, eps_supp=None):
+    """The SERIES_COLUMNS row of a FieldState or of a sample ensemble.
+
+    The guise decides r and phi (moments of rho, or of the sample weights),
+    mass_err (worst slice, or |sum w - 1|), min_du (min_grad_u over every
+    cell, or the least d over the support) and max_rho (max rho, or
+    exp(max log rho)).  eps_supp is the field's support floor (diameters).
+    """
+    if isinstance(obj, FieldState):
+        trig = (np.cos(obj.grid.centers), np.sin(obj.grid.centers))
+        op = order_parameter(obj, trig)
+        mass_err = float(np.max(np.abs(obj.per_slice_mass() - 1.0)))
+        min_du = min_grad_u(obj)
+        max_rho = float(np.max(obj.rho))
+    else:
+        trig = (np.cos(obj.eta), np.sin(obj.eta))
+        op = ensemble_order_parameter(obj.eta, obj.weight, trig)
+        mass_err = abs(float(np.sum(obj.weight)) - 1.0)
+        min_du = float(np.min(obj.d, where=sample_support(obj), initial=np.inf))
+        with np.errstate(over="ignore"):
+            max_rho = float(np.exp(np.max(obj.log_rho)))
+    Ek, Ep = energies(obj, op, params)
+    d_eta, d_v = diameters(obj, eps_supp)
+    L = lyapunov(obj, op, params, trig)
+    vc, etac = mean_velocity(obj), mean_phase(obj)
+    return (obj.t, op.r, op.phi, Ek, Ep, vc, etac, d_eta, d_v, L, mass_err, min_du,
+            max_rho, Ek_integral)
+
+
 # ---------------------------------------------------------------------------
 # Analytic decay envelopes for the diameters.
 
@@ -383,7 +418,7 @@ class BlowupMonitor:
     supplied.  Once fired the monitor stays fired (the event is kept).
     """
 
-    def __init__(self, rho_factor=1e3, grad_limit=1e6, max_rho0=None):
+    def __init__(self, rho_factor=1e3, grad_limit=BLOWUP_GRAD, max_rho0=None):
         self.rho_factor = rho_factor
         self.grad_limit = grad_limit
         self.max_rho0 = max_rho0

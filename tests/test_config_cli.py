@@ -183,6 +183,17 @@ def test_config_docstring_gives_each_field_default(section, name, default):
         assert type(default)(documented) == default
 
 
+def test_config_docstring_names_every_plain_key():
+    """The docstring lists every key the schema resolves, required ones
+    (k_path) included: the names come from config._plain_fields itself."""
+    from kurahydro.config import _plain_fields
+
+    doc = kurahydro.config.__doc__
+    for cls in (ScenarioConfig, SchemeConfig, SweepConfig):
+        missing = [n for n in _plain_fields(cls) if not re.search(rf"\b{n}\b", doc)]
+        assert not missing, f"{cls.__name__} keys not in the config docstring: {missing}"
+
+
 def test_resolve_coerces_yaml_string_numerics():
     data = _minimal()
     data["record_dt"] = "1e-2"  # yaml leaves exponent-only literals as strings
@@ -472,4 +483,25 @@ def test_cli_rejects_a_table_with_non_finite_values(tmp_path, capsys, name, valu
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{table}: table {name} has non-finite values" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, solver",
+    [(["run", "--set", "solver=both"], "both"), (["oracle"], "lagrangian")],
+    ids=["run-both", "oracle"],
+)
+def test_cli_rejects_a_table_with_the_oracle(tmp_path, capsys, argv, solver):
+    """The oracle samples symbolic initial data only: `run` with solver both
+    used to run the finite-volume solver and then die with a TypeError
+    traceback, and `oracle` the same; both now stop before any solver runs."""
+    table = tmp_path / "init.csv"
+    theta = make_theta_grid(48).centers
+    write_snapshot_csv(str(table), theta, [0.0], np.ones((1, 48)), np.zeros((1, 48)))
+    path = tmp_path / "table.yaml"
+    path.write_text(f"m: 0.5\nK: 0.1\nn_theta: 48\nt_end: 0.1\ninit_table: {table}\n")
+    out = tmp_path / "x"
+    assert main([argv[0], "--config", str(path), "--out", str(out), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"init_table runs with solver eulerian only, not {solver}" in err
     assert not out.exists()

@@ -34,7 +34,7 @@ from kurahydro import (
     sample_initial,
     velocity_envelope,
 )
-from kurahydro.diagnostics import SeriesBuilder, min_grad_u
+from kurahydro.diagnostics import SeriesBuilder, min_grad_u, series_row
 
 
 class _Ens:
@@ -146,6 +146,15 @@ def test_field_vs_ensemble_moments():
     op_f = order_parameter(state)
     op_e = ensemble_order_parameter(ens.eta, ens.weight)
     assert op_f.r == pytest.approx(op_e.r, abs=1e-12)
+    # series_row over either guise: the same row where the columns agree
+    params = Params(0.7, 1.3)
+    row_f = series_row(state, params, 0.25)
+    row_e = series_row(ens, params, 0.25)
+    assert len(row_f) == len(row_e) == len(SERIES_COLUMNS)
+    assert row_f[-1] == row_e[-1] == 0.25  # Ek_integral, the last column
+    for name in ("t", "r", "phi", "Ek", "Ep", "vc", "etac", "L"):
+        j = SERIES_COLUMNS.index(name)
+        assert row_f[j] == pytest.approx(row_e[j], abs=1e-12), name
 
 
 def test_ensemble_diameters():
