@@ -33,7 +33,7 @@ from .meanfield import (
     mean_field_force,
     order_parameter,
 )
-from .fv import MassClipError, SchemeConfig, cfl_dt, minmod, rhs, step_rk2
+from .fv import MassClipError, SchemeConfig, cfl_dt, step_rk2
 from .lagrangian import (
     CharEnsemble,
     IntegrationFailure,

@@ -247,8 +247,8 @@ def series_row(obj, params, Ek_integral, eps_supp=None):
     exp(max log rho)).  eps_supp is the field's support floor (diameters).
     """
     if isinstance(obj, FieldState):
-        trig = (np.cos(obj.grid.centers), np.sin(obj.grid.centers))
-        op = order_parameter(obj, trig)
+        trig = (obj.grid.cos, obj.grid.sin)
+        op = order_parameter(obj)
         mass_err = float(np.max(np.abs(obj.per_slice_mass() - 1.0)))
         min_du = min_grad_u(obj)
         max_rho = float(np.max(obj.rho))

@@ -44,14 +44,21 @@ class Params:
 
 @dataclass(frozen=True)
 class ThetaGrid:
-    """Uniform periodic cell grid on [-pi, pi); centers at -pi + (j+1/2)*dtheta."""
+    """Uniform periodic cell grid on [-pi, pi); centers at -pi + (j+1/2)*dtheta.
+
+    cos and sin are those of the centers, computed once per grid.
+    """
 
     n: int
     centers: np.ndarray
     dtheta: float
+    cos: np.ndarray = field(init=False, compare=False, repr=False)
+    sin: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "centers", _readonly(self.centers))
+        object.__setattr__(self, "cos", _readonly(np.cos(self.centers)))
+        object.__setattr__(self, "sin", _readonly(np.sin(self.centers)))
 
 
 def make_theta_grid(n_theta):

@@ -71,6 +71,10 @@ class ScenarioConfig:
         if self.g not in ("dirac", "gaussian"):
             raise ValueError("g must be dirac or gaussian")
         object.__setattr__(self, "snapshot_times", tuple(self.snapshot_times))
+        # a negative time is never reached, so neither solver would write it;
+        # times past t_end stay accepted (a shortened run keeps its config)
+        if any(not t >= 0 for t in self.snapshot_times):
+            raise ValueError("snapshot_times must be nonnegative")
         # distinct times whose file names agree would overwrite one snapshot
         named = {}
         for t in self.snapshot_times:
@@ -294,6 +298,11 @@ class SweepConfig:
             raise ValueError("k_path must contain at least one coupling value")
         if any(k < 0 for k in self.k_path):
             raise ValueError("coupling values must be nonnegative")
+        for name in ("steady_tol", "steady_window", "t_max"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.refine_step is not None and not self.refine_step > 0:
+            raise ValueError("refine_step must be positive")
         if self.refine_step is not None and len(self.k_path) > 1:
             steps = [
                 abs(b - a)

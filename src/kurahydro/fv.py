@@ -8,26 +8,26 @@ reconstruction, local speeds from the reconstructed interface velocities
 midpoint-rule source at cell centers, and Heun's second-order Runge-Kutta in
 time with the order parameter recomputed at every stage.
 
-Memory.  A Workspace owns the step's scratch arrays: the cell-centre
-cos/sin and one set of block buffers.  rhs walks the frequency slices in
-blocks of BLOCK_CELLS cells (whole slices, at least one), so every
-temporary is block-sized and is reused from step to step.  step_rk2 owns
-the block loop: it asks rhs for one block's tendency at a time (rows=) and
-applies that block's stage update at once, mid = state + dt*k in stage 1
-and Heun's average written over mid's rows in stage 2, so no full-size
-tendency is ever held.  This is exact because a block's tendency reads
-only its own rows (the slices are independent but for the order
-parameter, which is computed on the whole state, or the whole midpoint,
-before its stage starts).  A step allocates only its midpoint (rho, u),
-whose arrays become the new state.  Periodic ghost cells come from one
-padded copy of each block, not from np.roll, and every operation on a
-block is on whole arrays of one shape (flat, or a plain copy out of a
-padded array), because numpy runs a broadcast or strided 2-D operand
-through buffers it allocates per call.  rhs without rows returns the
-full-size tendency.  The `ws` argument of rhs, step_rk2, reconstruct,
-kt_flux and minmod is optional: None means a fresh workspace.  An array
-returned from a workspace is one of its buffers and is overwritten by the
-workspace's next use.
+Memory.  A Workspace owns the step's scratch arrays, one set of block
+buffers.  step_rk2 walks the frequency slices in blocks of BLOCK_CELLS
+cells (whole slices, at least one), so every temporary is block-sized and
+is reused from step to step.  Once per stage it takes the order parameter
+of the whole state (or the whole midpoint) and fills the workspace's force
+block, the mean-field force repeated on a block's rows; then it asks rhs
+for one block's tendency at a time (rows=) and applies that block's stage
+update at once, mid = state + dt*k in stage 1 and Heun's average written
+over mid's rows in stage 2, so no full-size tendency is ever held.  This
+is exact because a block's tendency reads only its own rows (the slices
+are independent but for the order parameter).  A step allocates only its
+midpoint (rho, u), whose arrays become the new state.  Periodic ghost
+cells come from one padded copy of each block, not from np.roll, and
+every operation on a block is on whole arrays of one shape (flat, or a
+plain copy out of a padded array), because numpy runs a broadcast or
+strided 2-D operand through buffers it allocates per call.  rhs,
+reconstruct, kt_flux and minmod write into the caller's workspace and
+output buffers; only step_rk2 makes a fresh workspace when given none.
+An array returned from a workspace is one of its buffers and is
+overwritten by the workspace's next use.
 
 CFL speed.  The local speeds are the reconstructed interface values of u,
 and their extrema are the extrema of u itself, bit for bit.  A minmod edge
@@ -66,6 +66,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import FieldState
+# Called through these module globals, which perfbench's tracer wraps.
 from .meanfield import mean_field_force, order_parameter
 
 # Cells per block buffer: 2^15 float64 values, 256 KB.
@@ -108,16 +109,13 @@ class Workspace:
 
     Each named buffer is one flat array that grows to the largest shape asked
     for; get() hands out C-contiguous views of it, so any shape works.  Every
-    buffer is written before it is read within a call, and the only value
-    kept between calls is the last grid's cos/sin, so a used workspace gives
-    the bits of a fresh one.
+    buffer is written before it is read within a call and no value is kept
+    between calls, so a used workspace gives the bits of a fresh one.
     """
 
     def __init__(self):
         self._flat = {}
         self._views = {}
-        self._grid = None
-        self._trig = None
 
     def get(self, name, shape, dtype=float):
         """The buffer `name` as an array of `shape` (contents left over)."""
@@ -131,39 +129,23 @@ class Workspace:
             view = self._views[(name, shape)] = flat[:size].reshape(shape)
         return view
 
-    def trig(self, grid):
-        """(cos, sin) of the grid's cell centres, computed once per grid."""
-        if grid is not self._grid:
-            self._grid = grid
-            self._trig = (np.cos(grid.centers), np.sin(grid.centers))
-        return self._trig
-
-
-def _block_rows(n_cells):
-    """Rows of n_cells cells per block: about BLOCK_CELLS cells, at least one row."""
-    return max(1, BLOCK_CELLS // n_cells)
-
 
 def _blocks(n_rows, n_cells):
-    """(lo, hi) row ranges of about BLOCK_CELLS cells each."""
-    step = _block_rows(n_cells)
+    """(lo, hi) row ranges of about BLOCK_CELLS cells each, at least one row."""
+    step = max(1, BLOCK_CELLS // n_cells)
     for lo in range(0, n_rows, step):
         yield lo, min(lo + step, n_rows)
 
 
-def minmod(a, b, ws=None, out=None, abs_ab=None):
+def minmod(a, b, ws, out, abs_ab):
     """Minmod slope: the smaller-magnitude argument if signs agree, else 0.
 
     Computed as copysign(min(|a|, |b|), a) where a*b > 0 and +0 elsewhere,
     which is the same bits as where(a*b > 0, where(|a| < |b|, a, b), 0).
-    abs_ab, if given, is (|a|, |b|) already computed.
+    a, b, out and abs_ab = (|a|, |b|) are float arrays of one shape.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ws = Workspace() if ws is None else ws
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    out = np.empty(shape) if out is None else out
-    abs_a, abs_b = (np.abs(a), np.abs(b)) if abs_ab is None else abs_ab
+    abs_a, abs_b = abs_ab
+    shape = out.shape
     tmp = ws.get("minmod_tmp", shape)
     same_sign = ws.get("minmod_same", shape, bool)
     np.multiply(a, b, out=tmp)
@@ -175,22 +157,18 @@ def minmod(a, b, ws=None, out=None, abs_ab=None):
     return out
 
 
-def reconstruct(Q, dtheta, ws=None, out=None):
+def reconstruct(Q, dtheta, ws, out):
     """Limited linear reconstruction: east/west cell-edge values (qE_j, qW_j).
 
-    Q is periodic along its last axis, of length n.  The edge values are
+    Each row of Q, of shape (rows, n), is periodic.  The edge values are
     computed on n + 2 columns, one periodic ghost cell on each side (column 0
-    repeats cell n-1, column n+1 repeats cell 0).  out, if given, receives
-    these padded arrays (C-contiguous, shape (rows, n + 2)), which are
-    returned as they are; without out the result is the n real columns.
+    repeats cell n-1, column n+1 repeats cell 0), into out, a pair of
+    C-contiguous (rows, n + 2) arrays, which are returned.
     """
-    Q = np.asarray(Q, dtype=float)
-    ws = Workspace() if ws is None else ws
-    n = Q.shape[-1]
-    rows = Q.size // n
+    rows, n = Q.shape
     padded = (rows, n + 2)
     pad = ws.get("pad", padded)
-    pad[:, 1:-1] = Q.reshape(rows, n)
+    pad[:, 1:-1] = Q
     pad[:, 0] = pad[:, n]
     pad[:, -1] = pad[:, 1]
     # Rows are stored one after the other, so the whole block is one flat
@@ -206,33 +184,30 @@ def reconstruct(Q, dtheta, ws=None, out=None):
     half[0] = half[-1] = 0.0
     minmod(diff[:-1], diff[1:], ws, half[1:-1], (abs_diff[:-1], abs_diff[1:]))
     half *= 0.5 * dtheta
-    q_e, q_w = (np.empty(padded), np.empty(padded)) if out is None else out
+    q_e, q_w = out
     np.add(flat, half, out=q_e.reshape(-1))
     np.subtract(flat, half, out=q_w.reshape(-1))
     for q in (q_e, q_w):
-        q[..., 0] = q[..., n]
-        q[..., -1] = q[..., 1]
-    if out is not None:
-        return q_e, q_w
-    return q_e[:, 1:-1].reshape(Q.shape), q_w[:, 1:-1].reshape(Q.shape)
+        q[:, 0] = q[:, n]
+        q[:, -1] = q[:, 1]
+    return q_e, q_w
 
 
-def kt_flux(rho_left, u_left, rho_right, u_right, eps_speed=1e-12, ws=None, out=None):
+def kt_flux(rho_left, u_left, rho_right, u_right, eps_speed, ws, out):
     """KT numerical flux at interfaces from reconstructed one-sided states.
 
     a+ = max(uL, uR, 0), a- = min(uL, uR, 0);
     F* = (a+ F(qL) - a- F(qR))/(a+ - a-) + a+ a- (qR - qL)/(a+ - a-),
     falling back to the arithmetic-mean physical flux when a+ - a- degenerates.
-    out, if given, receives (F*_rho, F*_u).
+    out, a pair of arrays of the inputs' shape, receives (F*_rho, F*_u).
     """
-    ws = Workspace() if ws is None else ws
-    shape = np.shape(u_left)
+    shape = u_left.shape
     a_plus = ws.get("a_plus", shape)
     a_minus = ws.get("a_minus", shape)
     spread = ws.get("spread", shape)
     prod = ws.get("prod", shape)
     tmp = ws.get("flux_tmp", shape)
-    f_rho, f_u = (np.empty(shape), np.empty(shape)) if out is None else out
+    f_rho, f_u = out
     np.maximum(u_left, u_right, out=a_plus)
     np.maximum(a_plus, 0.0, out=a_plus)
     np.minimum(u_left, u_right, out=a_minus)
@@ -284,57 +259,48 @@ def kt_flux(rho_left, u_left, rho_right, u_right, eps_speed=1e-12, ws=None, out=
     return f_rho, f_u
 
 
-def rhs(state, op, params, config=None, ws=None, rows=None):
-    """Semi-discrete tendency (drho/dt, du/dt) with the order parameter frozen.
+def rhs(state, force, params, config, ws, rows):
+    """Semi-discrete tendency (drho/dt, du/dt) of slices lo..hi-1, rows=(lo, hi).
 
-    rows=(lo, hi), if given, restricts it to slices lo..hi-1, which are all
-    it reads: the result then has hi - lo rows.  With a workspace the
-    result is its two tendency buffers.
+    Those rows are all it reads, as one block.  force is the mean-field
+    force repeated on at least hi - lo rows, so that each operation below
+    is on whole arrays of one shape: numpy runs a broadcast or a strided
+    2-D operand through buffers of its own.  The result is the workspace's
+    two tendency buffers, of hi - lo rows.
     """
-    eps_speed = config.eps_speed if config is not None else 1e-12
-    ws = Workspace() if ws is None else ws
-    grid = state.grid
-    dtheta = grid.dtheta
-    n_omega, n = state.rho.shape
-    first, last = (0, n_omega) if rows is None else rows
-    drho = ws.get("drho", (last - first, n))
-    du = ws.get("du", (last - first, n))
-    # The force repeated on every row of a block, so that each operation
-    # below is on whole arrays of one shape: numpy runs a broadcast or a
-    # strided 2-D operand through buffers of its own.
-    force = ws.get("force", (min(last - first, _block_rows(n)), n))
-    force[...] = mean_field_force(op, grid.centers, params, ws.trig(grid))
-    for lo, hi in _blocks(last - first, n):
-        out = slice(lo, hi)
-        lo, hi = lo + first, hi + first
-        padded = (hi - lo, n + 2)
-        edges = [ws.get(name, padded) for name in ("rho_e", "rho_w", "u_e", "u_w")]
-        reconstruct(state.rho[lo:hi], dtheta, ws, edges[:2])
-        reconstruct(state.u[lo:hi], dtheta, ws, edges[2:])
-        # Interface j+1/2 sees cell j from the left (east face) and j+1 from
-        # the right (west face of the neighbor).  In padded columns, flux c
-        # is interface c-1/2, from east value c and west value c+1; the last
-        # column's flux would pair two rows and is never read.
-        rho_e, rho_w, u_e, u_w = (q.reshape(-1) for q in edges)
-        fluxes = [ws.get(name, padded).reshape(-1) for name in ("f_rho", "f_u")]
-        kt_flux(
-            rho_e[:-1], u_e[:-1], rho_w[1:], u_w[1:], eps_speed, ws,
-            [f[:-1] for f in fluxes],
-        )
-        # -(F_{j+1/2} - F_{j-1/2}) / dtheta, as one division by -dtheta; the
-        # difference is one flat pass whose columns n, n+1 pair two rows
-        diff = ws.get("flux_diff", padded)
-        for flux, tendency in zip(fluxes, (drho[out], du[out])):
-            np.subtract(flux[1:-1], flux[:-2], out=diff.reshape(-1)[:-2])
-            np.copyto(tendency, diff[:, :n])
-            tendency /= -dtheta
-        # du += (Omega - u + force) / m
-        source = ws.get("source", (hi - lo, n))
-        source[...] = state.omega.nodes[lo:hi, None]
-        source -= state.u[lo:hi]
-        source += force[: hi - lo]
-        source /= params.m
-        du[out] += source
+    lo, hi = rows
+    dtheta = state.grid.dtheta
+    n = state.rho.shape[1]
+    padded = (hi - lo, n + 2)
+    drho = ws.get("drho", (hi - lo, n))
+    du = ws.get("du", (hi - lo, n))
+    edges = [ws.get(name, padded) for name in ("rho_e", "rho_w", "u_e", "u_w")]
+    reconstruct(state.rho[lo:hi], dtheta, ws, edges[:2])
+    reconstruct(state.u[lo:hi], dtheta, ws, edges[2:])
+    # Interface j+1/2 sees cell j from the left (east face) and j+1 from
+    # the right (west face of the neighbor).  In padded columns, flux c
+    # is interface c-1/2, from east value c and west value c+1; the last
+    # column's flux would pair two rows and is never read.
+    rho_e, rho_w, u_e, u_w = (q.reshape(-1) for q in edges)
+    fluxes = [ws.get(name, padded).reshape(-1) for name in ("f_rho", "f_u")]
+    kt_flux(
+        rho_e[:-1], u_e[:-1], rho_w[1:], u_w[1:], config.eps_speed, ws,
+        [f[:-1] for f in fluxes],
+    )
+    # -(F_{j+1/2} - F_{j-1/2}) / dtheta, as one division by -dtheta; the
+    # difference is one flat pass whose columns n, n+1 pair two rows
+    diff = ws.get("flux_diff", padded)
+    for flux, tendency in zip(fluxes, (drho, du)):
+        np.subtract(flux[1:-1], flux[:-2], out=diff.reshape(-1)[:-2])
+        np.copyto(tendency, diff[:, :n])
+        tendency /= -dtheta
+    # du += (Omega - u + force) / m
+    source = ws.get("source", (hi - lo, n))
+    source[...] = state.omega.nodes[lo:hi, None]
+    source -= state.u[lo:hi]
+    source += force[: hi - lo]
+    source /= params.m
+    du += source
     return drho, du
 
 
@@ -358,23 +324,27 @@ def step_rk2(state, dt, params, config, ws=None):
     """
     assert dt > 0
     ws = Workspace() if ws is None else ws
-    trig = ws.trig(state.grid)
+    grid = state.grid
     blocks = list(_blocks(*state.rho.shape))
-    op0 = order_parameter(state, trig)
+    # The stage's mean-field force repeated on the rows of the first, and
+    # largest, block: one order parameter per stage, of the whole state
+    force = ws.get("force", (blocks[0][1], state.rho.shape[1]))
+    trig = (grid.cos, grid.sin)
+    force[...] = mean_field_force(order_parameter(state), grid.centers, params, trig)
     # state + dt * k, in the step's only fresh arrays (mid's, then the
     # result's), each block as soon as its tendency is known
     mid_rho, mid_u = np.empty(state.rho.shape), np.empty(state.u.shape)
     for lo, hi in blocks:
-        k_rho, k_u = rhs(state, op0, params, config, ws, (lo, hi))
+        k_rho, k_u = rhs(state, force, params, config, ws, (lo, hi))
         for new, old, k in ((mid_rho, state.rho, k_rho), (mid_u, state.u, k_u)):
             np.multiply(k, dt, out=new[lo:hi])
             new[lo:hi] += old[lo:hi]
     mid = replace(state, rho=mid_rho, u=mid_u, t=state.t + dt, clipped_mass=0.0)
-    op1 = order_parameter(mid, trig)
+    force[...] = mean_field_force(order_parameter(mid), grid.centers, params, trig)
     # 0.5 * (state + mid + dt * k), written over the midpoint's rows once
     # their tendency is known: a block's tendency reads its own rows only
     for lo, hi in blocks:
-        k_rho, k_u = rhs(mid, op1, params, config, ws, (lo, hi))
+        k_rho, k_u = rhs(mid, force, params, config, ws, (lo, hi))
         for new, old, k in ((mid_rho, state.rho, k_rho), (mid_u, state.u, k_u)):
             new, old = new[lo:hi], old[lo:hi]
             np.add(old, new, out=new)

@@ -34,16 +34,14 @@ def _cos_sin(angles, trig):
     return trig if trig is not None else (np.cos(angles), np.sin(angles))
 
 
-def order_parameter(state, trig=None):
+def order_parameter(state):
     """Order parameter of an Eulerian state: moments of rho weighted by g.
 
     C = dtheta * sum_k w_k sum_j cos(theta_j) rho_jk, S likewise with sin.
-    (Inner sum over theta first, then over frequency nodes.)  trig is
-    (cos, sin) of the cell centres if the caller has them already.
+    (Inner sum over theta first, then over frequency nodes.)
     """
-    cos_t, sin_t = _cos_sin(state.grid.centers, trig)
-    per_slice_c = state.rho @ cos_t
-    per_slice_s = state.rho @ sin_t
+    per_slice_c = state.rho @ state.grid.cos
+    per_slice_s = state.rho @ state.grid.sin
     C = state.grid.dtheta * float(np.dot(state.omega.weights, per_slice_c))
     S = state.grid.dtheta * float(np.dot(state.omega.weights, per_slice_s))
     return _from_moments(C, S)

@@ -75,6 +75,15 @@ def test_snapshot_times_that_share_a_file_name_are_rejected():
     assert _config(snapshot_times=[0, 0.0]).snapshot_times == (0, 0.0)
 
 
+def test_negative_snapshot_times_are_rejected():
+    """No run reaches a negative time, so neither solver would write that
+    snapshot; times past t_end stay accepted, so a shortened run keeps its
+    config's snapshot list."""
+    with pytest.raises(ValueError, match="snapshot_times must be nonnegative"):
+        _config(solver="both", snapshot_times=[0.1, -1.0])
+    assert _config(snapshot_times=[0.0, 9.0]).snapshot_times == (0.0, 9.0)
+
+
 def test_build_grids_kinds():
     grid, om = build_grids(_config())
     assert grid.n == 80 and om.n == 1
@@ -355,6 +364,19 @@ def test_sweep_config_validation_and_branches():
     fwd, bwd = sweep.branches()
     assert fwd == (0.0, 0.5, 1.0)
     assert bwd == (1.0, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("refine_step", 0.0), ("refine_step", -0.1), ("steady_window", 0.0),
+    ("steady_window", -1.0), ("steady_tol", 0.0), ("t_max", 0.0),
+    ("t_max", float("nan")),
+])
+def test_sweep_config_rejects_nonpositive_knobs(name, value):
+    """A zero refine_step divides by zero once a jump is found and a negative
+    one refines nothing; steady_window <= 0 calls a point steady after one
+    step; t_max = 0 returns the initial r; steady_tol = 0 is never met."""
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        SweepConfig(k_path=(0.0, 1.0, 0.0), **{name: value})
 
 
 def test_single_point_sweep_zero_loop():

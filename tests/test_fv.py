@@ -21,15 +21,47 @@ from kurahydro import (
     discretize_frequency,
     init_state,
     make_theta_grid,
-    minmod,
+    mean_field_force,
     normalize_slices,
     order_parameter,
-    rhs,
     step_rk2,
     wrap_angle,
 )
 from kurahydro import fv
-from kurahydro.fv import kt_flux, reconstruct
+from kurahydro.fv import kt_flux, minmod, reconstruct
+
+
+# The kernels write into the caller's workspace and buffers; these call them
+# on fresh ones, over whole arrays.
+
+
+def _minmod(a, b):
+    return minmod(a, b, fv.Workspace(), np.empty(a.shape), (np.abs(a), np.abs(b)))
+
+
+def _reconstruct(q, dtheta):
+    """The edge values of q's n real columns."""
+    padded = (q.shape[0], q.shape[1] + 2)
+    q_e, q_w = reconstruct(q, dtheta, fv.Workspace(), (np.empty(padded), np.empty(padded)))
+    return q_e[:, 1:-1], q_w[:, 1:-1]
+
+
+def _kt_flux(rho_left, u_left, rho_right, u_right):
+    out = (np.empty(u_left.shape), np.empty(u_left.shape))
+    return kt_flux(rho_left, u_left, rho_right, u_right, 1e-12, fv.Workspace(), out)
+
+
+def _force_block(state, op, params):
+    """The mean-field force repeated on every row of the state."""
+    force = mean_field_force(op, state.grid.centers, params)
+    return np.tile(force, (state.rho.shape[0], 1))
+
+
+def _rhs(state, op, params, config=SchemeConfig(), ws=None):
+    """fv.rhs over all rows as one block."""
+    ws = fv.Workspace() if ws is None else ws
+    force = _force_block(state, op, params)
+    return fv.rhs(state, force, params, config, ws, (0, state.rho.shape[0]))
 
 
 def test_scheme_config_validation():
@@ -48,7 +80,7 @@ def test_scheme_config_validation():
 def test_minmod_properties(rng):
     a = rng.normal(size=500)
     b = rng.normal(size=500)
-    mm = minmod(a, b)
+    mm = _minmod(a, b)
     opposite = a * b <= 0
     assert np.all(mm[opposite] == 0.0)
     same = ~opposite
@@ -59,17 +91,17 @@ def test_minmod_properties(rng):
 def test_reconstruct_constant_and_linear():
     dtheta = 0.1
     const = np.full((1, 12), 3.7)
-    e, w = reconstruct(const, dtheta)
+    e, w = _reconstruct(const, dtheta)
     assert np.allclose(e, 3.7, atol=1e-15) and np.allclose(w, 3.7, atol=1e-15)
     # linear data (non-periodic seam aside): interior slopes are exact
     lin = np.arange(12.0)[None, :] * 0.5
-    e, w = reconstruct(lin, dtheta)
+    e, w = _reconstruct(lin, dtheta)
     sigma = (e - w) / dtheta  # recovered slope
     assert np.allclose(sigma[0, 1:-1], 0.5 / dtheta, atol=1e-12)
 
 
 def test_kt_flux_degenerate_fallback():
-    f_rho, f_u = kt_flux(
+    f_rho, f_u = _kt_flux(
         np.array([1.0]), np.array([0.0]), np.array([2.0]), np.array([0.0])
     )
     assert f_rho[0] == 0.0  # mean of rho*u with u = 0
@@ -86,7 +118,7 @@ def test_rhs_matches_hand_stencil(rng):
     state = FieldState(grid, om, rho, u)
     params = Params(0.9, 0.4)
     op = order_parameter(state)
-    drho, du = rhs(state, op, params)
+    drho, du = _rhs(state, op, params)
 
     n = grid.n
     h = grid.dtheta
@@ -169,7 +201,7 @@ def test_equilibrium_fixed_point():
     state = FieldState(grid, om, rho, u)
     params = Params(0.5, 2.0)
     op = order_parameter(state)
-    drho, du = rhs(state, op, params)
+    drho, du = _rhs(state, op, params)
     assert np.max(np.abs(drho)) < 1e-13
     assert np.max(np.abs(du)) < 1e-13
     after = step_rk2(state, 1e-2, params, SchemeConfig())
@@ -305,7 +337,7 @@ def test_slice_blocks_do_not_change_a_bit(monkeypatch):
     op = order_parameter(state)
 
     def evaluate():
-        tendencies = [a.copy() for a in rhs(state, op, params, scheme)]
+        tendencies = [a.copy() for a in _rhs(state, op, params, scheme)]
         dt = cfl_dt(state, scheme)
         return tendencies, dt, step_rk2(state, dt, params, scheme)
 
@@ -399,7 +431,7 @@ def test_rhs_over_rows_is_those_rows_of_the_full_tendency(monkeypatch):
     monkeypatch.setattr(fv, "BLOCK_CELLS", 2 * 64)  # rows split into blocks too
     state = _gaussian_state(7, 64)
     params, op = Params(0.8, 2.0), order_parameter(state)
-    full = [a.copy() for a in rhs(state, op, params)]
+    full = [a.copy() for a in _rhs(state, op, params)]
     other = replace(state, rho=np.full_like(state.rho, np.nan), u=-state.u)
     for lo, hi in ((0, 7), (0, 2), (2, 5), (6, 7)):
         rows = slice(lo, hi)
@@ -408,7 +440,8 @@ def test_rhs_over_rows_is_those_rows_of_the_full_tendency(monkeypatch):
             rho=np.concatenate((other.rho[:lo], state.rho[rows], other.rho[hi:])),
             u=np.concatenate((other.u[:lo], state.u[rows], other.u[hi:])),
         )
-        got = rhs(mixed, op, params, None, fv.Workspace(), (lo, hi))
+        force = _force_block(mixed, op, params)
+        got = fv.rhs(mixed, force, params, SchemeConfig(), fv.Workspace(), (lo, hi))
         for part, whole in zip(got, full):
             assert part.shape == (hi - lo, 64)
             assert part.tobytes() == whole[rows].tobytes()
@@ -454,7 +487,7 @@ def test_minmod_matches_the_plain_formula_bitwise():
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         assert np.any((a != 0) & (b != 0) & (a * b == 0))  # some products underflow
         expected = _plain_minmod(a, b)
-        plain = minmod(a, b)
+        plain = _minmod(a, b)
         given_abs = minmod(a, b, fv.Workspace(), np.empty(a.size), (np.abs(a), np.abs(b)))
     assert expected.tobytes() == plain.tobytes() == given_abs.tobytes()
     assert not np.any(np.signbit(plain[plain == 0.0]))  # a zero slope is +0
@@ -470,7 +503,7 @@ def test_kt_flux_matches_the_plain_formula_with_degenerate_interfaces(rng):
     rho_left, rho_right = rng.uniform(size=n), rng.uniform(size=n)
     with np.errstate(invalid="ignore"):
         expected = _plain_kt_flux(rho_left, u_left, rho_right, u_right)
-        got = kt_flux(rho_left, u_left, rho_right, u_right)
+        got = _kt_flux(rho_left, u_left, rho_right, u_right)
     assert np.any(np.abs(u_left - u_right) < 1e-12)
     for e, g in zip(expected, got):
         assert e.tobytes() == g.tobytes()
@@ -510,7 +543,7 @@ def test_rhs_matches_the_plain_formula_bitwise_with_signed_zeros(rng):
     state = FieldState(grid, omega, rho, u)
     for params in (Params(1.0, 0.0), Params(0.7, 2.5)):
         op = order_parameter(state)
-        for got, expected in zip(rhs(state, op, params), _plain_rhs(state, op, params)):
+        for got, expected in zip(_rhs(state, op, params), _plain_rhs(state, op, params)):
             assert got.tobytes() == expected.tobytes()
 
 
@@ -531,9 +564,9 @@ def test_clip_with_nan_and_negative_density_matches_the_plain_formula():
     with np.errstate(invalid="ignore"):
         new = step_rk2(state, dt, params, scheme)
         # The plain Heun step and clip, on the package's rhs.
-        k0_rho, k0_u = rhs(state, order_parameter(state), params, scheme)
+        k0_rho, k0_u = _rhs(state, order_parameter(state), params, scheme)
         mid = replace(state, rho=state.rho + dt * k0_rho, u=state.u + dt * k0_u)
-        k1_rho, k1_u = rhs(mid, order_parameter(mid), params, scheme)
+        k1_rho, k1_u = _rhs(mid, order_parameter(mid), params, scheme)
         rho_new = 0.5 * (state.rho + mid.rho + dt * k1_rho)
         u_new = 0.5 * (state.u + mid.u + dt * k1_u)
         negative = rho_new < 0.0
@@ -553,7 +586,7 @@ def _edge_cfl_dt(state, config):
     """cfl_dt by its definition through the interfaces: the CFL speed is the
     larger of max and -min over the reconstructed edge values of u together
     with 0 (NaN-propagating, as np.max and np.min are)."""
-    u_e, u_w = reconstruct(state.u, state.grid.dtheta)
+    u_e, u_w = _reconstruct(state.u, state.grid.dtheta)
     high = np.max([0.0, np.max(u_e), np.max(u_w)])
     low = np.min([0.0, np.min(u_e), np.min(u_w)])
     speed = max(float(high), -float(low), config.eps_speed)
@@ -621,11 +654,11 @@ def test_cfl_dt_is_the_edge_definition_bitwise(rng):
 
 def _rhs_bits(state, ws=None):
     params = Params(0.8, 2.0)
-    return [a.tobytes() for a in rhs(state, order_parameter(state), params, SchemeConfig(), ws)]
+    return [a.tobytes() for a in _rhs(state, order_parameter(state), params, SchemeConfig(), ws)]
 
 
 @pytest.mark.parametrize("block_slices", [None, 3])
-def test_rhs_after_cfl_dt_matches_a_fresh_workspace(monkeypatch, block_slices):
+def test_used_workspace_gives_rhs_the_bits_of_a_fresh_one(monkeypatch, block_slices):
     """A workspace that rhs(a) has used gives rhs(b), and rhs(a) again, the
     bits of a fresh workspace."""
     if block_slices is not None:
@@ -638,7 +671,7 @@ def test_rhs_after_cfl_dt_matches_a_fresh_workspace(monkeypatch, block_slices):
         assert _rhs_bits(second, ws) == _rhs_bits(second)
 
 
-def test_edge_record_of_a_dead_array_never_matches():
+def test_used_workspace_gives_a_new_state_the_bits_of_a_fresh_one():
     """A state built after a used workspace's state has died (its arrays may
     land at the same address) gets the bits of a fresh workspace."""
     ws = fv.Workspace()
@@ -671,6 +704,37 @@ def test_advance_step_reconstructs_four_times_per_block(monkeypatch, blocks):
     calls.clear()
     next(steps)
     assert len(calls) == 4 * blocks
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_advance_step_takes_the_mean_field_once_per_stage(monkeypatch, blocks):
+    """One order parameter and one force row per stage, on any block count:
+    the slices are coupled only through them."""
+    from kurahydro.diagnostics import BlowupMonitor
+    from kurahydro.experiments import _advance
+
+    monkeypatch.setattr(fv, "BLOCK_CELLS", 120 // blocks * 100)
+    assert [hi - lo for lo, hi in fv._blocks(120, 100)] == [120 // blocks] * blocks
+    calls = {"order_parameter": 0, "mean_field_force": 0}
+
+    def counting(name):
+        real = getattr(fv, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fv, name, counting(name))
+    steps = _advance(
+        _gaussian_state(120, 100), Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0, fv.Workspace()
+    )
+    next(steps)
+    calls.update(dict.fromkeys(calls, 0))
+    next(steps)
+    assert calls == {"order_parameter": 2, "mean_field_force": 2}
 
 
 @pytest.mark.parametrize("block_slices", [None, 3])
