@@ -298,7 +298,7 @@ class SweepConfig:
             raise ValueError("k_path must contain at least one coupling value")
         if any(k < 0 for k in self.k_path):
             raise ValueError("coupling values must be nonnegative")
-        for name in ("steady_tol", "steady_window", "t_max"):
+        for name in ("steady_tol", "steady_window", "t_max", "refine_window"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.refine_step is not None and not self.refine_step > 0:

@@ -444,6 +444,22 @@ def test_cli_sweep_rejects_a_zero_refine_step(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_sweep_rejects_a_negative_refine_window(tmp_path, capsys):
+    """A negative refine_window leaves every refinement window empty, so the
+    sweep would silently refine nothing; the config is refused up front."""
+    path = tmp_path / "sweep.yaml"
+    path.write_text(
+        "m: 0.5\nK: 0.0\nu0: -sin(theta)\nn_theta: 48\n"
+        "sweep:\n  k_min: 0.0\n  k_max: 0.4\n  k_step: 0.2\n  refine_step: 0.05\n"
+        "  refine_window: -0.3\n"
+    )
+    out = tmp_path / "x"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "refine_window must be positive" in err
+    assert not out.exists()
+
+
 def test_cli_rejects_snapshot_times_that_share_a_file_name(tmp_path, capsys):
     """Snapshot files are named t=%g: two times that print alike would leave
     one snapshot unwritten, so the config is refused before anything runs."""

@@ -369,12 +369,13 @@ def test_sweep_config_validation_and_branches():
 @pytest.mark.parametrize("name, value", [
     ("refine_step", 0.0), ("refine_step", -0.1), ("steady_window", 0.0),
     ("steady_window", -1.0), ("steady_tol", 0.0), ("t_max", 0.0),
-    ("t_max", float("nan")),
+    ("t_max", float("nan")), ("refine_window", 0.0), ("refine_window", -0.3),
 ])
 def test_sweep_config_rejects_nonpositive_knobs(name, value):
     """A zero refine_step divides by zero once a jump is found and a negative
     one refines nothing; steady_window <= 0 calls a point steady after one
-    step; t_max = 0 returns the initial r; steady_tol = 0 is never met."""
+    step; t_max = 0 returns the initial r; steady_tol = 0 is never met; a
+    refine_window <= 0 leaves an empty window, so refinement adds no point."""
     with pytest.raises(ValueError, match=f"{name} must be positive"):
         SweepConfig(k_path=(0.0, 1.0, 0.0), **{name: value})
 

@@ -1,6 +1,9 @@
 """Characteristic oracle: sampling, conservation laws, convergence, blow-up."""
 from __future__ import annotations
 
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,13 @@ from kurahydro import (
     riccati_comparison,
     sample_initial,
 )
+from kurahydro import lagrangian
+from kurahydro.config import parse_config
+from kurahydro.diagnostics import SeriesBuilder, kinetic_energy, series_row
 from kurahydro.domain import TableData
+from kurahydro.experiments import build_grids
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def _identical_ensemble(n_samples=256, u0=USine(-1.0), rho0=RhoGaussian()):
@@ -243,3 +252,147 @@ def test_pushforward_recovers_smooth_density():
     exact = rho0_profile(RhoGaussian(), grid.centers)
     exact /= grid.dtheta * exact.sum()
     assert grid.dtheta * np.abs(rho - exact).sum() < 5e-3
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("row, value", [("v", np.nan), ("Omega", np.inf)])
+def test_non_finite_slope_is_reported_as_non_finite(row, value):
+    """A NaN velocity (or an infinite frequency) in one sample spreads NaN
+    into every d through the order parameter within one step; the oracle
+    names that state as the FV monitor does, not as a gradient collapse."""
+    ens = _identical_ensemble(64)
+    bad = getattr(ens, row).copy()
+    bad[5] = value
+    run = evolve(replace(ens, **{row: bad}), Params(0.5, 1.0), 1.0, dt=1e-3)
+    assert run.blowup is not None
+    assert run.blowup.reason == "non-finite"
+    assert run.blowup.t == pytest.approx(1e-3)
+    assert run.series.t[-1] == pytest.approx(1e-3)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_minus_infinite_slope_is_a_gradient_collapse(monkeypatch):
+    """d = -inf is the limit of a collapse: it is reported as
+    gradient-collapse even though log rho turns +inf with it."""
+    inner = lagrangian._derivs
+
+    def collapsing(w, Omega, y, m, K, out):
+        inner(w, Omega, y, m, K, out)
+        out[lagrangian.D, 7] = -np.inf
+
+    monkeypatch.setattr(lagrangian, "_derivs", collapsing)
+    run = evolve(_identical_ensemble(64), Params(0.5, 1.0), 1.0, dt=1e-3)
+    assert run.blowup is not None
+    assert run.blowup.reason == "gradient-collapse"
+    assert run.blowup.t == pytest.approx(1e-3)
+    assert run.final.d[7] == -np.inf
+    assert np.all(np.isfinite(np.delete(run.final.d, 7)))
+    assert run.final.log_rho[7] == np.inf
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_log_density_raises_integration_failure(value):
+    """log rho feeds no tendency, so a non-finite one leaves d finite: that
+    is no blow-up but a failed integration, raised with the last valid t."""
+    ens = replace(_identical_ensemble(64), t=0.3)
+    log_rho = ens.log_rho.copy()
+    log_rho[11] = value
+    with pytest.raises(lagrangian.IntegrationFailure) as info:
+        evolve(replace(ens, log_rho=log_rho), Params(0.5, 1.0), 1.0, dt=1e-3)
+    assert info.value.t_last == 0.3
+
+
+def test_each_step_calls_derivs_four_times_on_every_sample(monkeypatch):
+    """perfbench's tracer counts args[0].size per _derivs call and takes a
+    quarter of the total as lagrangian.sample_steps."""
+    inner = lagrangian._derivs
+    sizes = []
+
+    def recording(*args, **kwargs):
+        sizes.append(args[0].size)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(lagrangian, "_derivs", recording)
+    ens = _identical_ensemble(48)
+    evolve(ens, Params(0.5, 0.1), 0.025, dt=1e-3, record_every=10)
+    assert sizes == [ens.n] * (4 * 25)
+
+
+def _plain_derivs(eta, v, d, w, Omega, m, K):
+    """The oracle's tendencies with cos and sin taken of eta at every stage."""
+    cos_e = np.cos(eta)
+    sin_e = np.sin(eta)
+    C = float(np.dot(w, cos_e))
+    S = float(np.dot(w, sin_e))
+    r_sin = S * cos_e - C * sin_e  # r sin(phi - eta)
+    r_cos = C * cos_e + S * sin_e  # r cos(phi - eta)
+    dv = (Omega - v + K * r_sin) / m
+    dd = -d * d - d / m - (K / m) * r_cos
+    return v, dv, dd, -d
+
+
+def _plain_rk4(ens, params, T, dt, record_every):
+    """Classical RK4 of (eta, v, d, log rho) with _plain_derivs, recording
+    the series as evolve does."""
+    m, K = params.m, params.K
+    w, Omega = ens.weight, ens.Omega
+    y = (ens.eta, ens.v, ens.d, ens.log_rho)
+    n_steps = int(round((T - ens.t) / dt))
+    builder = SeriesBuilder()
+    Ek_integral, Ek_last = 0.0, kinetic_energy(w, ens.v)
+    builder.append(series_row(ens, params, Ek_integral))
+    for step in range(1, n_steps + 1):
+        k1 = _plain_derivs(*y[:3], w, Omega, m, K)
+        k2 = _plain_derivs(*(a + 0.5 * dt * b for a, b in zip(y[:3], k1)), w, Omega, m, K)
+        k3 = _plain_derivs(*(a + 0.5 * dt * b for a, b in zip(y[:3], k2)), w, Omega, m, K)
+        k4 = _plain_derivs(*(a + dt * b for a, b in zip(y[:3], k3)), w, Omega, m, K)
+        y = tuple(
+            a + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        )
+        Ek_now = kinetic_energy(w, y[1])
+        Ek_integral += 0.5 * dt * (Ek_last + Ek_now)
+        Ek_last = Ek_now
+        if step % record_every == 0 or step == n_steps:
+            now = replace(ens, eta=y[0], v=y[1], d=y[2], log_rho=y[3], t=ens.t + step * dt)
+            builder.append(series_row(now, params, Ek_integral))
+    return builder.build(), y
+
+
+def test_carried_phasor_matches_trig_rk4_on_subcritical_sync():
+    """Carrying (cos eta, sin eta) as state changes only how the RK4 stage
+    inputs approximate cos and sin of the stage phase, so both runs are
+    fourth-order solutions of the same flow and differ by their global
+    errors: about T dt^4 times fifth derivatives of order (1/m)^5, here
+    1 * 1e-12 * 32, so under 1e-10 with room; round-off is far below."""
+    cfg = parse_config(os.path.join(CONFIGS, "subcritical_sync.yaml"))
+    _, omega = build_grids(cfg)
+    ens = sample_initial(cfg.init, omega, 512)
+    record_every = int(round(cfg.record_dt / cfg.dt_oracle))
+    run = evolve(ens, cfg.params, 1.0, dt=cfg.dt_oracle, record_every=record_every)
+    series, (eta, v, d, log_rho) = _plain_rk4(ens, cfg.params, 1.0, cfg.dt_oracle, record_every)
+    assert run.blowup is None
+    assert run.series.data.shape == series.data.shape == (101, 14)
+    np.testing.assert_allclose(run.series.data, series.data, rtol=1e-10, atol=1e-10)
+    final = run.final
+    for got, want in ((final.eta, eta), (final.v, v), (final.d, d), (final.log_rho, log_rho)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_uncoupled_samples_follow_the_closed_form():
+    """With K=0 each sample relaxes alone: v = Omega + (v0 - Omega) e^{-t/m}
+    and eta = eta0 + Omega t + m (v0 - Omega)(1 - e^{-t/m}).  RK4 multiplies
+    v - Omega by exp(-dt/m) up to (dt/m)^5/120 a step, 2000 steps of it
+    a relative 5e-13; the bounds leave room for round-off in eta ~ 10."""
+    om = discretize_frequency("gaussian", 8, 5.0)
+    ens = sample_initial(InitSpec(RhoGaussian(), USine(-1.0, 0.5)), om, 32)
+    params = Params(0.5, 0.0)
+    run = evolve(ens, params, 2.0, dt=1e-3, record_every=10**9)
+    t, m = run.final.t, params.m
+    decay = np.exp(-t / m)
+    dev0 = ens.v - ens.Omega
+    np.testing.assert_allclose(run.final.v, ens.Omega + dev0 * decay, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(
+        run.final.eta, ens.eta + ens.Omega * t + m * dev0 * (1.0 - decay), rtol=0, atol=1e-10
+    )
