@@ -17,8 +17,8 @@ params = kh.Params(0.5, 0.1)
 n = 2048
 eta0 = np.linspace(-0.25, 0.25, n)
 ens = kh.CharEnsemble(
-    theta0=eta0, Omega=np.zeros(n), weight=np.full(n, 1.0 / n),
-    eta=eta0.copy(), v=0.2 * eta0, d=np.full(n, 0.2), log_rho=np.zeros(n),
+    Omega=np.zeros(n), weight=np.full(n, 1.0 / n),
+    eta=eta0, v=0.2 * eta0, d=np.full(n, 0.2), log_rho=np.zeros(n),
 )
 
 run = kh.evolve(ens, params, 20.0, dt=1e-3, record_every=10)

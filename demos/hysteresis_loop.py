@@ -15,9 +15,10 @@ base = kh.ScenarioConfig(
 sweep = kh.SweepConfig(
     k_path=tuple(round(0.2 * i, 12) for i in range(21))
     + tuple(round(0.2 * i, 12) for i in range(19, -1, -1)),
+    base=base,
 )
 
-result = kh.hysteresis_sweep(sweep, base=base, out_dir="results/hysteresis_m1")
+result = kh.hysteresis_sweep(sweep, out_dir="results/hysteresis_m1")
 
 print("     K    r_inf (up)   r_inf (down)")
 backward = {k: r for k, r, _ in result.backward}

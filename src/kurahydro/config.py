@@ -13,7 +13,7 @@ record_dt (0.01); snapshot_times ([]); solver: eulerian|lagrangian|both
 (eulerian); n_samples (1024); dt_oracle (1e-3).
 
 scheme section: cfl (0.4); max_dt (1e-2); blowup_rho_factor (1e3);
-blowup_grad (1e6); eps_speed (1e-12); clip_abort (1e-8).
+clip_abort (1e-8).
 
 A sweep section turns the result into a SweepConfig: k_min (0) / k_max (4) /
 k_step (0.1) building the path k_min -> k_max -> k_min, or an explicit
@@ -285,7 +285,9 @@ def apply_overrides(data, overrides):
         node = data
         parts = key.split(".")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
+            if node.get(part) is None:  # a missing or empty (null) section
+                node[part] = {}
+            node = node[part]
             if not isinstance(node, dict):
                 raise ValueError(f"override {item!r} descends into a non-mapping")
         node[parts[-1]] = yaml.safe_load(raw) if raw != "" else None

@@ -29,8 +29,8 @@ from .meanfield import ensemble_order_parameter, order_parameter
 # Cells per chunk of min_grad_u's temporary: 2^13 float64 values, 64 KB.
 GRAD_CHUNK_CELLS = 1 << 13
 
-# Gradient-collapse limit: the blow-up monitor's default and the oracle's
-# floor on d both fire below -BLOWUP_GRAD.
+# Gradient-collapse limit: the blow-up monitor's test on min du/dtheta and
+# the oracle's floor on d both fire below -BLOWUP_GRAD.
 BLOWUP_GRAD = 1e6
 
 SERIES_COLUMNS = (
@@ -418,9 +418,8 @@ class BlowupMonitor:
     supplied.  Once fired the monitor stays fired (the event is kept).
     """
 
-    def __init__(self, rho_factor=1e3, grad_limit=BLOWUP_GRAD, max_rho0=None):
+    def __init__(self, rho_factor=1e3, max_rho0=None):
         self.rho_factor = rho_factor
-        self.grad_limit = grad_limit
         self.max_rho0 = max_rho0
         self.event = None
 
@@ -438,7 +437,7 @@ class BlowupMonitor:
             self.max_rho0 = max_rho
         if max_rho > self.rho_factor * self.max_rho0:
             self.event = BlowupEvent(t, "density-concentration")
-        elif min_du < -self.grad_limit:
+        elif min_du < -BLOWUP_GRAD:
             self.event = BlowupEvent(t, "gradient-collapse")
         return self.event
 

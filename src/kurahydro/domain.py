@@ -78,11 +78,10 @@ def gaussian_density(x):
 
 @dataclass(frozen=True)
 class OmegaGrid:
-    """Frequency nodes with probability weights; kind 'dirac' or 'density'."""
+    """Frequency nodes with probability weights."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _readonly(self.nodes))
@@ -104,7 +103,7 @@ def discretize_frequency(kind, n_omega=600, L=5.0, omega0=0.0):
     [-L, L] with trapezoid weights, renormalized so the weights sum to 1.
     """
     if kind == "dirac":
-        return OmegaGrid(np.array([float(omega0)]), np.array([1.0]), "dirac")
+        return OmegaGrid(np.array([float(omega0)]), np.array([1.0]))
     if kind == "gaussian":
         density = gaussian_density
     elif callable(kind):
@@ -126,7 +125,7 @@ def discretize_frequency(kind, n_omega=600, L=5.0, omega0=0.0):
     total = w.sum()
     if not total > 0:
         raise ValueError("frequency distribution has zero mass on [-L, L]")
-    return OmegaGrid(nodes, w / total, "density")
+    return OmegaGrid(nodes, w / total)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,10 @@ class ScenarioConfig:
             raise ValueError("t_end must be positive")
         if not self.record_dt > 0:
             raise ValueError("record_dt must be positive")
+        if not self.dt_oracle > 0:
+            raise ValueError("dt_oracle must be positive")
+        if self.n_samples < 2:
+            raise ValueError("n_samples must be at least 2")
         if self.solver not in ("eulerian", "lagrangian", "both"):
             raise ValueError("solver must be eulerian, lagrangian, or both")
         tabulated = (isinstance(p, TableData) for p in (self.init.rho0, self.init.u0))
@@ -131,7 +135,7 @@ def run_eulerian(config, state=None):
     params = config.params
     scheme = config.scheme
     eps_supp = 1e-8 * float(np.max(state.rho))
-    monitor = BlowupMonitor(scheme.blowup_rho_factor, scheme.blowup_grad)
+    monitor = BlowupMonitor(scheme.blowup_rho_factor)
     monitor.observe(state)
 
     record_times = np.arange(
@@ -220,19 +224,17 @@ def _snapshot_fields(solver, run, grid):
             yield t_s, grid.centers, omega_values, rho, u
 
 
-def _manifest_payload(config, wall_time, solver, extra=None):
+def _manifest_payload(config, wall_time, solver, extra):
     from . import __version__
     from .config import serialize_config
 
-    payload = {
+    return {
         "config": serialize_config(config),
         "solver": solver,
         "version": __version__,
         "wall_time_s": wall_time,
+        **extra,
     }
-    if extra:
-        payload.update(extra)
-    return payload
 
 
 def write_scenario_result(result, out_dir):
@@ -316,8 +318,7 @@ class SweepConfig:
         """Split the path at its peak into (forward, backward) legs."""
         peak = max(range(len(self.k_path)), key=lambda i: self.k_path[i])
         forward = self.k_path[: peak + 1]
-        backward = self.k_path[peak:] or forward
-        return forward, backward
+        return forward, self.k_path[peak:]
 
 
 def steady_r(config, K, warm_state, sweep):
@@ -331,7 +332,7 @@ def steady_r(config, K, warm_state, sweep):
     params = replace(config.params, K=float(K))
     scheme = config.scheme
     state = replace(warm_state, t=0.0, clipped_mass=0.0)
-    monitor = BlowupMonitor(scheme.blowup_rho_factor, scheme.blowup_grad)
+    monitor = BlowupMonitor(scheme.blowup_rho_factor)
     if monitor.observe(state) is not None:  # a non-finite warm start
         return 1.0, state, True
     history = [(0.0, order_parameter(state).r)]
@@ -435,10 +436,10 @@ def _jumps_of(points):
     return out
 
 
-def hysteresis_sweep(sweep, base=None, out_dir=None):
-    """Walk K forward then backward with warm starts; detect r jumps."""
+def hysteresis_sweep(sweep, out_dir=None):
+    """Walk K forward then backward with warm starts from sweep.base; detect r jumps."""
     t0 = time.perf_counter()
-    config = base if base is not None else sweep.base
+    config = sweep.base
     if config is None:
         raise ValueError("hysteresis_sweep needs a base ScenarioConfig")
     keep = sweep.refine_step is not None

@@ -40,7 +40,8 @@ reconstructs nothing: a step reconstructs 4 times per block (rho and u at
 each stage).  The one exception is a one-sided difference that overflows,
 |u_j+1 - u_j| / dtheta > DBL_MAX, where an edge value can become infinite
 and the edge extrema would give dt = 0; no run reaches such a state,
-because the blow-up monitor's gradient test fires long before.
+because the blow-up monitor's gradient test fires long before.  The speed
+is floored at the module constant EPS_SPEED, as is kt_flux's a+ - a-.
 
 Bitwise contract.  Every cell goes through the same floating-point operations
 in the same order whatever the block size and whether a workspace is reused,
@@ -72,6 +73,8 @@ from .meanfield import mean_field_force, order_parameter
 # Cells per block buffer: 2^15 float64 values, 256 KB.
 BLOCK_CELLS = 1 << 15
 
+EPS_SPEED = 1e-12  # floor on cfl_dt's speed and on kt_flux's a+ - a-
+
 
 class MassClipError(RuntimeError):
     """Raised when negativity clipping removes more mass than the budget."""
@@ -91,8 +94,6 @@ class SchemeConfig:
     cfl: float = 0.4
     max_dt: float = 1e-2
     blowup_rho_factor: float = 1e3
-    blowup_grad: float = 1e6
-    eps_speed: float = 1e-12
     clip_abort: float = 1e-8
 
     def __post_init__(self):
@@ -100,8 +101,6 @@ class SchemeConfig:
             raise ValueError("cfl must lie in (0, 1)")
         if not self.max_dt > 0:
             raise ValueError("max_dt must be positive")
-        if not self.eps_speed > 0:
-            raise ValueError("eps_speed must be positive")
 
 
 class Workspace:
@@ -193,12 +192,12 @@ def reconstruct(Q, dtheta, ws, out):
     return q_e, q_w
 
 
-def kt_flux(rho_left, u_left, rho_right, u_right, eps_speed, ws, out):
+def kt_flux(rho_left, u_left, rho_right, u_right, ws, out):
     """KT numerical flux at interfaces from reconstructed one-sided states.
 
     a+ = max(uL, uR, 0), a- = min(uL, uR, 0);
     F* = (a+ F(qL) - a- F(qR))/(a+ - a-) + a+ a- (qR - qL)/(a+ - a-),
-    falling back to the arithmetic-mean physical flux when a+ - a- degenerates.
+    falling back to the arithmetic-mean physical flux where a+ - a- < EPS_SPEED.
     out, a pair of arrays of the inputs' shape, receives (F*_rho, F*_u).
     """
     shape = u_left.shape
@@ -213,11 +212,11 @@ def kt_flux(rho_left, u_left, rho_right, u_right, eps_speed, ws, out):
     np.minimum(u_left, u_right, out=a_minus)
     np.minimum(a_minus, 0.0, out=a_minus)
     np.subtract(a_plus, a_minus, out=spread)
-    # fmin skips NaN, which `<` never counts: this is any(spread < eps_speed)
-    any_degenerate = bool(np.fmin.reduce(spread, axis=None) < eps_speed)
+    # fmin skips NaN, which `<` never counts: this is any(spread < EPS_SPEED)
+    any_degenerate = bool(np.fmin.reduce(spread, axis=None) < EPS_SPEED)
     if any_degenerate:
         degenerate = ws.get("degenerate", shape, bool)
-        np.less(spread, eps_speed, out=degenerate)
+        np.less(spread, EPS_SPEED, out=degenerate)
         np.copyto(spread, 1.0, where=degenerate)  # a safe divisor there
     np.multiply(a_plus, a_minus, out=prod)
     # f_rho = (a+ * rhoL*uL - a- * rhoR*uR + a+*a- * (rhoR - rhoL)) / spread
@@ -259,7 +258,7 @@ def kt_flux(rho_left, u_left, rho_right, u_right, eps_speed, ws, out):
     return f_rho, f_u
 
 
-def rhs(state, force, params, config, ws, rows):
+def rhs(state, force, params, ws, rows):
     """Semi-discrete tendency (drho/dt, du/dt) of slices lo..hi-1, rows=(lo, hi).
 
     Those rows are all it reads, as one block.  force is the mean-field
@@ -283,10 +282,7 @@ def rhs(state, force, params, config, ws, rows):
     # column's flux would pair two rows and is never read.
     rho_e, rho_w, u_e, u_w = (q.reshape(-1) for q in edges)
     fluxes = [ws.get(name, padded).reshape(-1) for name in ("f_rho", "f_u")]
-    kt_flux(
-        rho_e[:-1], u_e[:-1], rho_w[1:], u_w[1:], config.eps_speed, ws,
-        [f[:-1] for f in fluxes],
-    )
+    kt_flux(rho_e[:-1], u_e[:-1], rho_w[1:], u_w[1:], ws, [f[:-1] for f in fluxes])
     # -(F_{j+1/2} - F_{j-1/2}) / dtheta, as one division by -dtheta; the
     # difference is one flat pass whose columns n, n+1 pair two rows
     diff = ws.get("flux_diff", padded)
@@ -311,7 +307,7 @@ def cfl_dt(state, config):
     peak at the extrema of u, which the edge values share (see the module
     docstring), so no reconstruction is needed.
     """
-    speed = max(float(state.u.max()), -float(state.u.min()), config.eps_speed)
+    speed = max(float(state.u.max()), -float(state.u.min()), EPS_SPEED)
     return min(config.max_dt, config.cfl * state.grid.dtheta / speed)
 
 
@@ -335,7 +331,7 @@ def step_rk2(state, dt, params, config, ws=None):
     # result's), each block as soon as its tendency is known
     mid_rho, mid_u = np.empty(state.rho.shape), np.empty(state.u.shape)
     for lo, hi in blocks:
-        k_rho, k_u = rhs(state, force, params, config, ws, (lo, hi))
+        k_rho, k_u = rhs(state, force, params, ws, (lo, hi))
         for new, old, k in ((mid_rho, state.rho, k_rho), (mid_u, state.u, k_u)):
             np.multiply(k, dt, out=new[lo:hi])
             new[lo:hi] += old[lo:hi]
@@ -344,7 +340,7 @@ def step_rk2(state, dt, params, config, ws=None):
     # 0.5 * (state + mid + dt * k), written over the midpoint's rows once
     # their tendency is known: a block's tendency reads its own rows only
     for lo, hi in blocks:
-        k_rho, k_u = rhs(mid, force, params, config, ws, (lo, hi))
+        k_rho, k_u = rhs(mid, force, params, ws, (lo, hi))
         for new, old, k in ((mid_rho, state.rho, k_rho), (mid_u, state.u, k_u)):
             new, old = new[lo:hi], old[lo:hi]
             np.add(old, new, out=new)

@@ -71,7 +71,6 @@ class CharEnsemble:
     The arrays are read-only views sharing memory with the caller's arrays.
     """
 
-    theta0: np.ndarray
     Omega: np.ndarray
     weight: np.ndarray
     eta: np.ndarray
@@ -81,7 +80,7 @@ class CharEnsemble:
     t: float = 0.0
 
     def __post_init__(self):
-        for name in ("theta0", "Omega", "weight", "eta", "v", "d", "log_rho"):
+        for name in ("Omega", "weight", "eta", "v", "d", "log_rho"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         if abs(float(np.sum(self.weight)) - 1.0) > 1e-9:
             raise ValueError("sample weights must sum to 1")
@@ -101,7 +100,7 @@ def sample_initial(source, omega=None, n_samples=256):
     """
     if isinstance(source, FieldState):
         grid, om = source.grid, source.omega
-        theta0 = np.tile(grid.centers, om.n)
+        eta = np.tile(grid.centers, om.n)
         Omega = np.repeat(om.nodes, grid.n)
         w = (grid.dtheta * source.rho * om.weights[:, None]).ravel()
         total = w.sum()
@@ -115,10 +114,9 @@ def sample_initial(source, omega=None, n_samples=256):
                 source.rho > 0.0, np.log(np.maximum(source.rho, 1e-300)), -690.0
             )
         return CharEnsemble(
-            theta0,
             Omega,
             w / total,
-            theta0.copy(),
+            eta,
             source.u.ravel().copy(),
             du.ravel(),
             log_rho.ravel(),
@@ -143,17 +141,17 @@ def sample_initial(source, omega=None, n_samples=256):
     if profile.sum() <= 0:
         raise ValueError("rho0 puts no mass on the sample nodes")
     slice_w = profile / profile.sum()
-    theta0 = np.tile(nodes, omega.n)
+    eta = np.tile(nodes, omega.n)
     Omega = np.repeat(omega.nodes, n_samples)
     w = (omega.weights[:, None] * slice_w[None, :]).ravel()
-    v0 = evaluate_u0(spec.u0, theta0)
-    d0 = evaluate_du0(spec.u0, theta0)
+    v0 = evaluate_u0(spec.u0, eta)
+    d0 = evaluate_du0(spec.u0, eta)
     log_rho0 = np.where(
         np.tile(profile, omega.n) > 0.0,
         np.log(np.maximum(np.tile(slice_w / ds, omega.n), 1e-300)),
         -690.0,
     )
-    return CharEnsemble(theta0, Omega, w, theta0.copy(), v0, d0, log_rho0, t=0.0)
+    return CharEnsemble(Omega, w, eta, v0, d0, log_rho0, t=0.0)
 
 
 @dataclass
@@ -221,7 +219,8 @@ def evolve(ens, params, T, dt=1e-3, record_every=1, snapshot_times=()):
     The state is one (6, n) array with rows eta, cos eta, sin eta, v, d and
     log rho; the cos and sin rows are seeded once from ens.eta and carried
     by (cos eta)' = -v sin eta and (sin eta)' = v cos eta.  Diagnostics are
-    recorded every `record_every` steps (and at the final step).  After
+    recorded every `record_every` steps (and at the final step), and each
+    of snapshot_times gets the ensemble at its nearest step.  After
     each step the run stops early with a blow-up event when d is
     non-finite ("non-finite": a NaN or +inf) or some d < -BLOWUP_GRAD
     ("gradient-collapse", -inf included); when d is finite but eta, v,
@@ -234,7 +233,9 @@ def evolve(ens, params, T, dt=1e-3, record_every=1, snapshot_times=()):
     w, Omega, n = ens.weight, ens.Omega, ens.n
 
     n_steps = int(round((T - ens.t) / dt))
-    snap_steps = {int(round((ts - ens.t) / dt)): float(ts) for ts in snapshot_times}
+    snap_steps = {}  # step -> the requested times that round to it
+    for ts in snapshot_times:
+        snap_steps.setdefault(int(round((ts - ens.t) / dt)), []).append(float(ts))
 
     y = np.empty((6, n))
     y[ETA], y[V], y[D], y[LOG_RHO] = ens.eta, ens.v, ens.d, ens.log_rho
@@ -250,9 +251,7 @@ def evolve(ens, params, T, dt=1e-3, record_every=1, snapshot_times=()):
     Ek_integral = 0.0
     Ek_last = kinetic_energy(w, ens.v)
     builder.append(_row(ens, params, Ek_integral))
-    snapshots = {}
-    if 0 in snap_steps:
-        snapshots[snap_steps[0]] = ens
+    snapshots = dict.fromkeys(snap_steps.get(0, ()), ens)
     blowup = None
     t = ens.t
 
@@ -290,7 +289,7 @@ def evolve(ens, params, T, dt=1e-3, record_every=1, snapshot_times=()):
         if at_record:
             builder.append(_row(now, params, Ek_integral))
         if at_snapshot:
-            snapshots[snap_steps.get(step, t)] = now
+            snapshots.update(dict.fromkeys(snap_steps.get(step, [t]), now))
         if blowup is not None:
             break
 

@@ -204,8 +204,8 @@ def test_criterion_08_diameter_envelopes():
     n = 2048
     eta0 = np.linspace(-0.25, 0.25, n)  # d_eta(0)=0.5; v=0.2*eta -> d_v(0)=0.1
     ens = kh.CharEnsemble(
-        theta0=eta0, Omega=np.zeros(n), weight=np.full(n, 1.0 / n),
-        eta=eta0.copy(), v=0.2 * eta0, d=np.full(n, 0.2), log_rho=np.zeros(n),
+        Omega=np.zeros(n), weight=np.full(n, 1.0 / n),
+        eta=eta0, v=0.2 * eta0, d=np.full(n, 0.2), log_rho=np.zeros(n),
     )
     s = kh.evolve(ens, P_SUB, 20.0, dt=1e-3, record_every=10).series
     env = kh.envelope_params(0.5, 0.1, P_SUB)

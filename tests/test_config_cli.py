@@ -414,19 +414,54 @@ def test_cli_bad_config_path_returns_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_rejects_nonpositive_eps_speed(tmp_path, capsys):
-    """eps_speed floors the CFL speed: at 0 a fluid at rest (u0 = 0) would
-    divide by zero, so the config is refused before anything runs."""
-    path = tmp_path / "eps.yaml"
+@pytest.mark.parametrize("key", ["eps_speed", "blowup_grad"])
+def test_cli_rejects_a_removed_scheme_key(tmp_path, capsys, key):
+    """The CFL speed floor and the gradient-collapse limit are constants
+    (fv.EPS_SPEED, diagnostics.BLOWUP_GRAD), no longer scheme keys: a config
+    or an old manifest that sets one is refused, naming it."""
+    path = tmp_path / "old.yaml"
     path.write_text(
         'm: 0.5\nK: 0.1\nu0: "0"\nn_theta: 48\nt_end: 0.1\n'
-        "scheme:\n  eps_speed: 0\n"
+        f"scheme:\n  {key}: 1.0e-12\n"
     )
     out = tmp_path / "x"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "eps_speed must be positive" in err
+    assert err.startswith("error:") and f"unknown scheme keys: {key}" in err
     assert not out.exists()
+    old_manifest_config = serialize_config(parse_config(_write_cfg(tmp_path)))
+    old_manifest_config["scheme"][key] = 1e-12
+    with pytest.raises(ValueError, match=f"unknown scheme keys: {key}"):
+        resolve_config(old_manifest_config)
+
+
+@pytest.mark.parametrize(
+    "override", ["dt_oracle=0", "dt_oracle=-1e-3", "dt_oracle=.nan", "n_samples=1"]
+)
+def test_cli_rejects_a_bad_oracle_setting_before_any_solver_runs(
+    tmp_path, capsys, override
+):
+    """A zero, negative or NaN dt_oracle, or a single sample, would fail only
+    in the oracle, after the FV run of a solver: both config; it is refused
+    before anything runs."""
+    cfg = _write_cfg(tmp_path, solver="both")
+    out = tmp_path / "x"
+    argv = ["run", "--config", cfg, "--out", str(out), "--set", override]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    key = override.partition("=")[0]
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+def test_cli_set_reaches_into_an_empty_section(tmp_path):
+    """A section left empty (YAML null) takes a dotted override as if it
+    were an empty mapping."""
+    cfg = _write_cfg(tmp_path, scheme="")
+    assert parse_config(cfg).scheme == SchemeConfig()
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--set", "scheme.cfl=0.3"]) == 0
+    assert read_manifest(str(out / "manifest.json"))["config"]["scheme"]["cfl"] == 0.3
 
 
 def test_cli_sweep_rejects_a_zero_refine_step(tmp_path, capsys):

@@ -34,7 +34,7 @@ from kurahydro import (
     sample_initial,
     velocity_envelope,
 )
-from kurahydro.diagnostics import SeriesBuilder, min_grad_u, series_row
+from kurahydro.diagnostics import BLOWUP_GRAD, SeriesBuilder, min_grad_u, series_row
 
 
 class _Ens:
@@ -258,17 +258,18 @@ def test_dirac_distance_bound_holds_on_oracle_run():
 
 
 def test_blowup_monitor_latching_and_reasons():
-    mon = BlowupMonitor(rho_factor=10.0, grad_limit=100.0)
+    mon = BlowupMonitor(rho_factor=10.0)
     assert mon.observe_values(0.0, 1.0, -1.0) is None
     assert not mon.fired
     event = mon.observe_values(1.0, 11.0, -1.0)
     assert event is not None and event.reason == "density-concentration"
     # latched: later observations keep the first event
-    assert mon.observe_values(2.0, 1.0, -1e9).t == 1.0
+    assert mon.observe_values(2.0, 1.0, -2.0 * BLOWUP_GRAD).t == 1.0
 
-    mon2 = BlowupMonitor(rho_factor=10.0, grad_limit=100.0)
+    mon2 = BlowupMonitor(rho_factor=10.0)
     mon2.observe_values(0.0, 1.0, -1.0)
-    assert mon2.observe_values(0.5, 2.0, -101.0).reason == "gradient-collapse"
+    assert mon2.observe_values(0.4, 2.0, -BLOWUP_GRAD) is None  # the limit itself
+    assert mon2.observe_values(0.5, 2.0, -1.01 * BLOWUP_GRAD).reason == "gradient-collapse"
 
     mon3 = BlowupMonitor()
     assert mon3.observe_values(0.2, math.inf, 0.0).reason == "non-finite"

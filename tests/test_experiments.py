@@ -65,6 +65,22 @@ def test_scenario_config_validation():
         _config(solver="spectral")
     with pytest.raises(ValueError, match="g must be"):
         _config(g="cauchy")
+    for dt_oracle in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="dt_oracle must be positive"):
+            _config(dt_oracle=dt_oracle)
+    with pytest.raises(ValueError, match="n_samples must be at least 2"):
+        _config(n_samples=1)
+
+
+def test_oracle_writes_every_snapshot_time_that_rounds_to_one_step(tmp_path):
+    """0.1 and 0.1004 both round to oracle step 100 at dt_oracle = 1e-3:
+    each gets that step's ensemble, as the FV run writes both times."""
+    cfg = _config(solver="both", t_end=0.2, snapshot_times=(0.1, 0.1004))
+    run_scenario(cfg, out_dir=str(tmp_path))
+    for sub in ("eulerian", "lagrangian"):
+        assert set(list_snapshots(str(tmp_path / sub))) == {0.1, 0.1004}
+    snaps = tmp_path / "lagrangian" / "snapshots"
+    assert (snaps / "t=0.1.csv").read_bytes() == (snaps / "t=0.1004.csv").read_bytes()
 
 
 def test_snapshot_times_that_share_a_file_name_are_rejected():
@@ -175,7 +191,7 @@ def test_steady_r_warns_when_t_max_stops_it_unsettled():
 # solver's own stepping can be held to it bit for bit.
 def _reference_steps(state, params, scheme, targets):
     """Step to each target in turn; returns (state, state before it, fired)."""
-    monitor = BlowupMonitor(scheme.blowup_rho_factor, scheme.blowup_grad)
+    monitor = BlowupMonitor(scheme.blowup_rho_factor)
     monitor.observe(state)
     before = state
     for target in targets:
@@ -382,8 +398,8 @@ def test_sweep_config_rejects_nonpositive_knobs(name, value):
 
 def test_single_point_sweep_zero_loop():
     cfg = _config(n_theta=48)
-    sweep = SweepConfig(k_path=(0.5,), steady_window=0.2, t_max=3.0)
-    result = hysteresis_sweep(sweep, base=cfg)
+    sweep = SweepConfig(k_path=(0.5,), steady_window=0.2, t_max=3.0, base=cfg)
+    result = hysteresis_sweep(sweep)
     assert [k for k, _, _ in result.forward] == [0.5]
     assert [k for k, _, _ in result.backward] == [0.5]
     assert result.loop_area() == 0.0
@@ -392,8 +408,10 @@ def test_single_point_sweep_zero_loop():
 
 def test_sweep_result_records_and_bounds():
     cfg = _config(n_theta=48, params=Params(0.5, 0.0))
-    sweep = SweepConfig(k_path=(0.0, 1.0, 2.0, 1.0, 0.0), steady_window=0.3, t_max=4.0)
-    result = hysteresis_sweep(sweep, base=cfg)
+    sweep = SweepConfig(
+        k_path=(0.0, 1.0, 2.0, 1.0, 0.0), steady_window=0.3, t_max=4.0, base=cfg
+    )
+    result = hysteresis_sweep(sweep)
     for branch in (result.forward, result.backward):
         assert len(branch) == 3
         for _, r_inf, _ in branch:
@@ -403,8 +421,8 @@ def test_sweep_result_records_and_bounds():
 def test_sweep_warm_start_continuity():
     """Warm-started branches preserve unit per-slice mass throughout."""
     cfg = _config(n_theta=48, params=Params(0.5, 0.0))
-    sweep = SweepConfig(k_path=(0.0, 0.8, 0.0), steady_window=0.3, t_max=2.0)
-    result = hysteresis_sweep(sweep, base=cfg)
+    sweep = SweepConfig(k_path=(0.0, 0.8, 0.0), steady_window=0.3, t_max=2.0, base=cfg)
+    result = hysteresis_sweep(sweep)
     assert len(result.forward) == 2 and len(result.backward) == 2
 
 
@@ -423,8 +441,9 @@ def test_refinement_inserts_points():
         t_max=6.0,
         refine_step=0.5,
         refine_window=0.6,
+        base=cfg,
     )
-    result = hysteresis_sweep(sweep, base=cfg)
+    result = hysteresis_sweep(sweep)
     fwd_k = [k for k, _, _ in result.forward]
     assert fwd_k == sorted(fwd_k)
     if result.jumps["forward"]:
@@ -454,9 +473,9 @@ def test_run_scenario_writes_results_layout(tmp_path):
 def test_sweep_writes_results_layout(tmp_path):
     out = tmp_path / "sweep"
     cfg = _config(n_theta=48)
-    sweep = SweepConfig(k_path=(0.0, 0.5, 0.0), steady_window=0.2, t_max=2.0)
+    sweep = SweepConfig(k_path=(0.0, 0.5, 0.0), steady_window=0.2, t_max=2.0, base=cfg)
     t0 = time.perf_counter()
-    hysteresis_sweep(sweep, base=cfg, out_dir=str(out))
+    hysteresis_sweep(sweep, out_dir=str(out))
     total = time.perf_counter() - t0
     forward, backward = read_sweep_csv(str(out / "sweep.csv"))
     assert len(forward) == 2 and len(backward) == 2

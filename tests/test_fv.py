@@ -48,7 +48,7 @@ def _reconstruct(q, dtheta):
 
 def _kt_flux(rho_left, u_left, rho_right, u_right):
     out = (np.empty(u_left.shape), np.empty(u_left.shape))
-    return kt_flux(rho_left, u_left, rho_right, u_right, 1e-12, fv.Workspace(), out)
+    return kt_flux(rho_left, u_left, rho_right, u_right, fv.Workspace(), out)
 
 
 def _force_block(state, op, params):
@@ -57,11 +57,11 @@ def _force_block(state, op, params):
     return np.tile(force, (state.rho.shape[0], 1))
 
 
-def _rhs(state, op, params, config=SchemeConfig(), ws=None):
+def _rhs(state, op, params, ws=None):
     """fv.rhs over all rows as one block."""
     ws = fv.Workspace() if ws is None else ws
     force = _force_block(state, op, params)
-    return fv.rhs(state, force, params, config, ws, (0, state.rho.shape[0]))
+    return fv.rhs(state, force, params, ws, (0, state.rho.shape[0]))
 
 
 def test_scheme_config_validation():
@@ -72,9 +72,6 @@ def test_scheme_config_validation():
         SchemeConfig(cfl=0.0)
     with pytest.raises(ValueError, match="max_dt"):
         SchemeConfig(max_dt=0.0)
-    for eps_speed in (0.0, -1e-12, float("nan")):
-        with pytest.raises(ValueError, match="eps_speed must be positive"):
-            SchemeConfig(eps_speed=eps_speed)
 
 
 def test_minmod_properties(rng):
@@ -337,7 +334,7 @@ def test_slice_blocks_do_not_change_a_bit(monkeypatch):
     op = order_parameter(state)
 
     def evaluate():
-        tendencies = [a.copy() for a in _rhs(state, op, params, scheme)]
+        tendencies = [a.copy() for a in _rhs(state, op, params)]
         dt = cfl_dt(state, scheme)
         return tendencies, dt, step_rk2(state, dt, params, scheme)
 
@@ -441,7 +438,7 @@ def test_rhs_over_rows_is_those_rows_of_the_full_tendency(monkeypatch):
             u=np.concatenate((other.u[:lo], state.u[rows], other.u[hi:])),
         )
         force = _force_block(mixed, op, params)
-        got = fv.rhs(mixed, force, params, SchemeConfig(), fv.Workspace(), (lo, hi))
+        got = fv.rhs(mixed, force, params, fv.Workspace(), (lo, hi))
         for part, whole in zip(got, full):
             assert part.shape == (hi - lo, 64)
             assert part.tobytes() == whole[rows].tobytes()
@@ -564,9 +561,9 @@ def test_clip_with_nan_and_negative_density_matches_the_plain_formula():
     with np.errstate(invalid="ignore"):
         new = step_rk2(state, dt, params, scheme)
         # The plain Heun step and clip, on the package's rhs.
-        k0_rho, k0_u = _rhs(state, order_parameter(state), params, scheme)
+        k0_rho, k0_u = _rhs(state, order_parameter(state), params)
         mid = replace(state, rho=state.rho + dt * k0_rho, u=state.u + dt * k0_u)
-        k1_rho, k1_u = _rhs(mid, order_parameter(mid), params, scheme)
+        k1_rho, k1_u = _rhs(mid, order_parameter(mid), params)
         rho_new = 0.5 * (state.rho + mid.rho + dt * k1_rho)
         u_new = 0.5 * (state.u + mid.u + dt * k1_u)
         negative = rho_new < 0.0
@@ -585,11 +582,12 @@ def test_clip_with_nan_and_negative_density_matches_the_plain_formula():
 def _edge_cfl_dt(state, config):
     """cfl_dt by its definition through the interfaces: the CFL speed is the
     larger of max and -min over the reconstructed edge values of u together
-    with 0 (NaN-propagating, as np.max and np.min are)."""
+    with 0 (NaN-propagating, as np.max and np.min are), floored at
+    fv.EPS_SPEED."""
     u_e, u_w = _reconstruct(state.u, state.grid.dtheta)
     high = np.max([0.0, np.max(u_e), np.max(u_w)])
     low = np.min([0.0, np.min(u_e), np.min(u_w)])
-    speed = max(float(high), -float(low), config.eps_speed)
+    speed = max(float(high), -float(low), fv.EPS_SPEED)
     return min(config.max_dt, config.cfl * state.grid.dtheta / speed)
 
 
@@ -605,14 +603,16 @@ def _bits(x):
     return np.float64(x).tobytes()
 
 
-def test_cfl_dt_is_the_edge_definition_bitwise(rng):
+def test_cfl_dt_is_the_edge_definition_bitwise(rng, monkeypatch):
     """cfl_dt from the extrema of u equals the extrema of the minmod edges,
     bit for bit, on random states, plateaus and the IEEE edge values (±0,
     subnormals, ±1e300, ±inf, NaN).  Excluded: states where a one-sided
     difference of two finite neighbours overflows, |u_j+1 - u_j| > dtheta *
     DBL_MAX; there an edge value can be infinite, the edge definition gives
-    dt = 0 and cfl_dt a positive dt (checked at the end)."""
-    configs = [SchemeConfig(), SchemeConfig(cfl=0.3, max_dt=5.0, eps_speed=1e-300)]
+    dt = 0 and cfl_dt a positive dt (checked at the end).  The second case
+    lowers the speed floor fv.EPS_SPEED to 1e-300, so speeds down to the
+    subnormals set dt instead of the floor."""
+    cases = [(SchemeConfig(), fv.EPS_SPEED), (SchemeConfig(cfl=0.3, max_dt=5.0), 1e-300)]
     checked = excluded = 0
     with np.errstate(all="ignore"):
         for k in range(3000):
@@ -638,9 +638,11 @@ def test_cfl_dt_is_the_edge_definition_bitwise(rng):
                 excluded += 1
                 continue
             checked += 1
-            for config in configs:
+            for config, eps_speed in cases:
+                monkeypatch.setattr(fv, "EPS_SPEED", eps_speed)
                 assert _bits(cfl_dt(state, config)) == _bits(_edge_cfl_dt(state, config))
     assert checked > 2500 and excluded < checked
+    monkeypatch.undo()  # the shipped floor again
     # The excluded case: a slope of +inf between -M, 0 and M.
     grid = make_theta_grid(16)
     u = np.zeros((1, 16))
@@ -654,7 +656,7 @@ def test_cfl_dt_is_the_edge_definition_bitwise(rng):
 
 def _rhs_bits(state, ws=None):
     params = Params(0.8, 2.0)
-    return [a.tobytes() for a in _rhs(state, order_parameter(state), params, SchemeConfig(), ws)]
+    return [a.tobytes() for a in _rhs(state, order_parameter(state), params, ws)]
 
 
 @pytest.mark.parametrize("block_slices", [None, 3])

@@ -81,7 +81,6 @@ def test_weights_must_sum_to_one():
     with pytest.raises(ValueError, match="sum to 1"):
         CharEnsemble(
             np.zeros(2),
-            np.zeros(2),
             np.array([0.3, 0.3]),
             np.zeros(2),
             np.zeros(2),
@@ -94,7 +93,7 @@ def test_ensemble_arrays_are_readonly_views_of_the_callers_arrays():
     eta = np.array([0.1, -0.2])
     weight = np.array([0.25, 0.75])
     zeros = np.zeros(2)
-    ens = CharEnsemble(zeros, zeros, weight, eta, zeros, zeros, zeros)
+    ens = CharEnsemble(zeros, weight, eta, zeros, zeros, zeros)
     assert eta.flags.writeable and weight.flags.writeable
     assert np.shares_memory(ens.eta, eta)
     with pytest.raises(ValueError):
