@@ -36,7 +36,6 @@ from .meanfield import (
 from .fv import MassClipError, SchemeConfig, cfl_dt, step_rk2
 from .lagrangian import (
     CharEnsemble,
-    IntegrationFailure,
     OracleRun,
     evolve,
     pushforward_density,

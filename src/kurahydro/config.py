@@ -10,12 +10,13 @@ Scenario: m, K [required]; n_theta (1000); g: dirac|gaussian (dirac);
 omega0 (0.0); n_omega (600); omega_L (5.0); rho0 (gaussian); u0 ("0");
 init_table [replaces rho0/u0; a table in the snapshot format]; t_end (5.0);
 record_dt (0.01); snapshot_times ([]); solver: eulerian|lagrangian|both
-(eulerian); n_samples (1024); dt_oracle (1e-3).
+(eulerian); n_samples (1024); dt_oracle (1e-2).
 
 scheme section: cfl (0.4); max_dt (1e-2); blowup_rho_factor (1e3);
 clip_abort (1e-8).
 
-A sweep section turns the result into a SweepConfig: k_min (0) / k_max (4) /
+A sweep section, even an empty one, turns the result into a SweepConfig:
+k_min (0) / k_max (4) /
 k_step (0.1) building the path k_min -> k_max -> k_min, or an explicit
 k_path list, plus steady_tol (1e-4), steady_window (1.0), t_max (50),
 refine_step (null), refine_window (0.3).
@@ -207,6 +208,7 @@ def resolve_config(data):
     if not isinstance(data, dict):
         raise ValueError("config must be a key:value mapping")
     data = dict(data)
+    is_sweep = "sweep" in data  # an empty section (YAML null) included
     sweep_data = data.pop("sweep", None)
     scheme_data = data.pop("scheme", None) or {}
     by_hand = ("m", "K", "rho0", "u0", "init_table")
@@ -233,9 +235,9 @@ def resolve_config(data):
         scheme=scheme,
         **kwargs,
     )
-    if sweep_data is None:
+    if not is_sweep:
         return scenario
-    return _resolve_sweep(sweep_data, scenario)
+    return _resolve_sweep({} if sweep_data is None else sweep_data, scenario)
 
 
 def _resolve_sweep(data, base):

@@ -29,8 +29,9 @@ from .meanfield import ensemble_order_parameter, order_parameter
 # Cells per chunk of min_grad_u's temporary: 2^13 float64 values, 64 KB.
 GRAD_CHUNK_CELLS = 1 << 13
 
-# Gradient-collapse limit: the blow-up monitor's test on min du/dtheta and
-# the oracle's floor on d both fire below -BLOWUP_GRAD.
+# Gradient-collapse limit of the FV blow-up monitor: its test on min
+# du/dtheta fires below -BLOWUP_GRAD.  (The oracle times a collapse as the
+# zero of its Jacobian row instead; see lagrangian.evolve.)
 BLOWUP_GRAD = 1e6
 
 SERIES_COLUMNS = (
@@ -238,13 +239,14 @@ def _range_over(x, mask):
     return float(high - np.min(x, where=mask, initial=np.inf))
 
 
-def series_row(obj, params, Ek_integral, eps_supp=None):
+def series_row(obj, params, Ek_integral, eps_supp=None, trig=None):
     """The SERIES_COLUMNS row of a FieldState or of a sample ensemble.
 
     The guise decides r and phi (moments of rho, or of the sample weights),
     mass_err (worst slice, or |sum w - 1|), min_du (min_grad_u over every
     cell, or the least d over the support) and max_rho (max rho, or
-    exp(max log rho)).  eps_supp is the field's support floor (diameters).
+    exp(max log rho)).  eps_supp is the field's support floor (diameters);
+    trig is (cos eta, sin eta) of an ensemble if the caller has them.
     """
     if isinstance(obj, FieldState):
         trig = (obj.grid.cos, obj.grid.sin)
@@ -253,7 +255,8 @@ def series_row(obj, params, Ek_integral, eps_supp=None):
         min_du = min_grad_u(obj)
         max_rho = float(np.max(obj.rho))
     else:
-        trig = (np.cos(obj.eta), np.sin(obj.eta))
+        if trig is None:
+            trig = (np.cos(obj.eta), np.sin(obj.eta))
         op = ensemble_order_parameter(obj.eta, obj.weight, trig)
         mass_err = abs(float(np.sum(obj.weight)) - 1.0)
         min_du = float(np.min(obj.d, where=sample_support(obj), initial=np.inf))
@@ -445,7 +448,8 @@ class BlowupMonitor:
         """Observe a FieldState; returns the event or None.
 
         The oracle does not come through here: lagrangian.evolve runs its
-        own gradient-collapse and finiteness tests on the ensemble.
+        own finiteness test and its gradient-collapse test, J <= 0, on the
+        ensemble.
         """
         # NaN propagates through max and min, and +-inf is an extremum, so
         # the four extrema are finite exactly when every entry is.

@@ -53,7 +53,7 @@ class ScenarioConfig:
     solver: str = "eulerian"
     scheme: SchemeConfig = SchemeConfig()
     n_samples: int = 1024
-    dt_oracle: float = 1e-3
+    dt_oracle: float = 1e-2
 
     def __post_init__(self):
         if not self.t_end > 0:

@@ -1,37 +1,47 @@
 """Lagrangian characteristic oracle.
 
-Each sample carries phase eta, velocity v, the velocity gradient d along its
-flow line, and log-density; the closed ODE system is
+Each sample carries phase eta, velocity v and the Jacobian of the flow map
+along its characteristic, J = d eta / d eta0 and P = d v / d eta0.
+Differentiating the characteristic system in eta0 (r and phi do not depend
+on it) gives the closed ODE system
 
     eta' = v
     m v' = -v + Omega + K r sin(phi - eta)
-    d'   = -d^2 - d/m - (K/m) r cos(phi - eta)
-    (log rho)' = -d
+    J'   = P
+    m P' = -P - K r cos(phi - eta) J
 
-with (r, phi) recomputed from the weighted ensemble at every RK4 stage.
-Independent of the finite-volume path by construction; used for
-cross-validation, diameter diagnostics, and blow-up timing.
+with J(0) = 1, P(0) = u0'(eta0) and (r, phi) recomputed from the weighted
+ensemble at every RK4 stage.  The velocity gradient and the density along
+the flow line are d = P / J and log rho = log rho0 - log J.  They blow up
+when J reaches 0, but J and P stay finite through that zero, so the
+gradient collapse is the first zero of J, which evolve locates within a
+step by the cubic Hermite interpolant of J with J' = P.  Independent of
+the finite-volume path by construction; used for cross-validation,
+diameter diagnostics, and blow-up timing.
 
 The integration takes no cos or sin.  `evolve` holds the state as one
-(6, n) array with rows eta, cos eta, sin eta, v, d and log rho, seeds the
-cos and sin rows once from the ensemble's eta, and carries them with
+(6, n) array with rows eta, cos eta, sin eta, v, J and P, seeds the cos and
+sin rows once from the ensemble's eta, and carries them with
 
     (cos eta)' = -v sin eta,    (sin eta)' = v cos eta.
 
 `_derivs` reads C = sum w cos eta and S = sum w sin eta off those rows and
 forms r sin(phi - eta) = S cos eta - C sin eta and r cos(phi - eta) =
 C cos eta + S sin eta.  Each RK4 stage input is formed on the rows the
-tendencies read (cos, sin, v, d) in one stacked multiply-add, and the RK4
-sum is accumulated stage by stage as ((k1 + 2 k2) + 2 k3) + k4, so one
-stage tendency is alive at a time.  This is the same ODE system, RK4 and
-dt as the earlier formulation that took cos and sin of each stage's eta,
-but not the same bits: a stage input holds cos eta + h (cos eta)' where
-it held cos(eta + h eta'), and both steps are fourth order.  Against that
-formulation, on subcritical_sync.yaml (8000 samples, t = 5) r moved by
-at most 3.3e-15, every other series column by at most 1.1e-14 absolute,
-the final eta, v, d and log rho by at most 2.4e-14, and cos^2 + sin^2
-stayed within 8.6e-14 of 1; the supercritical blow-up (gradient-collapse
-at t = 0.626) did not move.
+tendencies read (cos, sin, v, J, P) in one stacked multiply-add, and the
+RK4 sum is accumulated stage by stage as ((k1 + 2 k2) + 2 k3) + k4, so one
+stage tendency is alive at a time.  The time integral of E_k is the same
+RK4 quadrature: each stage's E_k enters with the stage's RK4 weight.
+
+J and P feed no tendency of eta, cos, sin or v, so at a given dt those rows
+take the same bits as in the earlier formulation that carried d and
+log rho; that one had to stop at a floor d < -1e6 and so found the collapse
+time only to first order in dt.  The Jacobian form resolves it to the
+RK4 error: on the supercritical case m = K = 1, u0 = -2 sin theta (512
+samples) the collapse time is 0.6251445 at dt = 1e-2, 5e-3 and 1e-3, where
+the floor gave 0.640 and 0.626 at the first and last.  On
+subcritical_sync.yaml (8000 samples, t = 5) dt = 1e-2 against 1e-3 moves r
+by under 1e-10 and min_du by under 1e-9, so the default step is 1e-2.
 """
 from __future__ import annotations
 
@@ -39,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import BLOWUP_GRAD, BlowupEvent, SeriesBuilder, kinetic_energy
+from .diagnostics import BlowupEvent, SeriesBuilder, kinetic_energy
 # perfbench's tracer wraps this name: evolve builds its rows through _row.
 from .diagnostics import series_row as _row
 from .domain import (
@@ -54,14 +64,6 @@ from .domain import (
 )
 
 TWO_PI = 2.0 * np.pi
-
-
-class IntegrationFailure(RuntimeError):
-    """Non-finite sample state outside a declared blow-up."""
-
-    def __init__(self, t_last):
-        super().__init__(f"integration produced non-finite values; last valid t={t_last:.6g}")
-        self.t_last = t_last
 
 
 @dataclass(frozen=True)
@@ -164,8 +166,8 @@ class OracleRun:
     snapshots: dict
 
 
-# Rows of the state array evolve integrates; the tendencies read COS..D.
-ETA, COS, SIN, V, D, LOG_RHO = range(6)
+# Rows of the state array evolve integrates; the tendencies read COS..P.
+ETA, COS, SIN, V, J, P = range(6)
 
 
 # perfbench's tracer wraps this name and counts args[0].size per call as
@@ -174,58 +176,95 @@ ETA, COS, SIN, V, D, LOG_RHO = range(6)
 def _derivs(w, Omega, y, m, K, out):
     """Write the six tendencies of the stage input y into out.
 
-    y holds the rows (cos eta, sin eta, v, d) of one RK4 stage, out is a
+    y holds the rows (cos eta, sin eta, v, J, P) of one RK4 stage, out is a
     (6, n) array in state-row order.  C = sum w cos eta and S = sum w sin eta
     give r sin(phi - eta) = S c - C s and r cos(phi - eta) = C c + S s.
     """
-    c, s, v, d = y
+    c, s, v, jac, p = y
     C = float(np.dot(w, c))
     S = float(np.dot(w, s))
-    eta_t, c_t, s_t, v_t, d_t, lr_t = out
+    eta_t, c_t, s_t, v_t, j_t, p_t = out
     np.multiply(v, s, out=c_t)
     np.negative(c_t, out=c_t)  # (cos eta)' = -v sin eta
     np.multiply(v, c, out=s_t)  # (sin eta)' = v cos eta
-    # dv = ((Omega - v) + K r sin(phi - eta)) / m, with lr_t as scratch
+    # dv = ((Omega - v) + K r sin(phi - eta)) / m, with p_t as scratch
     np.multiply(c, S, out=v_t)
-    np.multiply(s, C, out=lr_t)
-    v_t -= lr_t
+    np.multiply(s, C, out=p_t)
+    v_t -= p_t
     v_t *= K
-    np.subtract(Omega, v, out=lr_t)
-    np.add(lr_t, v_t, out=v_t)
+    np.subtract(Omega, v, out=p_t)
+    np.add(p_t, v_t, out=v_t)
     v_t /= m
-    # dd = (-d^2 - d/m) - (K/m) r cos(phi - eta), with eta_t and lr_t as scratch
-    np.multiply(c, C, out=lr_t)
-    np.multiply(s, S, out=d_t)
-    lr_t += d_t
-    lr_t *= K / m
-    np.multiply(d, d, out=d_t)
-    np.negative(d_t, out=d_t)
-    np.divide(d, m, out=eta_t)
-    d_t -= eta_t
-    d_t -= lr_t
-    np.negative(d, out=lr_t)  # (log rho)' = -d
+    # dP = -(P + K r cos(phi - eta) J) / m, with j_t as scratch
+    np.multiply(c, C, out=p_t)
+    np.multiply(s, S, out=j_t)
+    p_t += j_t
+    p_t *= K
+    p_t *= jac
+    p_t += p
+    p_t /= -m
+    np.copyto(j_t, p)  # J' = P
     np.copyto(eta_t, v)  # eta' = v
 
 
 def _ensemble_at(ens, y, t):
-    """The ensemble of state array y at time t, its rows copied out of y."""
-    eta, v, d, log_rho = y[[ETA, V, D, LOG_RHO]]
-    return replace(ens, eta=eta, v=v, d=d, log_rho=log_rho, t=t)
+    """The ensemble of state array y at time t: d = P / J and
+    log rho = log rho0 - log J, with eta and v copied out of y."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite state
+        d = y[P] / y[J]
+        log_rho = ens.log_rho - np.log(y[J])
+    return replace(ens, eta=y[ETA].copy(), v=y[V].copy(), d=d, log_rho=log_rho, t=t)
 
 
-def evolve(ens, params, T, dt=1e-3, record_every=1, snapshot_times=()):
+def _unit_phasor(y):
+    """The (cos eta, sin eta) rows of y divided by their modulus.
+
+    The carried rows drift off the unit circle by the RK4 error, and r reads
+    that drift at full size: at dt = 1e-2 on subcritical_sync.yaml it moves
+    r by 1.6e-10 from dt = 1e-3 as carried, by 9.1e-11 once divided out.
+    """
+    c, s = y[COS], y[SIN]
+    modulus = c * c
+    modulus += s * s
+    np.sqrt(modulus, out=modulus)
+    return c / modulus, s / modulus
+
+
+def _first_zero(start, end, dt):
+    """Fraction of the step, in (0, 1], at which the first sample's J reaches 0.
+
+    start and end are the state arrays at the two ends of a step on which
+    some J turned <= 0.  On each such sample J is taken as the cubic
+    Hermite interpolant of J and J' = P at the ends,
+    H(s) = J0 + dt P0 s + b s^2 + a s^3 on s in [0, 1], whose first root
+    lies in (0, 1] since J0 > 0 >= J1.
+    """
+    first = 1.0
+    for idx in np.flatnonzero(end[J] <= 0.0):
+        j0, j1 = start[J, idx], end[J, idx]
+        c, h1 = dt * start[P, idx], dt * end[P, idx]
+        a = 2.0 * (j0 - j1) + c + h1
+        b = 3.0 * (j1 - j0) - 2.0 * c - h1
+        roots = np.roots([a, b, c, j0])
+        # a real root of a real cubic comes back with imaginary part exactly 0
+        real = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
+        first = min(first, float(real.min(initial=1.0)))
+    return first
+
+
+def evolve(ens, params, T, dt=1e-2, record_every=1, snapshot_times=()):
     """Integrate the characteristic system to time T with fixed-step RK4.
 
-    The state is one (6, n) array with rows eta, cos eta, sin eta, v, d and
-    log rho; the cos and sin rows are seeded once from ens.eta and carried
-    by (cos eta)' = -v sin eta and (sin eta)' = v cos eta.  Diagnostics are
-    recorded every `record_every` steps (and at the final step), and each
-    of snapshot_times gets the ensemble at its nearest step.  After
-    each step the run stops early with a blow-up event when d is
-    non-finite ("non-finite": a NaN or +inf) or some d < -BLOWUP_GRAD
-    ("gradient-collapse", -inf included); when d is finite but eta, v,
-    log rho or a carried cos or sin is not, it raises IntegrationFailure
-    naming the last valid t.
+    The state is one (6, n) array with rows eta, cos eta, sin eta, v, J and
+    P; the cos and sin rows are seeded once from ens.eta, J from 1 and P
+    from ens.d.  Diagnostics are recorded every `record_every` steps (and at
+    the final step), and each of snapshot_times gets the ensemble at its
+    nearest step.  After each step the run stops early with a blow-up event:
+    "non-finite" when some entry of the state is NaN or infinite, recorded
+    at that step, or "gradient-collapse" when some J <= 0.  A collapse is
+    timed at the first zero of J within the step (see _first_zero), and the
+    last row, snapshot and final ensemble are the step's start, the last
+    state on which every J is positive.
     """
     if not (dt > 0 and T > ens.t):
         raise ValueError(f"evolve needs dt > 0 and T > t0={ens.t}; got dt={dt}, T={T}")
@@ -238,56 +277,58 @@ def evolve(ens, params, T, dt=1e-3, record_every=1, snapshot_times=()):
         snap_steps.setdefault(int(round((ts - ens.t) / dt)), []).append(float(ts))
 
     y = np.empty((6, n))
-    y[ETA], y[V], y[D], y[LOG_RHO] = ens.eta, ens.v, ens.d, ens.log_rho
+    y[ETA], y[V], y[J], y[P] = ens.eta, ens.v, 1.0, ens.d
     np.cos(ens.eta, out=y[COS])
     np.sin(ens.eta, out=y[SIN])
-    read = slice(COS, D + 1)  # the rows the tendencies read
+    read = slice(COS, P + 1)  # the rows the tendencies read
     k = np.empty((6, n))  # the current stage's tendency
-    acc = np.empty((6, n))  # k1 + 2 k2 + 2 k3 + k4, summed stage by stage
-    stage = np.empty((4, n))  # the next stage's input rows
+    acc = np.empty((6, n))  # y + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed stage by stage
+    stage = np.empty((5, n))  # the next stage's input rows
     half, sixth = 0.5 * dt, dt / 6.0
 
     builder = SeriesBuilder()
     Ek_integral = 0.0
-    Ek_last = kinetic_energy(w, ens.v)
-    builder.append(_row(ens, params, Ek_integral))
+    builder.append(_row(ens, params, Ek_integral, trig=_unit_phasor(y)))
     snapshots = dict.fromkeys(snap_steps.get(0, ()), ens)
     blowup = None
     t = ens.t
 
     for step in range(1, n_steps + 1):
         _derivs(w, Omega, y[read], m, K, k)
+        Ek_sum = kinetic_energy(w, y[V])  # E_k of the stages, RK4-weighted
         np.copyto(acc, k)
         for i, h in enumerate((half, half, dt)):
             np.multiply(k[read], h, out=stage)  # the stage input y + h k
             stage += y[read]
+            Ek_stage = kinetic_energy(w, stage[V - COS])
+            Ek_sum += Ek_stage if i == 2 else 2.0 * Ek_stage
             if i:  # k2 and k3 enter the sum doubled, once used for a stage
                 k *= 2.0
                 acc += k
             _derivs(w, Omega, stage, m, K, k)
         acc += k
         acc *= sixth
-        y += acc
+        acc += y
+        y, acc = acc, y  # acc keeps the step's start
         t = ens.t + step * dt
 
-        lo, hi = y.min(axis=1), y.max(axis=1)
-        if not hi[D] < np.inf:  # NaN propagates through min and max
+        lo, hi = y.min(axis=1), y.max(axis=1)  # NaN propagates through both
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             blowup = BlowupEvent(t, "non-finite")
-        elif lo[D] < -BLOWUP_GRAD:
-            blowup = BlowupEvent(t, "gradient-collapse")
-        elif not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise IntegrationFailure(ens.t + (step - 1) * dt)
-
-        Ek_now = kinetic_energy(w, y[V])
-        Ek_integral += 0.5 * dt * (Ek_last + Ek_now)
-        Ek_last = Ek_now
-
-        at_record = blowup is not None or step == n_steps or step % record_every == 0
-        at_snapshot = step in snap_steps or blowup is not None
+        if blowup is None and lo[J] <= 0.0:
+            y, acc, step = acc, y, step - 1  # back to the last state with every J > 0
+            t = ens.t + step * dt
+            blowup = BlowupEvent(t + dt * _first_zero(y, acc, dt), "gradient-collapse")
+            # the run ends on that state, recorded now unless it was already
+            at_record, at_snapshot = step % record_every != 0, step not in snap_steps
+        else:
+            Ek_integral += sixth * Ek_sum
+            at_record = blowup is not None or step == n_steps or step % record_every == 0
+            at_snapshot = blowup is not None or step in snap_steps
         if at_record or at_snapshot:
             now = _ensemble_at(ens, y, t)
         if at_record:
-            builder.append(_row(now, params, Ek_integral))
+            builder.append(_row(now, params, Ek_integral, trig=_unit_phasor(y)))
         if at_snapshot:
             snapshots.update(dict.fromkeys(snap_steps.get(step, [t]), now))
         if blowup is not None:

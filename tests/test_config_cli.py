@@ -213,6 +213,20 @@ def test_resolve_sweep_section_builds_k_path():
     assert sweep.base.params.m == 0.5
 
 
+def test_an_empty_sweep_section_is_the_default_sweep(tmp_path):
+    """A `sweep:` line with nothing under it is YAML null.  Its presence
+    still makes the run a sweep, with every sweep key at its default."""
+    path = tmp_path / "sweep.yaml"
+    path.write_text("m: 0.5\nK: 0.1\nu0: -sin(theta)\nsweep:\n")
+    sweep = parse_config(str(path))
+    assert isinstance(sweep, SweepConfig)
+    assert sweep == resolve_config({**_minimal(), "sweep": {}})
+    fwd, bwd = sweep.branches()
+    assert fwd[0] == 0.0 and fwd[-1] == 4.0 and len(fwd) == 41
+    assert bwd[-1] == 0.0 and len(bwd) == 41
+    assert sweep.t_max == 50.0 and sweep.base.params.m == 0.5
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = ScenarioConfig(
         params=Params(2.0, 0.1),

@@ -171,6 +171,16 @@ def test_energy_balance_residual():
     assert np.max(residual) < 1e-6
 
 
+def test_energy_balance_residual_at_the_default_step():
+    """E_k is integrated by the same RK4 as the state, so the balance holds
+    to the RK4 error at dt = 1e-2 too, far inside criterion 3's 1e-6."""
+    params = Params(0.5, 0.1)
+    s = evolve(_identical_ensemble(256), params, 5.0).series
+    E = s.Ek + s.Ep
+    residual = np.abs(E - E[0] + (2.0 / params.m) * s.Ek_integral)
+    assert np.max(residual) < 1e-8
+
+
 def test_rk4_fourth_order_convergence():
     """Richardson: halving dt shrinks the end-state error ~16x."""
     params = Params(0.1, 0.6)  # stiff enough to lift errors off roundoff
@@ -208,14 +218,57 @@ def test_gradient_consistency_along_flow():
 
 
 def test_blowup_flag_and_truncation():
-    """Steep initial compression triggers the gradient floor and stops the run."""
+    """Steep initial compression drives some J through zero: the run stops
+    there and ends on the step's start, the last state with every J > 0."""
     ens = _identical_ensemble(128, u0=USine(-2.0))
-    run = evolve(ens, Params(1.0, 1.0), 5.0, dt=1e-3, record_every=100)
+    dt = 1e-3
+    run = evolve(ens, Params(1.0, 1.0), 5.0, dt=dt, record_every=100)
     assert run.blowup is not None
     assert run.blowup.reason == "gradient-collapse"
     assert run.blowup.t < 5.0
-    assert run.series.t[-1] == pytest.approx(run.blowup.t)
-    assert np.min(run.final.d) < -1e6
+    assert run.series.t[-1] == run.final.t
+    assert run.final.t < run.blowup.t <= run.final.t + dt
+    assert np.all(np.isfinite(run.final.d)) and np.all(np.isfinite(run.final.log_rho))
+    assert np.min(run.final.d) < -100.0  # within a step of the collapse
+
+
+def test_uncoupled_collapse_time_is_the_closed_form_zero_of_J():
+    """With K=0, J = 1 + m d0 (1 - e^{-t/m}) reaches 0 at
+    t_c = -m log(1 + 1/(m d0)) on the samples with d0 < -1/m; the Hermite
+    root finds the earliest to well within the RK4 error at dt = 1e-2."""
+    params = Params(0.5, 0.0)
+    ens = _identical_ensemble(64, u0=USine(-4.0))
+    d0 = ens.d[ens.d < -1.0 / params.m]
+    t_c = float(np.min(-params.m * np.log1p(1.0 / (params.m * d0))))
+    run = evolve(ens, params, 1.0, dt=1e-2)
+    assert run.blowup.reason == "gradient-collapse"
+    assert run.blowup.t == pytest.approx(t_c, abs=1e-9)
+    assert run.final.t == pytest.approx(np.floor(t_c / 1e-2) * 1e-2)
+
+
+def test_jacobian_closed_form_without_coupling():
+    """With K=0, P = d0 e^{-t/m} and J = 1 + m d0 (1 - e^{-t/m}); the records
+    carry them as d = P / J and log rho = log rho0 - log J.  RK4 multiplies P
+    by e^{-dt/m} up to a relative (dt/m)^5/120 = 5e-12 a step, 1e-9 over the
+    200 steps, and J stays above 0.6."""
+    params = Params(0.7, 0.0)
+    ens = _identical_ensemble(64, u0=USine(-0.5))
+    run = evolve(ens, params, 2.0, dt=1e-2, record_every=10**9)
+    decay = np.exp(-run.final.t / params.m)
+    P = ens.d * decay
+    J = 1.0 + params.m * ens.d * (1.0 - decay)
+    np.testing.assert_allclose(run.final.d, P / J, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(run.final.log_rho, ens.log_rho - np.log(J), rtol=0, atol=1e-9)
+
+
+def test_supercritical_collapse_time_is_independent_of_the_step():
+    """Criterion 6's case: the first zero of J, timed by the Hermite root,
+    agrees to 1e-6 at dt = 1e-2, 5e-3 and 1e-3 (the d < -1e6 floor that
+    timed it before moved by 0.014 over the same steps)."""
+    ens = _identical_ensemble(512, u0=USine(-2.0))
+    times = [evolve(ens, Params(1.0, 1.0), 3.0, dt=dt).blowup.t for dt in (1e-2, 5e-3, 1e-3)]
+    assert max(times) - min(times) < 1e-6
+    assert times[-1] == pytest.approx(0.6251445, abs=1e-6)
 
 
 def test_snapshots_at_requested_times():
@@ -269,37 +322,21 @@ def test_non_finite_slope_is_reported_as_non_finite(row, value):
     assert run.series.t[-1] == pytest.approx(1e-3)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_minus_infinite_slope_is_a_gradient_collapse(monkeypatch):
-    """d = -inf is the limit of a collapse: it is reported as
-    gradient-collapse even though log rho turns +inf with it."""
-    inner = lagrangian._derivs
-
-    def collapsing(w, Omega, y, m, K, out):
-        inner(w, Omega, y, m, K, out)
-        out[lagrangian.D, 7] = -np.inf
-
-    monkeypatch.setattr(lagrangian, "_derivs", collapsing)
-    run = evolve(_identical_ensemble(64), Params(0.5, 1.0), 1.0, dt=1e-3)
-    assert run.blowup is not None
-    assert run.blowup.reason == "gradient-collapse"
-    assert run.blowup.t == pytest.approx(1e-3)
-    assert run.final.d[7] == -np.inf
-    assert np.all(np.isfinite(np.delete(run.final.d, 7)))
-    assert run.final.log_rho[7] == np.inf
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_non_finite_log_density_raises_integration_failure(value):
-    """log rho feeds no tendency, so a non-finite one leaves d finite: that
-    is no blow-up but a failed integration, raised with the last valid t."""
-    ens = replace(_identical_ensemble(64), t=0.3)
+def test_log_density_is_read_off_J_and_feeds_nothing():
+    """log rho = log rho0 - log J is formed at each record, not integrated:
+    a NaN log rho0 on one sample stays on that sample, stops nothing and
+    leaves every other column and sample as it was."""
+    ens = _identical_ensemble(64)
     log_rho = ens.log_rho.copy()
-    log_rho[11] = value
-    with pytest.raises(lagrangian.IntegrationFailure) as info:
-        evolve(replace(ens, log_rho=log_rho), Params(0.5, 1.0), 1.0, dt=1e-3)
-    assert info.value.t_last == 0.3
+    log_rho[11] = np.nan
+    params = Params(0.5, 1.0)
+    clean = evolve(ens, params, 0.5, dt=1e-2)
+    run = evolve(replace(ens, log_rho=log_rho), params, 0.5, dt=1e-2)
+    assert run.blowup is None
+    assert np.isnan(run.final.log_rho[11])
+    np.testing.assert_array_equal(np.delete(run.final.log_rho, 11), np.delete(clean.final.log_rho, 11))
+    np.testing.assert_array_equal(run.final.d, clean.final.d)
+    np.testing.assert_array_equal(run.series.r, clean.series.r)
 
 
 def test_each_step_calls_derivs_four_times_on_every_sample(monkeypatch):
@@ -339,20 +376,23 @@ def _plain_rk4(ens, params, T, dt, record_every):
     y = (ens.eta, ens.v, ens.d, ens.log_rho)
     n_steps = int(round((T - ens.t) / dt))
     builder = SeriesBuilder()
-    Ek_integral, Ek_last = 0.0, kinetic_energy(w, ens.v)
+    Ek_integral = 0.0
     builder.append(series_row(ens, params, Ek_integral))
     for step in range(1, n_steps + 1):
         k1 = _plain_derivs(*y[:3], w, Omega, m, K)
-        k2 = _plain_derivs(*(a + 0.5 * dt * b for a, b in zip(y[:3], k1)), w, Omega, m, K)
-        k3 = _plain_derivs(*(a + 0.5 * dt * b for a, b in zip(y[:3], k2)), w, Omega, m, K)
-        k4 = _plain_derivs(*(a + dt * b for a, b in zip(y[:3], k3)), w, Omega, m, K)
+        s2 = tuple(a + 0.5 * dt * b for a, b in zip(y[:3], k1))
+        k2 = _plain_derivs(*s2, w, Omega, m, K)
+        s3 = tuple(a + 0.5 * dt * b for a, b in zip(y[:3], k2))
+        k3 = _plain_derivs(*s3, w, Omega, m, K)
+        s4 = tuple(a + dt * b for a, b in zip(y[:3], k3))
+        k4 = _plain_derivs(*s4, w, Omega, m, K)
+        # int E_k dt as one more RK4 row: E_k of each stage input, RK4-weighted
+        E1, E2, E3, E4 = (kinetic_energy(w, stage[1]) for stage in (y, s2, s3, s4))
+        Ek_integral += dt / 6.0 * (E1 + 2.0 * E2 + 2.0 * E3 + E4)
         y = tuple(
             a + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
         )
-        Ek_now = kinetic_energy(w, y[1])
-        Ek_integral += 0.5 * dt * (Ek_last + Ek_now)
-        Ek_last = Ek_now
         if step % record_every == 0 or step == n_steps:
             now = replace(ens, eta=y[0], v=y[1], d=y[2], log_rho=y[3], t=ens.t + step * dt)
             builder.append(series_row(now, params, Ek_integral))
@@ -364,13 +404,16 @@ def test_carried_phasor_matches_trig_rk4_on_subcritical_sync():
     inputs approximate cos and sin of the stage phase, so both runs are
     fourth-order solutions of the same flow and differ by their global
     errors: about T dt^4 times fifth derivatives of order (1/m)^5, here
-    1 * 1e-12 * 32, so under 1e-10 with room; round-off is far below."""
+    1 * 1e-12 * 32 at dt = 1e-3, so under 1e-10 with room; round-off is far
+    below.  The same holds for d = P / J and log rho = log rho0 - log J
+    against the Riccati form that carries d and log rho themselves."""
     cfg = parse_config(os.path.join(CONFIGS, "subcritical_sync.yaml"))
     _, omega = build_grids(cfg)
     ens = sample_initial(cfg.init, omega, 512)
-    record_every = int(round(cfg.record_dt / cfg.dt_oracle))
-    run = evolve(ens, cfg.params, 1.0, dt=cfg.dt_oracle, record_every=record_every)
-    series, (eta, v, d, log_rho) = _plain_rk4(ens, cfg.params, 1.0, cfg.dt_oracle, record_every)
+    dt = 1e-3
+    record_every = int(round(cfg.record_dt / dt))
+    run = evolve(ens, cfg.params, 1.0, dt=dt, record_every=record_every)
+    series, (eta, v, d, log_rho) = _plain_rk4(ens, cfg.params, 1.0, dt, record_every)
     assert run.blowup is None
     assert run.series.data.shape == series.data.shape == (101, 14)
     np.testing.assert_allclose(run.series.data, series.data, rtol=1e-10, atol=1e-10)
