@@ -212,7 +212,8 @@ def _ensemble_at(ens, y, t):
     log rho = log rho0 - log J, with eta and v copied out of y."""
     with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite state
         d = y[P] / y[J]
-        log_rho = ens.log_rho - np.log(y[J])
+        log_rho = np.log(y[J])
+        np.subtract(ens.log_rho, log_rho, out=log_rho)
     return replace(ens, eta=y[ETA].copy(), v=y[V].copy(), d=d, log_rho=log_rho, t=t)
 
 
@@ -224,10 +225,12 @@ def _unit_phasor(y):
     r by 1.6e-10 from dt = 1e-3 as carried, by 9.1e-11 once divided out.
     """
     c, s = y[COS], y[SIN]
-    modulus = c * c
-    modulus += s * s
-    np.sqrt(modulus, out=modulus)
-    return c / modulus, s / modulus
+    unit_c, unit_s = np.square(c), np.square(s)
+    unit_c += unit_s
+    np.sqrt(unit_c, out=unit_c)  # the modulus
+    np.divide(s, unit_c, out=unit_s)
+    np.divide(c, unit_c, out=unit_c)
+    return unit_c, unit_s
 
 
 def _first_zero(start, end, dt):
