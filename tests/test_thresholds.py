@@ -291,4 +291,4 @@ def test_supercritical_verdict_blows_up_before_the_time_bound(m, K, amplitude):
     bound = verdict.blowup_time_bound
     run = _oracle_run(amplitude, params, T=bound + 2 * dt, dt=dt)
     assert run.blowup is not None
-    assert run.blowup.t <= bound + dt  # the flag is raised at the end of a step
+    assert run.blowup.t <= bound + dt  # the first zero of J, timed within its step
