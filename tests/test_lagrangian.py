@@ -322,18 +322,19 @@ def test_non_finite_slope_is_reported_as_non_finite(row, value):
     assert run.series.t[-1] == pytest.approx(1e-3)
 
 
-def test_log_density_is_read_off_J_and_feeds_nothing():
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_log_density_is_read_off_J_and_feeds_nothing(value):
     """log rho = log rho0 - log J is formed at each record, not integrated:
-    a NaN log rho0 on one sample stays on that sample, stops nothing and
-    leaves every other column and sample as it was."""
+    a non-finite log rho0 on one sample stays on that sample, stops nothing
+    and leaves every other column and sample as it was."""
     ens = _identical_ensemble(64)
     log_rho = ens.log_rho.copy()
-    log_rho[11] = np.nan
+    log_rho[11] = value
     params = Params(0.5, 1.0)
     clean = evolve(ens, params, 0.5, dt=1e-2)
     run = evolve(replace(ens, log_rho=log_rho), params, 0.5, dt=1e-2)
     assert run.blowup is None
-    assert np.isnan(run.final.log_rho[11])
+    np.testing.assert_equal(run.final.log_rho[11], value)
     np.testing.assert_array_equal(np.delete(run.final.log_rho, 11), np.delete(clean.final.log_rho, 11))
     np.testing.assert_array_equal(run.final.d, clean.final.d)
     np.testing.assert_array_equal(run.series.r, clean.series.r)
