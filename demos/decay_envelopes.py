@@ -21,7 +21,7 @@ ens = kh.CharEnsemble(
     eta=eta0, v=0.2 * eta0, d=np.full(n, 0.2), log_rho=np.zeros(n),
 )
 
-run = kh.evolve(ens, params, 20.0, dt=1e-3, record_every=10)
+run = kh.evolve(ens, params, 20.0, record_every=1)
 s = run.series
 env = kh.envelope_params(0.5, 0.1, params)
 print(f"regime: {env.regime}; decay rates nu1={env.nu1:.4f}, nu2={env.nu2:.4f}")

@@ -36,7 +36,6 @@ from .meanfield import (
 from .fv import MassClipError, SchemeConfig, cfl_dt, step_rk2
 from .lagrangian import (
     CharEnsemble,
-    OracleRun,
     evolve,
     pushforward_density,
     sample_initial,
@@ -45,6 +44,7 @@ from .diagnostics import (
     SERIES_COLUMNS,
     BlowupEvent,
     BlowupMonitor,
+    RunResult,
     TimeSeries,
     diameters,
     dirac_distance_bound,

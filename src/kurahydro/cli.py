@@ -61,7 +61,7 @@ def _require_scenario(config):
 def _summarize_run(name, run):
     s = run.series
     line = f"{name}: t={s.t[-1]:g} r={s.r[-1]:.6f} Ek={s.Ek[-1]:.3e}"
-    if getattr(run, "failure", None):
+    if run.failure:
         line += f" [solver failure: {run.failure}]"
     if run.blowup is not None:
         line += f" [blow-up at t={run.blowup.t:g}: {run.blowup.reason}]"

@@ -76,18 +76,6 @@ class TimeSeries:
         return self.data[:, j]
 
 
-class SeriesBuilder:
-    def __init__(self):
-        self.rows = []
-
-    def append(self, row):
-        assert len(row) == len(SERIES_COLUMNS)
-        self.rows.append(tuple(float(x) for x in row))
-
-    def build(self):
-        return TimeSeries(np.array(self.rows, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # Weighted moments.  An "ensemble" is any object with attributes
 # (eta, v, weight, t) -- duck-typed to avoid importing the oracle module.
@@ -414,16 +402,30 @@ class BlowupEvent:
     reason: str
 
 
+@dataclass
+class RunResult:
+    """A recorded run of either solver: its diagnostics series, its end state
+    (FieldState or CharEnsemble), its snapshots {t: state}, the blow-up event
+    that stopped it, and the finite-volume solver's failure message (the
+    oracle has none)."""
+
+    series: TimeSeries
+    final: object
+    snapshots: dict
+    blowup: BlowupEvent | None = None
+    failure: str | None = None
+
+
 class BlowupMonitor:
     """Latching detector: density concentration, gradient collapse, or NaN.
 
-    The first observed state fixes the reference max(rho0) unless one is
-    supplied.  Once fired the monitor stays fired (the event is kept).
+    The first observed state fixes the reference max(rho0).  Once fired the
+    monitor stays fired (the event is kept).
     """
 
-    def __init__(self, rho_factor=1e3, max_rho0=None):
+    def __init__(self, rho_factor=1e3):
         self.rho_factor = rho_factor
-        self.max_rho0 = max_rho0
+        self.max_rho0 = None
         self.event = None
 
     @property

@@ -91,24 +91,17 @@ class OmegaGrid:
     def n(self):
         return self.nodes.size
 
-    def second_moment(self):
-        return float(np.sum(np.square(self.nodes) * self.weights))
-
 
 def discretize_frequency(kind, n_omega=600, L=5.0, omega0=0.0):
     """Discretize the frequency distribution g.
 
     kind 'dirac' gives the single node omega0 with weight 1.  kind 'gaussian'
-    (or any callable density) is sampled at n_omega equispaced nodes on
+    samples the standard normal density at n_omega equispaced nodes on
     [-L, L] with trapezoid weights, renormalized so the weights sum to 1.
     """
     if kind == "dirac":
         return OmegaGrid(np.array([float(omega0)]), np.array([1.0]))
-    if kind == "gaussian":
-        density = gaussian_density
-    elif callable(kind):
-        density = kind
-    else:
+    if kind != "gaussian":
         raise ValueError(f"unknown frequency distribution {kind!r}")
     n_omega = int(n_omega)
     if n_omega < 2:
@@ -117,11 +110,9 @@ def discretize_frequency(kind, n_omega=600, L=5.0, omega0=0.0):
         raise ValueError("truncation L must be positive")
     nodes = np.linspace(-L, L, n_omega)
     h = nodes[1] - nodes[0]
-    w = np.asarray(density(nodes), dtype=float) * h
+    w = gaussian_density(nodes) * h
     w[0] *= 0.5
     w[-1] *= 0.5
-    if np.any(w < 0):
-        raise ValueError("frequency density must be nonnegative")
     total = w.sum()
     if not total > 0:
         raise ValueError("frequency distribution has zero mass on [-L, L]")

@@ -12,6 +12,7 @@ Only the generator _advance steps the finite-volume solver; run_eulerian
 """
 from __future__ import annotations
 
+import math
 import os
 import time
 import warnings
@@ -20,7 +21,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import io as run_io
-from .diagnostics import BlowupMonitor, SeriesBuilder, _field_cell_masses, kinetic_energy
+from .diagnostics import (
+    BlowupMonitor,
+    RunResult,
+    TimeSeries,
+    _field_cell_masses,
+    kinetic_energy,
+)
 # perfbench's tracer wraps both names here: run_eulerian builds its rows
 # through _field_row, and energies is imported only so the hook resolves.
 from .diagnostics import energies  # noqa: F401
@@ -88,6 +95,18 @@ class ScenarioConfig:
                     f"snapshot times {other!r} and {t!r} share the file name "
                     f"{run_io.snapshot_filename(t)}"
                 )
+        # evolve writes the ensemble of a time's nearest step under the time's
+        # name, so each oracle snapshot time up to the last step must be a
+        # step time (within round-off)
+        dt = self.dt_oracle
+        for t in self.snapshot_times if self.solver != "eulerian" else ():
+            step = round(t / dt)
+            off_grid = not math.isclose(t, step * dt, rel_tol=1e-12, abs_tol=1e-9 * dt)
+            if off_grid and step <= round(self.t_end / dt):
+                raise ValueError(
+                    f"snapshot_times entry {t!r} is not a multiple of dt_oracle={dt!r}; "
+                    f"the nearest oracle step time is {step * dt:.12g}"
+                )
 
 
 def build_grids(config):
@@ -102,15 +121,6 @@ def build_grids(config):
 def build_state(config):
     grid, omega = build_grids(config)
     return init_state(config.init, grid, omega)
-
-
-@dataclass
-class EulerianRun:
-    series: object
-    final: object
-    snapshots: dict
-    blowup: object = None
-    failure: str | None = None
 
 
 def _advance(state, params, scheme, monitor, t_stop, ws):
@@ -148,10 +158,9 @@ def run_eulerian(config, state=None):
     )
     snap_set = {round(float(ts), 12) for ts in config.snapshot_times}
 
-    builder = SeriesBuilder()
     Ek_integral = 0.0
     Ek_prev = kinetic_energy(_field_cell_masses(state), state.u)
-    builder.append(_field_row(state, params, Ek_integral, eps_supp))
+    rows = [_field_row(state, params, Ek_integral, eps_supp)]
     snapshots = {}
     if round(state.t, 12) in snap_set:
         snapshots[float(state.t)] = state
@@ -170,12 +179,12 @@ def run_eulerian(config, state=None):
                 Ek_prev = Ek_now
         except MassClipError as err:
             failure = str(err)
-        builder.append(_field_row(state, params, Ek_integral, eps_supp))
+        rows.append(_field_row(state, params, Ek_integral, eps_supp))
         if round(float(state.t), 12) in snap_set:
             snapshots[float(target)] = state
         if monitor.fired or failure is not None:
             break
-    return EulerianRun(builder.build(), state, snapshots, monitor.event, failure)
+    return RunResult(TimeSeries(rows), state, snapshots, monitor.event, failure)
 
 
 def run_lagrangian(config):
@@ -196,8 +205,8 @@ def run_lagrangian(config):
 @dataclass
 class ScenarioResult:
     config: ScenarioConfig
-    eulerian: EulerianRun | None = None
-    lagrangian: object | None = None
+    eulerian: RunResult | None = None
+    lagrangian: RunResult | None = None
     wall_times: dict = field(default_factory=dict)  # solver -> seconds
 
 
@@ -262,7 +271,7 @@ def write_scenario_result(result, out_dir):
             "blowup": None
             if run.blowup is None
             else {"t": run.blowup.t, "reason": run.blowup.reason},
-            "failure": getattr(run, "failure", None),
+            "failure": run.failure,
         }
         run_io.write_manifest(
             os.path.join(path, "manifest.json"),
@@ -270,11 +279,9 @@ def write_scenario_result(result, out_dir):
         )
 
 
-def marginalize(state, omega=None):
+def marginalize(state):
     """Frequency-marginal fields: rho_tilde = sum_k rho w_k, same for u."""
-    if omega is None:
-        omega = state.omega
-    w = omega.weights[:, None]
+    w = state.omega.weights[:, None]
     return (state.rho * w).sum(axis=0), (state.u * w).sum(axis=0)
 
 
@@ -398,8 +405,12 @@ def _walk(config, sweep, k_values, start_state, keep_states):
     return points, states, state
 
 
-def _refine_branch(config, sweep, points, states, direction):
-    """Insert refined K points in a window around each detected jump."""
+def _refine_branch(config, sweep, points, states, sign):
+    """Insert refined K points in a window around each detected jump.
+
+    sign is +1 on the forward leg (K rising) and -1 on the backward leg: the
+    leg's points and each window's new points are walked in order of sign*K.
+    """
     refined = list(points)
     for k0, k1, _ in _jumps_of(points):
         center = 0.5 * (k0 + k1)
@@ -407,24 +418,16 @@ def _refine_branch(config, sweep, points, states, direction):
         ks = np.arange(lo, hi + 0.5 * sweep.refine_step, sweep.refine_step)
         existing = {round(k, 9) for k, _, _ in refined}
         ks = [k for k in ks if k >= 0 and round(k, 9) not in existing]
-        if direction == "backward":
-            ks = sorted(ks, reverse=True)
-        else:
-            ks = sorted(ks)
+        ks.sort(key=lambda k: sign * k)
         if not ks:
             continue
         # Warm-start from the last base point on the approach side of the window.
-        if direction == "forward":
-            anchor_idx = max(
-                (i for i, (k, _, _) in enumerate(points) if k <= ks[0]), default=0
-            )
-        else:
-            anchor_idx = max(
-                (i for i, (k, _, _) in enumerate(points) if k >= ks[0]), default=0
-            )
+        anchor_idx = max(
+            (i for i, (k, _, _) in enumerate(points) if sign * k <= sign * ks[0]), default=0
+        )
         new_points, _, _ = _walk(config, sweep, ks, states[anchor_idx], False)
         refined.extend(new_points)
-    refined.sort(key=lambda p: p[0], reverse=(direction == "backward"))
+    refined.sort(key=lambda p: sign * p[0])
     return refined
 
 
@@ -451,10 +454,8 @@ def hysteresis_sweep(sweep, out_dir=None):
     )
     result.backward, b_states, _ = _walk(config, sweep, k_backward, end_state, keep)
     if keep:
-        result.forward = _refine_branch(config, sweep, result.forward, f_states, "forward")
-        result.backward = _refine_branch(
-            config, sweep, result.backward, b_states, "backward"
-        )
+        result.forward = _refine_branch(config, sweep, result.forward, f_states, 1)
+        result.backward = _refine_branch(config, sweep, result.backward, b_states, -1)
     result.jumps = {
         "forward": _jumps_of(result.forward),
         "backward": _jumps_of(result.backward),

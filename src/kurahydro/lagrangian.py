@@ -49,11 +49,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import BlowupEvent, SeriesBuilder, kinetic_energy
+from .diagnostics import BlowupEvent, RunResult, TimeSeries, kinetic_energy
 # perfbench's tracer wraps this name: evolve builds its rows through _row.
 from .diagnostics import series_row as _row
 from .domain import (
-    FieldState,
     InitSpec,
     TableData,
     _readonly,
@@ -92,48 +91,20 @@ class CharEnsemble:
         return self.eta.size
 
 
-def sample_initial(source, omega=None, n_samples=256):
-    """Sample an InitSpec (or an existing FieldState) into a CharEnsemble.
+def sample_initial(spec, omega, n_samples=256):
+    """Sample a symbolic InitSpec into a CharEnsemble on the OmegaGrid omega.
 
-    For an InitSpec: n_samples equispaced midpoint nodes per frequency slice,
-    weighted by rho0(theta0) and renormalized slice-by-slice so slice k
-    carries exactly the frequency weight w_k (hence total weight exactly 1).
-    For a FieldState: one sample per cell with weight dtheta*rho*w_k.
+    n_samples equispaced midpoint nodes per frequency slice, weighted by
+    rho0(theta0) and renormalized slice-by-slice so slice k carries exactly
+    the frequency weight w_k (hence total weight exactly 1).  Tabulated
+    initial data (TableData) is refused.
     """
-    if isinstance(source, FieldState):
-        grid, om = source.grid, source.omega
-        eta = np.tile(grid.centers, om.n)
-        Omega = np.repeat(om.nodes, grid.n)
-        w = (grid.dtheta * source.rho * om.weights[:, None]).ravel()
-        total = w.sum()
-        if not total > 0:
-            raise ValueError("state carries no sample mass")
-        du = (np.roll(source.u, -1, axis=-1) - np.roll(source.u, 1, axis=-1)) / (
-            2.0 * grid.dtheta
-        )
-        with np.errstate(divide="ignore"):
-            log_rho = np.where(
-                source.rho > 0.0, np.log(np.maximum(source.rho, 1e-300)), -690.0
-            )
-        return CharEnsemble(
-            Omega,
-            w / total,
-            eta,
-            source.u.ravel().copy(),
-            du.ravel(),
-            log_rho.ravel(),
-            t=source.t,
-        )
-
-    spec = source
     if not isinstance(spec, InitSpec):
-        raise TypeError("sample_initial needs an InitSpec or FieldState")
+        raise TypeError("sample_initial needs an InitSpec")
     if isinstance(spec.rho0, TableData) or isinstance(spec.u0, TableData):
         raise TypeError(
-            "tabulated initial data: build a FieldState first and sample that"
+            "tabulated initial data: the oracle samples symbolic initial data only"
         )
-    if omega is None:
-        raise ValueError("an OmegaGrid is required when sampling an InitSpec")
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -154,16 +125,6 @@ def sample_initial(source, omega=None, n_samples=256):
         -690.0,
     )
     return CharEnsemble(Omega, w, eta, v0, d0, log_rho0, t=0.0)
-
-
-@dataclass
-class OracleRun:
-    """Recorded oracle trajectory: diagnostics series plus end state."""
-
-    series: object
-    final: CharEnsemble
-    blowup: BlowupEvent | None
-    snapshots: dict
 
 
 # Rows of the state array evolve integrates; the tendencies read COS..P.
@@ -289,9 +250,8 @@ def evolve(ens, params, T, dt=1e-2, record_every=1, snapshot_times=()):
     stage = np.empty((5, n))  # the next stage's input rows
     half, sixth = 0.5 * dt, dt / 6.0
 
-    builder = SeriesBuilder()
     Ek_integral = 0.0
-    builder.append(_row(ens, params, Ek_integral, trig=_unit_phasor(y)))
+    rows = [_row(ens, params, Ek_integral, trig=_unit_phasor(y))]
     snapshots = dict.fromkeys(snap_steps.get(0, ()), ens)
     blowup = None
     t = ens.t
@@ -331,13 +291,13 @@ def evolve(ens, params, T, dt=1e-2, record_every=1, snapshot_times=()):
         if at_record or at_snapshot:
             now = _ensemble_at(ens, y, t)
         if at_record:
-            builder.append(_row(now, params, Ek_integral, trig=_unit_phasor(y)))
+            rows.append(_row(now, params, Ek_integral, trig=_unit_phasor(y)))
         if at_snapshot:
             snapshots.update(dict.fromkeys(snap_steps.get(step, [t]), now))
         if blowup is not None:
             break
 
-    return OracleRun(builder.build(), _ensemble_at(ens, y, t), blowup, snapshots)
+    return RunResult(TimeSeries(rows), _ensemble_at(ens, y, t), snapshots, blowup)
 
 
 def pushforward_density(ens, grid, per_omega=False):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import FieldState, InitSpec, TableData, min_du0
+from .domain import InitSpec, TableData, min_du0
 
 
 @dataclass(frozen=True)
@@ -106,17 +106,15 @@ def _tabulated_min_du(u, dtheta):
 
 
 def classify(source, params):
-    """Classify initial data: a u0 spec, InitSpec, FieldState, or TableData.
+    """Classify initial data: a u0 spec, an InitSpec, or TableData.
 
     Symbolic profiles use the exact analytic min du0 (margin 0).  Tabulated
-    data uses centered differences with an indeterminate margin of
-    2*dtheta*max|d2u| to absorb the discretization error.
+    data (an init_table, or TableData itself) uses centered differences with
+    an indeterminate margin of 2*dtheta*max|d2u| to absorb the
+    discretization error.
     """
     if isinstance(source, InitSpec):
         source = source.u0
-    if isinstance(source, FieldState):
-        m0, margin = _tabulated_min_du(source.u, source.grid.dtheta)
-        return classify_value(m0, params, margin)
     if isinstance(source, TableData):
         steps = np.diff(source.theta)
         if steps.size < 3:

@@ -207,7 +207,7 @@ def test_criterion_08_diameter_envelopes():
         Omega=np.zeros(n), weight=np.full(n, 1.0 / n),
         eta=eta0, v=0.2 * eta0, d=np.full(n, 0.2), log_rho=np.zeros(n),
     )
-    s = kh.evolve(ens, P_SUB, 20.0, dt=1e-3, record_every=10).series
+    s = kh.evolve(ens, P_SUB, 20.0, record_every=1).series
     env = kh.envelope_params(0.5, 0.1, P_SUB)
     phase_margin = float(np.max(s.d_eta - kh.phase_envelope(env, s.t)))
     velocity_margin = float(np.max(s.d_v - kh.velocity_envelope(env, s.t)))

@@ -450,14 +450,19 @@ def test_cli_rejects_a_removed_scheme_key(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize(
-    "override", ["dt_oracle=0", "dt_oracle=-1e-3", "dt_oracle=.nan", "n_samples=1"]
+    "override",
+    [
+        "dt_oracle=0", "dt_oracle=-1e-3", "dt_oracle=.nan", "n_samples=1",
+        "snapshot_times=[0.026]",
+    ],
 )
 def test_cli_rejects_a_bad_oracle_setting_before_any_solver_runs(
     tmp_path, capsys, override
 ):
     """A zero, negative or NaN dt_oracle, or a single sample, would fail only
-    in the oracle, after the FV run of a solver: both config; it is refused
-    before anything runs."""
+    in the oracle, after the FV run of a solver: both config; a snapshot time
+    off the dt_oracle = 1e-2 grid would get the ensemble of its nearest step
+    (t=0.03 for 0.026).  Each is refused before anything runs."""
     cfg = _write_cfg(tmp_path, solver="both")
     out = tmp_path / "x"
     argv = ["run", "--config", cfg, "--out", str(out), "--set", override]

@@ -8,6 +8,7 @@ import pytest
 
 from kurahydro import (
     BlowupMonitor,
+    CharEnsemble,
     FieldState,
     InitSpec,
     Params,
@@ -34,7 +35,7 @@ from kurahydro import (
     sample_initial,
     velocity_envelope,
 )
-from kurahydro.diagnostics import BLOWUP_GRAD, SeriesBuilder, min_grad_u, series_row
+from kurahydro.diagnostics import BLOWUP_GRAD, min_grad_u, series_row
 
 
 class _Ens:
@@ -64,12 +65,6 @@ def test_series_columns_and_access():
         series.nonexistent
     with pytest.raises(ValueError, match="columns"):
         TimeSeries(np.zeros((2, 3)))
-
-
-def test_series_builder_row_length():
-    builder = SeriesBuilder()
-    with pytest.raises(AssertionError):
-        builder.append((1.0, 2.0))
 
 
 def test_potential_energy_factorization(rng):
@@ -140,7 +135,12 @@ def test_field_vs_ensemble_moments():
     grid = make_theta_grid(400)
     om = discretize_frequency("dirac")
     state = init_state(InitSpec(RhoGaussian(), USine(-1.0, 1.0, 0.2)), grid, om)
-    ens = sample_initial(state)
+    # one sample per cell, at its center, carrying the cell's mass
+    mass = grid.dtheta * state.rho[0]
+    ens = CharEnsemble(
+        Omega=np.zeros(grid.n), weight=mass / mass.sum(), eta=grid.centers,
+        v=state.u[0], d=np.zeros(grid.n), log_rho=np.log(state.rho[0]),
+    )
     assert mean_velocity(state) == pytest.approx(mean_velocity(ens), abs=1e-12)
     assert mean_phase(state) == pytest.approx(mean_phase(ens), abs=1e-12)
     op_f = order_parameter(state)
@@ -276,8 +276,10 @@ def test_blowup_monitor_latching_and_reasons():
 
 
 def test_blowup_monitor_reference_density():
-    mon = BlowupMonitor(rho_factor=2.0, max_rho0=1.0)
-    assert mon.observe_values(0.0, 1.9, 0.0) is None
+    mon = BlowupMonitor(rho_factor=2.0)
+    assert mon.observe_values(0.0, 1.0, 0.0) is None  # fixes max rho0 = 1
+    assert mon.max_rho0 == 1.0
+    assert mon.observe_values(0.05, 1.9, 0.0) is None
     assert mon.observe_values(0.1, 2.1, 0.0) is not None
 
 

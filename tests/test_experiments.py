@@ -24,6 +24,7 @@ from kurahydro import (
     build_state,
     cfl_dt,
     discretize_frequency,
+    evolve,
     hysteresis_sweep,
     make_theta_grid,
     marginalize,
@@ -33,6 +34,7 @@ from kurahydro import (
     run_eulerian,
     run_lagrangian,
     run_scenario,
+    sample_initial,
     serialize_config,
     steady_r,
     step_rk2,
@@ -70,17 +72,33 @@ def test_scenario_config_validation():
             _config(dt_oracle=dt_oracle)
     with pytest.raises(ValueError, match="n_samples must be at least 2"):
         _config(n_samples=1)
+    # the oracle would write its nearest step's ensemble, up to dt_oracle / 2
+    # away, under the time's name; the FV solver and times past the oracle's
+    # last step are unaffected
+    for t_s, step_t in ((0.005, "0"), (0.026, "0.03"), (0.034, "0.03")):
+        msg = rf"entry {t_s} .* nearest oracle step time is {step_t}$"
+        with pytest.raises(ValueError, match=msg):
+            _config(solver="lagrangian", dt_oracle=1e-2, snapshot_times=(0.0, t_s))
+        assert _config(snapshot_times=(t_s,)).snapshot_times == (t_s,)
+        late = (9.0 + t_s,)
+        assert _config(solver="both", snapshot_times=late).snapshot_times == late
 
 
 def test_oracle_writes_every_snapshot_time_that_rounds_to_one_step(tmp_path):
-    """0.1 and 0.1004 both round to oracle step 100 at dt_oracle = 1e-3:
-    each gets that step's ensemble, as the FV run writes both times."""
-    cfg = _config(solver="both", t_end=0.2, snapshot_times=(0.1, 0.1004))
-    run_scenario(cfg, out_dir=str(tmp_path))
+    """On the dt_oracle = 2e-4 grid 0.1 and 0.1004 are steps 500 and 502:
+    the oracle writes each time from its own step, as the FV run writes
+    both.  evolve gives every requested time its nearest step's ensemble,
+    so at dt = 1e-3 both times round to step 100 and share it."""
+    cfg = _config(solver="both", t_end=0.2, snapshot_times=(0.1, 0.1004), dt_oracle=2e-4)
+    result = run_scenario(cfg, out_dir=str(tmp_path))
     for sub in ("eulerian", "lagrangian"):
         assert set(list_snapshots(str(tmp_path / sub))) == {0.1, 0.1004}
-    snaps = tmp_path / "lagrangian" / "snapshots"
-    assert (snaps / "t=0.1.csv").read_bytes() == (snaps / "t=0.1004.csv").read_bytes()
+    for t_s, ens in result.lagrangian.snapshots.items():
+        assert ens.t == pytest.approx(t_s, abs=1e-12)
+    ens = sample_initial(cfg.init, build_grids(cfg)[1], 16)
+    snaps = evolve(ens, cfg.params, 0.2, dt=1e-3, snapshot_times=(0.1, 0.1004)).snapshots
+    assert snaps[0.1] is snaps[0.1004]
+    assert snaps[0.1].t == pytest.approx(0.1, abs=1e-12)
 
 
 def test_snapshot_times_that_share_a_file_name_are_rejected():
@@ -399,7 +417,8 @@ def test_sweep_config_rejects_nonpositive_knobs(name, value):
 def test_single_point_sweep_zero_loop():
     cfg = _config(n_theta=48)
     sweep = SweepConfig(k_path=(0.5,), steady_window=0.2, t_max=3.0, base=cfg)
-    result = hysteresis_sweep(sweep)
+    with pytest.warns(RuntimeWarning, match="did not settle"):  # t_max cuts it short
+        result = hysteresis_sweep(sweep)
     assert [k for k, _, _ in result.forward] == [0.5]
     assert [k for k, _, _ in result.backward] == [0.5]
     assert result.loop_area() == 0.0
@@ -411,7 +430,8 @@ def test_sweep_result_records_and_bounds():
     sweep = SweepConfig(
         k_path=(0.0, 1.0, 2.0, 1.0, 0.0), steady_window=0.3, t_max=4.0, base=cfg
     )
-    result = hysteresis_sweep(sweep)
+    with pytest.warns(RuntimeWarning, match="did not settle"):  # t_max cuts it short
+        result = hysteresis_sweep(sweep)
     for branch in (result.forward, result.backward):
         assert len(branch) == 3
         for _, r_inf, _ in branch:
@@ -422,7 +442,8 @@ def test_sweep_warm_start_continuity():
     """Warm-started branches preserve unit per-slice mass throughout."""
     cfg = _config(n_theta=48, params=Params(0.5, 0.0))
     sweep = SweepConfig(k_path=(0.0, 0.8, 0.0), steady_window=0.3, t_max=2.0, base=cfg)
-    result = hysteresis_sweep(sweep)
+    with pytest.warns(RuntimeWarning, match="did not settle"):  # t_max cuts it short
+        result = hysteresis_sweep(sweep)
     assert len(result.forward) == 2 and len(result.backward) == 2
 
 
@@ -443,7 +464,8 @@ def test_refinement_inserts_points():
         refine_window=0.6,
         base=cfg,
     )
-    result = hysteresis_sweep(sweep)
+    with pytest.warns(RuntimeWarning, match="did not settle"):  # t_max cuts it short
+        result = hysteresis_sweep(sweep)
     fwd_k = [k for k, _, _ in result.forward]
     assert fwd_k == sorted(fwd_k)
     if result.jumps["forward"]:
@@ -475,7 +497,8 @@ def test_sweep_writes_results_layout(tmp_path):
     cfg = _config(n_theta=48)
     sweep = SweepConfig(k_path=(0.0, 0.5, 0.0), steady_window=0.2, t_max=2.0, base=cfg)
     t0 = time.perf_counter()
-    hysteresis_sweep(sweep, out_dir=str(out))
+    with pytest.warns(RuntimeWarning, match="did not settle"):  # t_max cuts it short
+        hysteresis_sweep(sweep, out_dir=str(out))
     total = time.perf_counter() - t0
     forward, backward = read_sweep_csv(str(out / "sweep.csv"))
     assert len(forward) == 2 and len(backward) == 2

@@ -20,7 +20,6 @@ from kurahydro import (
     evaluate_du0,
     evaluate_u0,
     evolve,
-    init_state,
     make_theta_grid,
     pushforward_density,
     rho0_profile,
@@ -29,7 +28,7 @@ from kurahydro import (
 )
 from kurahydro import lagrangian
 from kurahydro.config import parse_config
-from kurahydro.diagnostics import SeriesBuilder, kinetic_energy, series_row
+from kurahydro.diagnostics import TimeSeries, kinetic_energy, series_row
 from kurahydro.domain import TableData
 from kurahydro.experiments import build_grids
 
@@ -58,22 +57,11 @@ def test_sample_initial_nonidentical_slice_weights():
     assert np.allclose(per_slice, om.weights, atol=1e-15)
 
 
-def test_sample_initial_from_field_state():
-    grid = make_theta_grid(200)
-    om = discretize_frequency("dirac")
-    state = init_state(InitSpec(RhoGaussian(), USine(-1.0)), grid, om)
-    ens = sample_initial(state)
-    assert ens.n == 200
-    assert np.abs(ens.weight.sum() - 1.0) < 1e-12
-    # centered-difference d agrees with the analytic gradient on the fine grid
-    assert np.allclose(ens.d, evaluate_du0(USine(-1.0), grid.centers), atol=1e-3)
-
-
 def test_sample_initial_rejects_tables():
     table = TableData(
         np.array([0.0]), np.array([0.0]), np.array([[1.0]]), np.array([[0.0]])
     )
-    with pytest.raises(TypeError, match="FieldState"):
+    with pytest.raises(TypeError, match="symbolic initial data only"):
         sample_initial(InitSpec(table, table), discretize_frequency("dirac"), 16)
 
 
@@ -376,9 +364,8 @@ def _plain_rk4(ens, params, T, dt, record_every):
     w, Omega = ens.weight, ens.Omega
     y = (ens.eta, ens.v, ens.d, ens.log_rho)
     n_steps = int(round((T - ens.t) / dt))
-    builder = SeriesBuilder()
     Ek_integral = 0.0
-    builder.append(series_row(ens, params, Ek_integral))
+    rows = [series_row(ens, params, Ek_integral)]
     for step in range(1, n_steps + 1):
         k1 = _plain_derivs(*y[:3], w, Omega, m, K)
         s2 = tuple(a + 0.5 * dt * b for a, b in zip(y[:3], k1))
@@ -396,8 +383,8 @@ def _plain_rk4(ens, params, T, dt, record_every):
         )
         if step % record_every == 0 or step == n_steps:
             now = replace(ens, eta=y[0], v=y[1], d=y[2], log_rho=y[3], t=ens.t + step * dt)
-            builder.append(series_row(now, params, Ek_integral))
-    return builder.build(), y
+            rows.append(series_row(now, params, Ek_integral))
+    return TimeSeries(rows), y
 
 
 def test_carried_phasor_matches_trig_rk4_on_subcritical_sync():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from kurahydro import (
-    FieldState,
     InitSpec,
     Params,
     RhoGaussian,
@@ -23,7 +22,6 @@ from kurahydro import (
     critical_roots,
     discretize_frequency,
     evolve,
-    init_state,
     make_theta_grid,
     riccati_comparison,
     sample_initial,
@@ -31,7 +29,7 @@ from kurahydro import (
     supercritical_density_bound,
     supercritical_envelope,
 )
-from kurahydro.domain import RhoUniform, TableData
+from kurahydro.domain import TableData
 from kurahydro.thresholds import INDETERMINATE, SUBCRITICAL, SUPERCRITICAL
 
 
@@ -102,11 +100,14 @@ def test_classify_symbolic_profiles():
     assert classify(UConst(3.0), Params(1.0, 1.0)).category == INDETERMINATE
 
 
-def test_classify_field_state_with_margin():
-    grid = make_theta_grid(256)
-    om = discretize_frequency("dirac")
-    state = init_state(InitSpec(RhoUniform(), USine(-1.0)), grid, om)
-    verdict = classify(state, Params(0.5, 0.1))
+def test_classify_table_with_margin():
+    """An init_table's u0 (here -sin theta on 256 cells) is differenced,
+    with a curvature margin."""
+    centers = make_theta_grid(256).centers
+    table = TableData(
+        centers, np.zeros(1), np.full((1, 256), 1.0 / (2 * np.pi)), -np.sin(centers)[None, :]
+    )
+    verdict = classify(InitSpec(table, table), Params(0.5, 0.1))
     assert verdict.category == SUBCRITICAL
     assert verdict.margin > 0.0
     assert verdict.min_du0 == pytest.approx(-1.0, abs=1e-3)
