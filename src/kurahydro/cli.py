@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import parse_config
 from .experiments import ScenarioConfig, SweepConfig, hysteresis_sweep, run_scenario
-from .io import list_snapshots, read_series_csv, read_snapshot_csv
+from .io import format_time, list_snapshots, read_series_csv, read_snapshot_csv
 from .thresholds import classify
 
 
@@ -149,7 +149,7 @@ def compare_runs(dir_a, dir_b):
     snaps_a = list_snapshots(dir_a)
     snaps_b = list_snapshots(dir_b)
     common = sorted(set(snaps_a) & set(snaps_b))
-    l1_rho = {"%g" % t_s: _l1_rho(snaps_a[t_s], snaps_b[t_s], t_s) for t_s in common}
+    l1_rho = {format_time(t): _l1_rho(snaps_a[t], snaps_b[t], t) for t in common}
     t_lo = max(series_a.t[0], series_b.t[0])
     t_hi = min(series_a.t[-1], series_b.t[-1])
     mask = (series_a.t >= t_lo - 1e-12) & (series_a.t <= t_hi + 1e-12)

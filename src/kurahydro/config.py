@@ -10,9 +10,10 @@ Scenario: m, K [required]; n_theta (1000); g: dirac|gaussian (dirac);
 omega0 (0.0); n_omega (600); omega_L (5.0); rho0 (gaussian); u0 ("0");
 init_table [replaces rho0/u0; a table in the snapshot format]; t_end (5.0);
 record_dt (0.01); snapshot_times ([]); solver: eulerian|lagrangian|both
-(eulerian); n_samples (1024); dt_oracle (1e-2).  With solver lagrangian or
-both, each snapshot time that rounds to an oracle step of the run, any time
-up to t_end included, must be a multiple of dt_oracle.
+(eulerian); n_samples (1024); dt_oracle (1e-2).  The times are finite.
+With solver lagrangian or both, t_end, record_dt and each snapshot time up
+to t_end must be a multiple of dt_oracle (lagrangian.oracle_step), t_end and
+record_dt a positive one.
 
 scheme section: cfl (0.4); max_dt (1e-2); blowup_rho_factor (1e3);
 clip_abort (1e-8).

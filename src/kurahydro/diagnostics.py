@@ -277,7 +277,6 @@ class EnvelopeParams:
     K: float
     C0: float
     D0: float
-    four_mKD0: float
     regime: str
     nu1: float
     nu2: float
@@ -308,22 +307,13 @@ def envelope_params(d_eta0, d_v0, params):
         nu1 = nu2 = 1.0 / (2.0 * m)
         C1 = math.nan
         regime = "underdamped"
-    return EnvelopeParams(
-        d_eta0, d_v0, m, K, C0, D0, four, regime, nu1, nu2, C1, C2
-    )
+    return EnvelopeParams(d_eta0, d_v0, m, K, C0, D0, regime, nu1, nu2, C1, C2)
 
 
 def phase_envelope(env, t):
-    """Upper bound on the phase diameter d_eta(t)."""
-    t = np.asarray(t, dtype=float)
-    if env.regime == "overdamped":
-        disc = math.sqrt(1.0 - env.four_mKD0)
-        e1 = np.exp(-env.nu1 * t)
-        e2 = np.exp(-env.nu2 * t)
-        return env.d_eta0 * e1 + env.m * (e2 - e1) / disc * (
-            env.d_v0 + env.nu1 * env.d_eta0
-        )
-    return np.exp(-t / (2.0 * env.m)) * (env.d_eta0 + env.C2 * t)
+    """Upper bound on the phase diameter d_eta(t): gronwall_bound of
+    m x'' + x' + K D0 x <= 0 from x(0) = d_eta0, x'(0) = d_v0."""
+    return gronwall_bound(env.m, 1.0, env.K * env.D0, env.d_eta0, env.d_v0, t)
 
 
 def velocity_envelope(env, t):

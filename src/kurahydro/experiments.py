@@ -41,7 +41,7 @@ from .domain import (
     make_theta_grid,
 )
 from .fv import MassClipError, SchemeConfig, Workspace, cfl_dt, step_rk2
-from .lagrangian import evolve, pushforward_density, sample_initial
+from .lagrangian import evolve, oracle_step, pushforward_density, sample_initial
 from .meanfield import order_parameter
 
 
@@ -63,12 +63,9 @@ class ScenarioConfig:
     dt_oracle: float = 1e-2
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
-        if not self.record_dt > 0:
-            raise ValueError("record_dt must be positive")
-        if not self.dt_oracle > 0:
-            raise ValueError("dt_oracle must be positive")
+        for name in ("t_end", "record_dt", "dt_oracle"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.n_samples < 2:
             raise ValueError("n_samples must be at least 2")
         if self.solver not in ("eulerian", "lagrangian", "both"):
@@ -84,29 +81,17 @@ class ScenarioConfig:
         object.__setattr__(self, "snapshot_times", tuple(self.snapshot_times))
         # a negative time is never reached, so neither solver would write it;
         # times past t_end stay accepted (a shortened run keeps its config)
-        if any(not t >= 0 for t in self.snapshot_times):
-            raise ValueError("snapshot_times must be nonnegative")
-        # distinct times whose file names agree would overwrite one snapshot
-        named = {}
-        for t in self.snapshot_times:
-            other = named.setdefault(run_io.snapshot_filename(t), t)
-            if other is not t and float(other) != float(t):
-                raise ValueError(
-                    f"snapshot times {other!r} and {t!r} share the file name "
-                    f"{run_io.snapshot_filename(t)}"
-                )
-        # evolve writes the ensemble of a time's nearest step under the time's
-        # name, so each oracle snapshot time up to the last step must be a
-        # step time (within round-off)
-        dt = self.dt_oracle
-        for t in self.snapshot_times if self.solver != "eulerian" else ():
-            step = round(t / dt)
-            off_grid = not math.isclose(t, step * dt, rel_tol=1e-12, abs_tol=1e-9 * dt)
-            if off_grid and step <= round(self.t_end / dt):
-                raise ValueError(
-                    f"snapshot_times entry {t!r} is not a multiple of dt_oracle={dt!r}; "
-                    f"the nearest oracle step time is {step * dt:.12g}"
-                )
+        if any(not 0 <= t < math.inf for t in self.snapshot_times):
+            raise ValueError("snapshot_times must be nonnegative and finite")
+        # the oracle writes rows and snapshots only at its steps
+        if self.solver != "eulerian":
+            dt = self.dt_oracle
+            for name in ("t_end", "record_dt"):
+                if oracle_step(getattr(self, name), dt, name) < 1:
+                    raise ValueError(f"{name} must be at least dt_oracle={dt!r}")
+            for t in self.snapshot_times:
+                if round(t, 12) <= round(self.t_end, 12):
+                    oracle_step(t, dt, "snapshot_times entry")
 
 
 def build_grids(config):
@@ -148,15 +133,15 @@ def run_eulerian(config, state=None):
     monitor = BlowupMonitor(scheme.blowup_rho_factor)
     monitor.observe(state)
 
+    # rows and snapshots up to t_end and at t_end; times match at 12 decimals
+    t_last = round(config.t_end, 12)
     record_times = np.arange(
         state.t, config.t_end + 0.5 * config.record_dt, config.record_dt
     )
-    events = sorted(
-        set(np.round(record_times, 12))
-        | {round(float(ts), 12) for ts in config.snapshot_times if ts <= config.t_end}
-        | {round(config.t_end, 12)}
-    )
     snap_set = {round(float(ts), 12) for ts in config.snapshot_times}
+    events = sorted(
+        t for t in set(np.round(record_times, 12)) | snap_set | {t_last} if t <= t_last
+    )
 
     Ek_integral = 0.0
     Ek_prev = kinetic_energy(_field_cell_masses(state), state.u)
@@ -191,13 +176,12 @@ def run_lagrangian(config):
     """Run the characteristic oracle for the same scenario."""
     _, omega = build_grids(config)
     ens = sample_initial(config.init, omega, config.n_samples)
-    record_every = max(1, int(round(config.record_dt / config.dt_oracle)))
     return evolve(
         ens,
         config.params,
         config.t_end,
         dt=config.dt_oracle,
-        record_every=record_every,
+        record_every=oracle_step(config.record_dt, config.dt_oracle, "record_dt"),
         snapshot_times=config.snapshot_times,
     )
 

@@ -2,7 +2,7 @@
 
 Layout of a run directory:
     series.csv           diagnostics rows (fixed column order)
-    snapshots/t=<T>.csv  per-slice fields (theta, omega, rho, u)
+    snapshots/t=<T>.csv  per-slice fields (theta, omega, rho, u); T = format_time(t)
     sweep.csv            (branch, K, r_inf, blowup_flag)
     manifest.json        resolved config + code version + wall time
 
@@ -105,8 +105,14 @@ def read_series_csv(path):
     return TimeSeries(_read_table(path, SERIES_COLUMNS))
 
 
+def format_time(t):
+    """t rounded to 12 decimals, in the shortest %g form that reads back as it."""
+    t = round(float(t), 12)
+    return next(s for p in range(1, 18) if float(s := "%.*g" % (p, t)) == t)
+
+
 def snapshot_filename(t):
-    return "t=%s.csv" % ("%g" % float(t))
+    return "t=%s.csv" % format_time(t)
 
 
 def parse_snapshot_time(filename):

@@ -45,6 +45,7 @@ by under 1e-10 and min_du by under 1e-9, so the default step is 1e-2.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,6 +54,7 @@ from .diagnostics import BlowupEvent, RunResult, TimeSeries, kinetic_energy
 # perfbench's tracer wraps this name: evolve builds its rows through _row.
 from .diagnostics import series_row as _row
 from .domain import (
+    TWO_PI,
     InitSpec,
     TableData,
     _readonly,
@@ -61,8 +63,6 @@ from .domain import (
     rho0_profile,
     wrap_angle,
 )
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -216,29 +216,45 @@ def _first_zero(start, end, dt):
     return first
 
 
+def oracle_step(t, dt, name, t0=0.0):
+    """The step n with t = t0 + n dt within round-off (math.isclose, relative
+    1e-12 or absolute 1e-9 dt); any other t raises a ValueError that names
+    it as `name` and gives the nearest step time."""
+    step = round((t - t0) / dt)
+    if not math.isclose(t - t0, step * dt, rel_tol=1e-12, abs_tol=1e-9 * dt):
+        raise ValueError(
+            f"{name} {t!r} is not a multiple of dt_oracle={dt!r}; "
+            f"the nearest oracle step time is {t0 + step * dt:.12g}"
+        )
+    return step
+
+
 def evolve(ens, params, T, dt=1e-2, record_every=1, snapshot_times=()):
     """Integrate the characteristic system to time T with fixed-step RK4.
 
     The state is one (6, n) array with rows eta, cos eta, sin eta, v, J and
     P; the cos and sin rows are seeded once from ens.eta, J from 1 and P
-    from ens.d.  Diagnostics are recorded every `record_every` steps (and at
-    the final step), and each of snapshot_times gets the ensemble at its
-    nearest step.  After each step the run stops early with a blow-up event:
-    "non-finite" when some entry of the state is NaN or infinite, recorded
-    at that step, or "gradient-collapse" when some J <= 0.  A collapse is
-    timed at the first zero of J within the step (see _first_zero), and the
-    last row, snapshot and final ensemble are the step's start, the last
-    state on which every J is positive.
+    from ens.d.  T, and each of snapshot_times up to T (compared at 12
+    decimals), must be a step time ens.t + n dt (see oracle_step); a
+    snapshot time past T is not written.  Diagnostics are recorded every
+    `record_every` steps and at the final step.  After each step the run
+    stops early with a blow-up event: "non-finite" when some entry of the
+    state is NaN or infinite, recorded at that step, or "gradient-collapse"
+    when some J <= 0.  A collapse is timed at the first zero of J within the
+    step (see _first_zero), and the last row, snapshot and final ensemble
+    are the step's start, the last state on which every J is positive.
     """
     if not (dt > 0 and T > ens.t):
         raise ValueError(f"evolve needs dt > 0 and T > t0={ens.t}; got dt={dt}, T={T}")
     m, K = params.m, params.K
     w, Omega, n = ens.weight, ens.Omega, ens.n
 
-    n_steps = int(round((T - ens.t) / dt))
-    snap_steps = {}  # step -> the requested times that round to it
+    n_steps = oracle_step(T, dt, "T", ens.t)
+    snap_steps = {}  # step -> the requested times at it
     for ts in snapshot_times:
-        snap_steps.setdefault(int(round((ts - ens.t) / dt)), []).append(float(ts))
+        if round(ts, 12) <= round(T, 12):
+            at = oracle_step(ts, dt, "snapshot time", ens.t)
+            snap_steps.setdefault(at, []).append(float(ts))
 
     y = np.empty((6, n))
     y[ETA], y[V], y[J], y[P] = ens.eta, ens.v, 1.0, ens.d

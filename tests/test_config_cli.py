@@ -39,7 +39,13 @@ from kurahydro import (
     write_config,
 )
 from kurahydro.cli import compare_runs, main
-from kurahydro.io import read_manifest, read_snapshot_csv, write_snapshot_csv
+from kurahydro.io import (
+    list_snapshots,
+    read_manifest,
+    read_series_csv,
+    read_snapshot_csv,
+    write_snapshot_csv,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -514,19 +520,52 @@ def test_cli_sweep_rejects_a_negative_refine_window(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_rejects_snapshot_times_that_share_a_file_name(tmp_path, capsys):
-    """Snapshot files are named t=%g: two times that print alike would leave
-    one snapshot unwritten, so the config is refused before anything runs."""
+def test_cli_writes_distinct_snapshot_times_to_distinct_files(tmp_path):
+    """0.1234561 and 0.1234564 print alike in %g; each gets a file of its own."""
     path = tmp_path / "snaps.yaml"
     path.write_text(
         'm: 0.5\nK: 0.1\nn_theta: 48\nt_end: 0.2\n'
         "snapshot_times: [0.1234561, 0.1234564]\n"
     )
     out = tmp_path / "x"
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert set(list_snapshots(str(out))) == {0.1234561, 0.1234564}
+
+
+@pytest.mark.parametrize(
+    "override", ["t_end=.inf", "record_dt=.inf", "dt_oracle=.inf", "snapshot_times=[.inf]"]
+)
+def test_cli_rejects_a_non_finite_time_naming_its_key(tmp_path, capsys, override):
+    """An infinite time would fail only inside a solver, or never end; it
+    is refused before anything runs, naming the key."""
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "x"
+    assert main(["run", "--config", cfg, "--out", str(out), "--set", override]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "0.1234561 and 0.1234564" in err
+    key = override.partition("=")[0]
+    assert err.startswith(f"error: {key} must be") and "finite" in err
     assert not out.exists()
+
+
+def test_cli_both_solvers_share_their_row_times(tmp_path, capsys):
+    """t_end = 0.505 and record_dt = 0.015 lie on the dt_oracle = 0.005 grid
+    but t_end not on the default 1e-2 one: there the run is refused before
+    anything runs, naming t_end.  On the finer grid both solvers write rows
+    at 0, 0.015, ..., 0.495 and at t_end, and neither steps past it."""
+    cfg = _write_cfg(tmp_path, solver="both", t_end=0.505, record_dt=0.015)
+    out = tmp_path / "x"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_end 0.505 is not a multiple of dt_oracle=0.01")
+    assert not out.exists()
+    argv = ["run", "--config", cfg, "--out", str(out), "--set", "dt_oracle=0.005"]
+    assert main(argv) == 0
+    t_fv = read_series_csv(str(out / "eulerian" / "series.csv")).t
+    t_oracle = read_series_csv(str(out / "lagrangian" / "series.csv")).t
+    assert t_fv.shape == t_oracle.shape == (35,)
+    assert t_fv[-1] == pytest.approx(0.505, abs=1e-12)
+    np.testing.assert_allclose(t_fv[:-1], 0.015 * np.arange(34), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(t_fv, t_oracle, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -87,8 +87,8 @@ def test_scenario_config_validation():
 def test_oracle_writes_every_snapshot_time_that_rounds_to_one_step(tmp_path):
     """On the dt_oracle = 2e-4 grid 0.1 and 0.1004 are steps 500 and 502:
     the oracle writes each time from its own step, as the FV run writes
-    both.  evolve gives every requested time its nearest step's ensemble,
-    so at dt = 1e-3 both times round to step 100 and share it."""
+    both.  At dt = 1e-3, 0.1004 is no step time, and evolve refuses it
+    rather than write step 100's ensemble under its name."""
     cfg = _config(solver="both", t_end=0.2, snapshot_times=(0.1, 0.1004), dt_oracle=2e-4)
     result = run_scenario(cfg, out_dir=str(tmp_path))
     for sub in ("eulerian", "lagrangian"):
@@ -96,15 +96,51 @@ def test_oracle_writes_every_snapshot_time_that_rounds_to_one_step(tmp_path):
     for t_s, ens in result.lagrangian.snapshots.items():
         assert ens.t == pytest.approx(t_s, abs=1e-12)
     ens = sample_initial(cfg.init, build_grids(cfg)[1], 16)
-    snaps = evolve(ens, cfg.params, 0.2, dt=1e-3, snapshot_times=(0.1, 0.1004)).snapshots
-    assert snaps[0.1] is snaps[0.1004]
-    assert snaps[0.1].t == pytest.approx(0.1, abs=1e-12)
+    msg = r"snapshot time 0\.1004 is not a multiple .* nearest oracle step time is 0\.1$"
+    with pytest.raises(ValueError, match=msg):
+        evolve(ens, cfg.params, 0.2, dt=1e-3, snapshot_times=(0.1, 0.1004))
 
 
-def test_snapshot_times_that_share_a_file_name_are_rejected():
-    """t=%g names both times t=0.123456.csv: one snapshot would overwrite the other."""
-    with pytest.raises(ValueError, match=r"0\.1234561 and 0\.1234564 .*t=0\.123456\.csv"):
-        _config(snapshot_times=[0.1, 0.1234561, 0.1234564])
+def test_evolve_refuses_an_end_time_off_its_step_grid():
+    """T = 0.2004 is 200.4 steps of 1e-3: the run would end at a time other
+    than T, so evolve refuses it and names the nearest step time."""
+    ens = sample_initial(_config().init, build_grids(_config())[1], 16)
+    with pytest.raises(ValueError, match=r"^T 0\.2004 .* step time is 0\.2$"):
+        evolve(ens, Params(0.5, 0.1), 0.2004, dt=1e-3)
+    # a snapshot time past T is not written, on the grid or off it
+    run = evolve(ens, Params(0.5, 0.1), 0.2, dt=1e-3, snapshot_times=(0.2, 0.2004, 0.3))
+    assert set(run.snapshots) == {0.2}
+
+
+@pytest.mark.parametrize(
+    "key,value,nearest",
+    [("t_end", 0.505, "0.5"), ("record_dt", 0.015, "0.02")],
+)
+def test_oracle_times_off_the_step_grid_are_rejected(key, value, nearest):
+    """The oracle writes rows at its steps only: a t_end or record_dt off the
+    dt_oracle = 1e-2 grid is refused, naming the key and the nearest step
+    time, for solver lagrangian or both; the FV solver alone takes it."""
+    msg = rf"^{key} {value} is not a multiple of dt_oracle=0\.01; .* is {nearest}$"
+    for solver in ("lagrangian", "both"):
+        with pytest.raises(ValueError, match=msg):
+            _config(solver=solver, **{key: value})
+        # within round-off of step 0: the oracle would never step or record
+        with pytest.raises(ValueError, match=f"^{key} must be at least dt_oracle=0.01$"):
+            _config(solver=solver, **{key: 1e-12})
+    assert getattr(_config(**{key: value}), key) == value
+
+
+def test_distinct_snapshot_times_get_distinct_files(tmp_path):
+    """0.1234561 and 0.1234564 print alike in %g but are distinct times, so
+    each gets a file of its own; times that agree to 12 decimals are one
+    time to run_eulerian, and to the file names."""
+    cfg = _config(t_end=0.2, snapshot_times=(0.1234561, 0.1234564, 0.2, 0.2 + 1e-14))
+    run_scenario(cfg, out_dir=str(tmp_path / "fv"))
+    names = sorted(os.listdir(tmp_path / "fv" / "snapshots"))
+    assert names == ["t=0.1234561.csv", "t=0.1234564.csv", "t=0.2.csv"]
+    cfg = _config(solver="lagrangian", t_end=0.2, snapshot_times=(0.1, 0.1 + 1e-14))
+    run_scenario(cfg, out_dir=str(tmp_path / "oracle"))
+    assert os.listdir(tmp_path / "oracle" / "snapshots") == ["t=0.1.csv"]
     assert _config(snapshot_times=[0.1, 0.1, 0.2]).snapshot_times == (0.1, 0.1, 0.2)
     assert _config(snapshot_times=[0, 0.0]).snapshot_times == (0, 0.0)
 

@@ -290,6 +290,6 @@ def test_supercritical_verdict_blows_up_before_the_time_bound(m, K, amplitude):
     assume(verdict.category == SUPERCRITICAL)
     dt = 1e-3
     bound = verdict.blowup_time_bound
-    run = _oracle_run(amplitude, params, T=bound + 2 * dt, dt=dt)
+    run = _oracle_run(amplitude, params, T=dt * (math.ceil(bound / dt) + 2), dt=dt)
     assert run.blowup is not None
     assert run.blowup.t <= bound + dt  # the first zero of J, timed within its step

@@ -1,0 +1,123 @@
+"""Same-bits check: do two source trees write the same run outputs?
+
+    python3 tools/same_bits.py PARENT_TREE CHANGE_TREE
+
+Runs the four CLI commands below with each tree's own `src/` and
+`configs/`, one tree after the other, in a temporary directory:
+
+    run   subcritical_sync.yaml (solver both)        -> sub/
+    run   supercritical_blowup.yaml (solver both)    -> super/
+    run   nonidentical_frequencies.yaml, t_end=0.05,
+          snapshots at 0 and 0.05                    -> nonid/
+    sweep hysteresis_desk.yaml, k 0 -> 1.6 step 0.4,
+          t_max=10                                   -> sweep/
+
+then compares the two sets of outputs: every CSV by relative path and by
+bytes, and every manifest.json as JSON without its `wall_time_s`.  Prints
+one line per difference and a summary; exits 0 when nothing differs, 1
+otherwise (2 when a command fails).
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+COMMANDS = {
+    "sub": ["run", "--config", "configs/subcritical_sync.yaml", "--set", "solver=both"],
+    "super": [
+        "run", "--config", "configs/supercritical_blowup.yaml", "--set", "solver=both",
+    ],
+    "nonid": [
+        "run", "--config", "configs/nonidentical_frequencies.yaml",
+        "--set", "t_end=0.05", "--set", "snapshot_times=[0, 0.05]",
+    ],
+    "sweep": [
+        "sweep", "--config", "configs/hysteresis_desk.yaml",
+        "--set", "sweep.k_max=1.6",
+        "--set", "sweep.k_step=0.4", "--set", "sweep.t_max=10",
+    ],
+}
+
+
+def run_tree(tree, out_root):
+    """Run every command with tree's src/ and configs/, writing under out_root."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    for name, args in COMMANDS.items():
+        argv = [sys.executable, "-m", "kurahydro.cli", *args]
+        argv += ["--out", os.path.join(out_root, name)]
+        print(f"[{tree}] {' '.join(args)}", flush=True)
+        subprocess.run(argv, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def outputs(root, suffix):
+    """Relative paths of the files under root whose names end in suffix."""
+    found = set()
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            if name.endswith(suffix):
+                found.add(os.path.relpath(os.path.join(dirpath, name), root))
+    return found
+
+
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _read_manifest(path):
+    with open(path) as fh:
+        data = json.load(fh)
+    data.pop("wall_time_s", None)
+    return data
+
+
+def compare(root_a, root_b):
+    """Lines naming each difference between two output trees; prints a count
+    of the equal files of each kind."""
+    lines = []
+    for suffix, read, what in (
+        (".csv", _read_bytes, "bytes differ"),
+        ("manifest.json", _read_manifest, "differs beyond wall_time_s"),
+    ):
+        names_a, names_b = outputs(root_a, suffix), outputs(root_b, suffix)
+        lines += [f"only in parent: {n}" for n in sorted(names_a - names_b)]
+        lines += [f"only in change: {n}" for n in sorted(names_b - names_a)]
+        shared = sorted(names_a & names_b)
+        same = 0
+        for name in shared:
+            if read(os.path.join(root_a, name)) == read(os.path.join(root_b, name)):
+                same += 1
+            else:
+                lines.append(f"{what}: {name}")
+        kind = "CSVs" if suffix == ".csv" else "manifests"
+        print(f"{kind}: {len(names_a)} in parent, {len(names_b)} in change, "
+              f"{same} of {len(shared)} shared equal")
+    return lines
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    trees = [os.path.abspath(tree) for tree in argv]
+    with tempfile.TemporaryDirectory(prefix="same_bits_") as tmp:
+        roots = [os.path.join(tmp, side) for side in ("parent", "change")]
+        try:
+            for tree, root in zip(trees, roots):
+                run_tree(tree, root)
+        except subprocess.CalledProcessError as err:
+            print(f"failed ({err.returncode}): {' '.join(err.cmd)}", file=sys.stderr)
+            return 2
+        diffs = compare(*roots)
+    for line in diffs:
+        print(line)
+    print("same bits" if not diffs else f"{len(diffs)} difference(s)")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
