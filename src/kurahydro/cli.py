@@ -136,7 +136,8 @@ def _l1_rho(path_a, path_b, t_s):
     ):
         raise ValueError(f"mismatched grids: snapshot t={t_s:g} omega differs")
     dtheta = 2.0 * np.pi / theta_a.size
-    dist = np.subtract(rho_a, rho_b)
+    # rho_a was read for this call alone, so |rho_a - rho_b| is formed in it
+    dist = np.subtract(rho_a, rho_b, out=rho_a)
     np.abs(dist, out=dist)
     return float(np.max(np.sum(dist, axis=-1)) * dtheta)
 

@@ -95,11 +95,11 @@ def _weighted(obj):
 
 
 def _wsum(w, x, out=None):
-    """sum w*x: np.dot over 1-D sample arrays, np.sum over field cells.
+    """sum w*x: np.dot over 1-D sample arrays, a sum over field cells.
 
     out, if given, receives the field product w*x (it may be x itself).
     """
-    return float(np.dot(w, x) if w.ndim == 1 else np.sum(np.multiply(w, x, out=out)))
+    return float(np.dot(w, x) if w.ndim == 1 else np.multiply(w, x, out=out).sum())
 
 
 def mean_velocity(obj):
@@ -114,9 +114,9 @@ def mean_phase(obj):
     return _wsum(w, ang)
 
 
-def kinetic_energy(w, v):
-    """E_k = (1/2) sum w (v - v_c)^2 with v_c = sum w v."""
-    vc = _wsum(w, v)
+def kinetic_energy(w, v, vc=None):
+    """E_k = (1/2) sum w (v - v_c)^2 with v_c = sum w v (pass it if known)."""
+    vc = _wsum(w, v) if vc is None else vc
     # one temporary the size of v, squared and weighted in place
     dev = np.subtract(v, vc)
     np.square(dev, out=dev)
@@ -130,8 +130,11 @@ def energies(obj, op, params):
     under the shared quadrature.
     """
     w, _, v = _weighted(obj)
-    Ep = (params.K / (2.0 * params.m)) * (1.0 - op.r**2)
-    return kinetic_energy(w, v), Ep
+    return kinetic_energy(w, v), _potential_energy(op, params)
+
+
+def _potential_energy(op, params):
+    return (params.K / (2.0 * params.m)) * (1.0 - op.r**2)
 
 
 def lyapunov(obj, op, params, trig=None):
@@ -140,9 +143,19 @@ def lyapunov(obj, op, params, trig=None):
     trig is (cos, sin) of the phases if the caller has them already.
     """
     w, ang, v = _weighted(obj)
-    cos_a, sin_a = trig if trig is not None else (np.cos(ang), np.sin(ang))
-    # r sin(eta - phi) = C sin(eta) - S cos(eta)
-    term = v + params.K * (op.C * sin_a - op.S * cos_a)
+    if trig is None:
+        trig = (np.cos(ang), np.sin(ang))
+    return _lyapunov(w, v, op, params, trig)
+
+
+def _lyapunov(w, v, op, params, trig):
+    """lyapunov of weights w and velocities v at phases of (cos, sin) trig."""
+    cos_a, sin_a = trig
+    # r sin(eta - phi) = C sin(eta) - S cos(eta), times K, plus v
+    inner = op.C * sin_a
+    inner -= op.S * cos_a
+    inner *= params.K
+    term = v + inner
     # squared and weighted in place
     np.square(term, out=term)
     return 0.5 * _wsum(w, term, out=term)
@@ -165,8 +178,8 @@ def min_grad_u(state):
     n_rows, n = u.shape
     rows = max(1, GRAD_CHUNK_CELLS // n)
     buf = np.empty(min(rows, n_rows) * n)
-    lows = []
-    for lo in range(0, n_rows, rows):
+    lows = np.empty(-(-n_rows // rows))
+    for i, lo in enumerate(range(0, n_rows, rows)):
         chunk = u[lo : lo + rows]
         flat = chunk.reshape(-1)
         diff = buf[: flat.size]
@@ -176,18 +189,25 @@ def min_grad_u(state):
         wrap = diff.reshape(chunk.shape)
         np.subtract(chunk[:, 0], chunk[:, -2], out=wrap[:, -2])
         np.subtract(chunk[:, 1], chunk[:, -1], out=wrap[:, -1])
-        lows.append(diff.min())
-    return float(np.min(lows) / (2.0 * state.grid.dtheta))
+        lows[i] = diff.min()
+    return float(lows.min() / (2.0 * state.grid.dtheta))
 
 
 def _covering_arc(angles):
-    """Length of the shortest arc containing all given angles on the circle."""
+    """Length of the shortest arc containing all given angles on the circle.
+
+    The angles ascend within [-pi, pi), as grid centres do.  Taken mod
+    2 pi, which is x for x >= 0 and x + 2 pi for x < 0 (the bits of
+    np.mod), they ascend from the first one >= 0 on and wrap around once:
+    that rotation is their sorted order, and no sort is needed.
+    """
     if angles.size == 1:
         return 0.0
-    a = np.sort(np.mod(angles, 2.0 * np.pi))
-    gaps = np.diff(a)
+    turn = int(np.searchsorted(angles, 0.0))
+    a = np.concatenate((angles[turn:], angles[:turn] + 2.0 * np.pi))
+    gaps = np.subtract(a[1:], a[:-1])
     wrap_gap = a[0] + 2.0 * np.pi - a[-1]
-    return float(2.0 * np.pi - max(np.max(gaps), wrap_gap))
+    return float(2.0 * np.pi - max(gaps.max(), wrap_gap))
 
 
 def diameters(obj, eps_supp=None):
@@ -200,21 +220,26 @@ def diameters(obj, eps_supp=None):
     """
     if isinstance(obj, FieldState):
         if eps_supp is None:
-            eps_supp = 1e-8 * float(np.max(obj.rho))
+            eps_supp = 1e-8 * float(obj.rho.max())
         mask = obj.rho > eps_supp
-        if not np.any(mask):
+        if mask.all():  # the plain arrays: the same values in the same order
+            u, support_angles = obj.u, obj.grid.centers
+        elif mask.any():
+            u, support_angles = obj.u[mask], obj.grid.centers[mask.any(axis=0)]
+        else:
             raise ValueError("empty support: no cells above the density floor")
-        d_v = float(np.max(obj.u[mask]) - np.min(obj.u[mask]))
-        support_angles = obj.grid.centers[np.any(mask, axis=0)]
-        return _covering_arc(support_angles), d_v
-    mask = sample_support(obj)
-    return _range_over(obj.eta, mask), _range_over(obj.v, mask)
+        return _covering_arc(support_angles), float(u.max() - u.min())
+    return _ensemble_diameters(obj, sample_support(obj))
+
+
+def _ensemble_diameters(ens, support):
+    return _range_over(ens.eta, support), _range_over(ens.v, support)
 
 
 def sample_support(ens):
     """The `where` mask of the samples with positive weight (True if all are)."""
     mask = ens.weight > 0.0
-    if not np.any(mask):
+    if not mask.any():
         raise ValueError("empty support: all sample weights vanish")
     if mask.all():
         return True  # the plain reductions, which are faster
@@ -223,37 +248,60 @@ def sample_support(ens):
 
 def _range_over(x, mask):
     """max - min of x where mask holds, without copying those entries."""
-    high = np.max(x, where=mask, initial=-np.inf)
-    return float(high - np.min(x, where=mask, initial=np.inf))
+    # np.max and np.min make these calls, after a layer of Python
+    high = np.maximum.reduce(x, axis=None, where=mask, initial=-np.inf)
+    return float(high - np.minimum.reduce(x, axis=None, where=mask, initial=np.inf))
 
 
-def series_row(obj, params, Ek_integral, eps_supp=None, trig=None):
+def series_row(obj, params, Ek_integral, support=None, trig=None, *, Ek=None,
+               max_rho=None, min_du=None, mass_err=None):
     """The SERIES_COLUMNS row of a FieldState or of a sample ensemble.
 
     The guise decides r and phi (moments of rho, or of the sample weights),
     mass_err (worst slice, or |sum w - 1|), min_du (min_grad_u over every
     cell, or the least d over the support) and max_rho (max rho, or
-    exp(max log rho)).  eps_supp is the field's support floor (diameters);
-    trig is (cos eta, sin eta) of an ensemble if the caller has them.
+    exp(max log rho)).  An ensemble is any object with the attributes eta,
+    v, d, log_rho, weight and t.  support is the field's support floor
+    eps_supp (see diameters), or the ensemble's sample_support mask; trig is
+    (cos eta, sin eta) of an ensemble if the caller has them.  Ek, max_rho,
+    min_du and mass_err, if given, are those columns as the caller computed
+    them on this very obj, and are taken as they are.  The field's cell
+    masses are formed once, for E_k, L, v_c and eta_c.
     """
     if isinstance(obj, FieldState):
+        # before the cell masses: the support mask and the u values on it
+        # are temporaries of their own
+        d_eta, d_v = diameters(obj, support)
         trig = (obj.grid.cos, obj.grid.sin)
         op = order_parameter(obj)
-        mass_err = float(np.max(np.abs(obj.per_slice_mass() - 1.0)))
-        min_du = min_grad_u(obj)
-        max_rho = float(np.max(obj.rho))
+        if mass_err is None:
+            mass_err = float(np.abs(obj.per_slice_mass() - 1.0).max())
+        if min_du is None:
+            min_du = min_grad_u(obj)
+        if max_rho is None:
+            max_rho = float(obj.rho.max())
     else:
         if trig is None:
             trig = (np.cos(obj.eta), np.sin(obj.eta))
         op = ensemble_order_parameter(obj.eta, obj.weight, trig)
-        mass_err = abs(float(np.sum(obj.weight)) - 1.0)
-        min_du = float(np.min(obj.d, where=sample_support(obj), initial=np.inf))
-        with np.errstate(over="ignore"):
-            max_rho = float(np.exp(np.max(obj.log_rho)))
-    Ek, Ep = energies(obj, op, params)
-    d_eta, d_v = diameters(obj, eps_supp)
-    L = lyapunov(obj, op, params, trig)
-    vc, etac = mean_velocity(obj), mean_phase(obj)
+        if support is None:
+            support = sample_support(obj)
+        if mass_err is None:
+            mass_err = abs(float(np.sum(obj.weight)) - 1.0)
+        if min_du is None:
+            min_du = float(
+                np.minimum.reduce(obj.d, axis=None, where=support, initial=np.inf)
+            )
+        if max_rho is None:
+            with np.errstate(over="ignore"):
+                max_rho = float(np.exp(obj.log_rho.max()))
+        d_eta, d_v = _ensemble_diameters(obj, support)
+    w, ang, v = _weighted(obj)
+    vc, etac = _wsum(w, v), _wsum(w, ang)
+    if Ek is None:
+        Ek = kinetic_energy(w, v, vc)
+    Ep = _potential_energy(op, params)
+    L = _lyapunov(w, v, op, params, trig)
     return (obj.t, op.r, op.phi, Ek, Ep, vc, etac, d_eta, d_v, L, mass_err, min_du,
             max_rho, Ek_integral)
 
@@ -410,13 +458,16 @@ class BlowupMonitor:
     """Latching detector: density concentration, gradient collapse, or NaN.
 
     The first observed state fixes the reference max(rho0).  Once fired the
-    monitor stays fired (the event is kept).
+    monitor stays fired (the event is kept).  It keeps the last state that
+    observe saw, with the max rho and min_grad_u it computed there, for
+    extrema().
     """
 
     def __init__(self, rho_factor=1e3):
         self.rho_factor = rho_factor
         self.max_rho0 = None
         self.event = None
+        self._seen = (None, None, None)
 
     @property
     def fired(self):
@@ -448,5 +499,14 @@ class BlowupMonitor:
         rho, u = state.rho, state.u
         max_rho = float(rho.max())
         finite = all(map(math.isfinite, (max_rho, rho.min(), u.max(), u.min())))
-        min_du = min_grad_u(state) if finite else -math.inf
+        min_du = min_grad_u(state) if finite else None
+        self._seen = (state, max_rho, min_du)
+        min_du = min_du if finite else -math.inf
         return self.observe_values(state.t, max_rho, min_du, finite)
+
+    def extrema(self, state):
+        """(max rho, min_grad_u) as observe computed them on this very state
+        object, the last it saw; (None, None) for any other state, and None
+        for min_grad_u where observe found a non-finite entry and skipped it."""
+        seen, max_rho, min_du = self._seen
+        return (max_rho, min_du) if seen is state else (None, None)

@@ -108,19 +108,22 @@ def build_state(config):
     return init_state(config.init, grid, omega)
 
 
-def _advance(state, params, scheme, monitor, t_stop, ws):
+def _advance(state, params, scheme, monitor, t_stop, ws, op=None):
     """Step with dt = min(cfl_dt, t_stop - t), yielding each new state.
 
     The monitor sees each state before it is yielded.  Stops at t_stop (within
     1e-12) or once the monitor has fired; MassClipError propagates.  All steps
     share the caller's fv.Workspace ws (one per run), and each calls cfl_dt
-    and then step_rk2 on the same state.
+    and then step_rk2 on the same state.  op is order_parameter(state) if
+    the caller has it, and a consumer that takes the order parameter of a
+    yielded state may send() it back: step_rk2 then starts from that value
+    instead of computing it again (a for loop sends None).
     """
     while state.t < t_stop - 1e-12 and not monitor.fired:
         dt = min(cfl_dt(state, scheme), t_stop - state.t)
-        state = step_rk2(state, dt, params, scheme, ws)
+        state = step_rk2(state, dt, params, scheme, ws, op)
         monitor.observe(state)
-        yield state
+        op = yield state
 
 
 def run_eulerian(config, state=None):
@@ -144,8 +147,8 @@ def run_eulerian(config, state=None):
     )
 
     Ek_integral = 0.0
-    Ek_prev = kinetic_energy(_field_cell_masses(state), state.u)
-    rows = [_field_row(state, params, Ek_integral, eps_supp)]
+    Ek_prev = kinetic_energy(_field_cell_masses(state), state.u)  # E_k of state
+    rows = [_row_of(state, params, Ek_integral, eps_supp, Ek_prev, monitor)]
     snapshots = {}
     if round(state.t, 12) in snap_set:
         snapshots[float(state.t)] = state
@@ -164,12 +167,21 @@ def run_eulerian(config, state=None):
                 Ek_prev = Ek_now
         except MassClipError as err:
             failure = str(err)
-        rows.append(_field_row(state, params, Ek_integral, eps_supp))
+        rows.append(_row_of(state, params, Ek_integral, eps_supp, Ek_prev, monitor))
         if round(float(state.t), 12) in snap_set:
             snapshots[float(target)] = state
         if monitor.fired or failure is not None:
             break
     return RunResult(TimeSeries(rows), state, snapshots, monitor.event, failure)
+
+
+def _row_of(state, params, Ek_integral, eps_supp, Ek, monitor):
+    """The series row of state through _field_row, with its E_k and the
+    extrema the monitor computed on it, if it was the monitor's last state."""
+    max_rho, min_du = monitor.extrema(state)
+    return _field_row(
+        state, params, Ek_integral, eps_supp, Ek=Ek, max_rho=max_rho, min_du=min_du
+    )
 
 
 def run_lagrangian(config):
@@ -312,6 +324,14 @@ class SweepConfig:
         return forward, self.k_path[peak:]
 
 
+def _send(steps, op):
+    """steps.send(op): the next state of an _advance, or None once it stops."""
+    try:
+        return steps.send(op)
+    except StopIteration:
+        return None
+
+
 def steady_r(config, K, warm_state, sweep):
     """Integrate at coupling K until r settles; returns (r_inf, state, flag).
 
@@ -326,16 +346,21 @@ def steady_r(config, K, warm_state, sweep):
     monitor = BlowupMonitor(scheme.blowup_rho_factor)
     if monitor.observe(state) is not None:  # a non-finite warm start
         return 1.0, state, True
-    history = [(0.0, order_parameter(state).r)]
+    op = order_parameter(state)
+    history = [(0.0, op.r)]
     head = 0
-    r_now = history[0][1]
+    r_now = op.r
     dr = 0.0
+    # each state's order parameter goes back to the step that starts from it
+    steps = _advance(state, params, scheme, monitor, sweep.t_max, Workspace(), op)
     try:
-        for new_state in _advance(state, params, scheme, monitor, sweep.t_max, Workspace()):
+        new_state = next(steps, None)
+        while new_state is not None:
             if monitor.fired:
                 return 1.0, state, True
             state = new_state
-            r_now = order_parameter(state).r
+            op = order_parameter(state)
+            r_now = op.r
             history.append((state.t, r_now))
             # Compare against the latest record at or before t - window, so
             # the criterion can only fire once a full window has elapsed.
@@ -348,6 +373,7 @@ def steady_r(config, K, warm_state, sweep):
             dr = abs(r_now - r_ref)
             if t_ref <= state.t - sweep.steady_window and dr < sweep.steady_tol:
                 break
+            new_state = _send(steps, op)
         else:
             msg = f"r did not settle at K={K:g} by t_max={sweep.t_max:g}; last |dr|"
             msg += f" over the window {dr:.3g} (tol {sweep.steady_tol:g})"

@@ -26,19 +26,25 @@ slice's formatted rows.
 Snapshot rows may come in any order, but the writer's order, omega then
 theta ascending, is streamed: rho and u are allocated for one row per line
 of the file (a newline count), and the rows are parsed in chunks straight
-into them.  theta is taken from the first slice and omega at each slice
-start, and each chunk is checked as it arrives: the order, continued from
-the previous chunk's last row, a slice start exactly every n_theta rows,
-and each row's theta equal to the first slice's.  A chunk is about 1/32 of
-the rows, at least 64 and at most _SNAPSHOT_CHUNK_ROWS, because np.loadtxt
+into them.  theta and omega are read as texts, not numbers: a slice is a
+run of rows with one omega text, and each chunk is checked as it arrives
+for a slice start exactly every n_theta rows and each row's theta text
+equal to the first slice's.  Only the first slice's theta texts and the
+omega text at each slice start are parsed, once, and must ascend.  That
+parses half the numbers: a 600x1000 snapshot read in 0.62 s instead of
+0.77 s (best of 3), with the same bits.  A chunk is about 1/64 of the
+rows, at least 64 and at most _SNAPSHOT_CHUNK_ROWS, because np.loadtxt
 with max_rows=R allocates its result and buffers for R rows before it
-parses (32k-row chunks peaked at 19 fields on a 64x200 file) while each
-call has a fixed cost (512-row chunks read a 600x1000 snapshot about 10%
-slower than 8192).  Any other table -- out of order, ragged, malformed, or
-with lines that are not one row each (blank lines, bare CR endings) --
-falls back to parsing the whole table and sorting it by one lexsort of its
-rows; the fallback also raises every error, so a message names the row in
-the file, not in a chunk.
+parses (32k-row chunks peaked at 19 fields on a 64x200 file), and texts
+cost more than numbers there (a chunk of 1/32 peaked at 3.2 fields, 1/64
+at 2.9; 8192 rows of text took 1.2 MB beyond rho and u, 4096 rows 0.6 MB,
+as 8192 rows of numbers did), while each call has a fixed cost (512-row
+chunks read a 600x1000 snapshot about 10% slower than 8192).  Any other
+table -- out of order, ragged, malformed, with lines that are not one row
+each (blank lines, bare CR endings), or with texts that differ but read as
+equal values (omega 1 and 1.0) -- falls back to parsing the whole table
+and sorting it by one lexsort of its rows; the fallback also raises every
+error, so a message names the row in the file, not in a chunk.
 """
 from __future__ import annotations
 
@@ -56,7 +62,13 @@ SNAPSHOT_COLUMNS = ("theta", "omega", "rho", "u")
 EOL = "\r\n"
 _SERIES_CHUNK_ROWS = 4096
 # Most rows per parse of a streamed snapshot read (see _stream_snapshot).
-_SNAPSHOT_CHUNK_ROWS = 8192
+_SNAPSHOT_CHUNK_ROWS = 4096
+# Bytes of each theta and omega text in a streamed read: FLOAT_FMT writes
+# at most 24 characters, so a text that fills all 25 may have been cut.
+_TEXT_BYTES = 25
+_SNAPSHOT_ROW = np.dtype([
+    ("theta", f"S{_TEXT_BYTES}"), ("omega", f"S{_TEXT_BYTES}"), ("rho", float), ("u", float)
+])
 
 
 def _fmt(x):
@@ -169,14 +181,6 @@ def write_snapshot_csv(path, theta, omega_values, rho, u):
             fh.write(body.replace("\0", FLOAT_FMT % om))
 
 
-def _in_writer_order(theta, omega):
-    """True if the rows ascend by omega, then by theta (equal rows allowed)."""
-    om_lo, om_hi = omega[:-1], omega[1:]
-    return bool(
-        np.all((om_lo < om_hi) | ((om_lo == om_hi) & (theta[:-1] <= theta[1:])))
-    )
-
-
 def _count_lines(path):
     """Lines after the header: newlines, plus an unterminated last line."""
     n, last = 0, b"\n"
@@ -188,47 +192,61 @@ def _count_lines(path):
     return n + (last != b"\n")
 
 
+def _parse_texts(texts):
+    """The float values of a 1-D array of byte texts, parsed by np.loadtxt
+    as one CSV line (the whole-table reader's parser), or None if one is
+    not a number."""
+    line = b",".join(texts.tolist()).decode("latin-1")
+    try:
+        values = np.loadtxt([line], delimiter=",", ndmin=1)
+    except ValueError:
+        return None
+    return values if values.shape == texts.shape else None
+
+
 def _stream_snapshot(path):
     """(theta, omega_values, rho, u) of a table in the writer's order, or None.
 
-    The rows are parsed in chunks of 1/32 of the rows (64 to
-    _SNAPSHOT_CHUNK_ROWS) straight into rho and u, preallocated for one row
-    per line of the file.  Each chunk is checked against the previous
-    chunk's last row: the rows ascend by omega, then theta, a slice starts
-    exactly every n_theta rows (the first slice's length), and every row's
-    theta is the first slice's.  Any other table -- out of order, ragged,
-    malformed, or with lines that hold no row -- gives None.
+    The rows are parsed in chunks of 1/64 of the rows (64 to
+    _SNAPSHOT_CHUNK_ROWS), rho and u as numbers straight into arrays
+    preallocated for one row per line of the file, theta and omega as their
+    texts.  A slice is a run of rows with one omega text; each must be
+    n_theta rows long (the first slice's length) and hold the first slice's
+    theta texts in the first slice's order.  Only those n_theta theta texts
+    and the omega text at each slice start are parsed, once, and they must
+    ascend: theta within the slice, omega from slice to slice.  Any other
+    table -- out of order, ragged, malformed, with lines that hold no row,
+    or with texts that differ but read as equal values -- gives None.
     """
     n_rows = _count_lines(path)
     rho, u = np.empty(n_rows), np.empty(n_rows)
     theta_parts, omega_parts = [], []
-    theta = n_theta = prev_theta = prev_omega = None
+    theta = n_theta = prev_omega = None
     with open(path) as fh, warnings.catch_warnings():
         _check_header(fh, path, SNAPSHOT_COLUMNS)
         # a file that ends early gives a short chunk, which returns None
         warnings.simplefilter("ignore", UserWarning)
         # np.loadtxt allocates its result and buffers for max_rows rows before
-        # it parses, so a chunk is kept to about 1/32 of the rows; each parse
+        # it parses, so a chunk is kept to about 1/64 of the rows; each parse
         # has a fixed cost too, hence at least 64 rows
-        step = min(_SNAPSHOT_CHUNK_ROWS, max(64, n_rows // 32))
+        step = min(_SNAPSHOT_CHUNK_ROWS, max(64, n_rows // 64))
         for done in range(0, n_rows, step):
             want = min(step, n_rows - done)
             try:
-                chunk = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=want)
+                chunk = np.loadtxt(fh, _SNAPSHOT_ROW, delimiter=",", ndmin=1, max_rows=want)
             except ValueError:
                 return None
-            if chunk.shape != (want, len(SNAPSHOT_COLUMNS)):
+            if chunk.shape != (want,):
                 return None
-            th, om = chunk[:, 0], chunk[:, 1]
-            if prev_omega is not None and not (
-                prev_omega < om[0] or (prev_omega == om[0] and prev_theta <= th[0])
-            ):
+            # a text that fills its column may have been cut short: the last
+            # byte of theta's column and of omega's must be the padding 0
+            last = chunk.view(np.uint8).reshape(want, -1)[:, _TEXT_BYTES - 1 :: _TEXT_BYTES]
+            if last[:, :2].any():
                 return None
-            if not _in_writer_order(th, om):
-                return None
+            th, om = chunk["theta"], chunk["omega"]
             # the file's rows where a slice starts
             starts = done + np.flatnonzero(om[1:] != om[:-1]) + 1
-            if prev_omega is None or prev_omega != om[0]:
+            if prev_omega != om[0]:
                 starts = np.concatenate(([done], starts))
             if n_theta is None:
                 theta_parts.append(th.copy())
@@ -243,17 +261,24 @@ def _stream_snapshot(path):
                 if not np.array_equal(th, theta[np.arange(done, done + want) % n_theta]):
                     return None
             omega_parts.append(om[starts - done])
-            rho[done : done + want] = chunk[:, 2]
-            u[done : done + want] = chunk[:, 3]
-            prev_theta, prev_omega = th[-1], om[-1]
+            rho[done : done + want] = chunk["rho"]
+            u[done : done + want] = chunk["u"]
+            prev_omega = om[-1]
+            del chunk, th, om, last  # before the next chunk is parsed
         if fh.read().strip():
             return None  # rows that the line count missed
     n_theta = n_rows if n_theta is None else n_theta
     if n_rows == 0 or n_rows % n_theta:
         return None
+    theta = _parse_texts(np.concatenate(theta_parts) if theta is None else theta)
+    omega = _parse_texts(np.concatenate(omega_parts))
+    # NaN compares false, so a NaN text gives None too
+    if theta is None or omega is None or not (
+        np.all(theta[1:] >= theta[:-1]) and np.all(omega[1:] > omega[:-1])
+    ):
+        return None
     shape = (n_rows // n_theta, n_theta)
-    theta = np.concatenate(theta_parts) if theta is None else theta
-    return theta, np.concatenate(omega_parts), rho.reshape(shape), u.reshape(shape)
+    return theta, omega, rho.reshape(shape), u.reshape(shape)
 
 
 def read_snapshot_csv(path):

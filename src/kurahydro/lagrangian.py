@@ -30,8 +30,17 @@ forms r sin(phi - eta) = S cos eta - C sin eta and r cos(phi - eta) =
 C cos eta + S sin eta.  Each RK4 stage input is formed on the rows the
 tendencies read (cos, sin, v, J, P) in one stacked multiply-add, and the
 RK4 sum is accumulated stage by stage as ((k1 + 2 k2) + 2 k3) + k4, so one
-stage tendency is alive at a time.  The time integral of E_k is the same
-RK4 quadrature: each stage's E_k enters with the stage's RK4 weight.
+stage tendency is alive at a time (k1 is written straight into the sum).
+The time integral of E_k is the same RK4 quadrature: each stage's E_k
+enters with the stage's RK4 weight, and the E_k of a step's result is the
+next step's first stage's.
+
+A series row reads the state array in place, through StateRows: eta and v
+are y's rows, and only d = P / J and log rho are formed.  It takes the
+run's values as they are: the E_k the step computed, the support mask and
+|sum w - 1| (the weights never change, so those are computed once per run),
+and the unit phasor.  Only snapshots and the final ensemble are copied out
+into a validated CharEnsemble.
 
 J and P feed no tendency of eta, cos, sin or v, so at a given dt those rows
 take the same bits as in the earlier formulation that carried d and
@@ -50,7 +59,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import BlowupEvent, RunResult, TimeSeries, kinetic_energy
+from .diagnostics import (
+    BlowupEvent,
+    RunResult,
+    TimeSeries,
+    kinetic_energy,
+    sample_support,
+)
 # perfbench's tracer wraps this name: evolve builds its rows through _row.
 from .diagnostics import series_row as _row
 from .domain import (
@@ -168,14 +183,33 @@ def _derivs(w, Omega, y, m, K, out):
     np.copyto(eta_t, v)  # eta' = v
 
 
-def _ensemble_at(ens, y, t):
-    """The ensemble of state array y at time t: d = P / J and
-    log rho = log rho0 - log J, with eta and v copied out of y."""
+class StateRows:
+    """What series_row reads of an ensemble, for state array y at time t:
+    eta and v are views of y's rows, d = P / J and log rho = log rho0 -
+    log J are formed from them.  Nothing is copied or checked, so it holds
+    only while y does; _ensemble_at makes a CharEnsemble of it."""
+
+    __slots__ = ("eta", "v", "d", "log_rho", "weight", "t")
+
+    def __init__(self, eta, v, d, log_rho, weight, t):
+        self.eta, self.v, self.d, self.log_rho = eta, v, d, log_rho
+        self.weight, self.t = weight, t
+
+
+def _rows_at(ens, y, t):
+    """The StateRows of state array y at time t, started from ens."""
     with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite state
         d = y[P] / y[J]
         log_rho = np.log(y[J])
         np.subtract(ens.log_rho, log_rho, out=log_rho)
-    return replace(ens, eta=y[ETA].copy(), v=y[V].copy(), d=d, log_rho=log_rho, t=t)
+    return StateRows(y[ETA], y[V], d, log_rho, ens.weight, t)
+
+
+def _ensemble_at(ens, rows):
+    """The CharEnsemble of StateRows rows, with eta and v copied out."""
+    return replace(
+        ens, eta=rows.eta.copy(), v=rows.v.copy(), d=rows.d, log_rho=rows.log_rho, t=rows.t
+    )
 
 
 def _unit_phasor(y):
@@ -261,23 +295,29 @@ def evolve(ens, params, T, dt=1e-2, record_every=1, snapshot_times=()):
     np.cos(ens.eta, out=y[COS])
     np.sin(ens.eta, out=y[SIN])
     read = slice(COS, P + 1)  # the rows the tendencies read
-    k = np.empty((6, n))  # the current stage's tendency
-    acc = np.empty((6, n))  # y + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed stage by stage
+    k = np.empty((6, n))  # the current stage's tendency, from k2 on
+    acc = np.empty((6, n))  # y + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed from k1 on
     stage = np.empty((5, n))  # the next stage's input rows
+    ones = np.ones(n)  # y @ ones: the row sums of the finiteness test
     half, sixth = 0.5 * dt, dt / 6.0
 
+    # the same for every row of the run: the weights never change
+    support = sample_support(ens)
+    mass_err = abs(float(np.sum(w)) - 1.0)
     Ek_integral = 0.0
-    rows = [_row(ens, params, Ek_integral, trig=_unit_phasor(y))]
+    Ek_now = kinetic_energy(w, y[V])  # E_k of y, the next step's first stage
+    trig = _unit_phasor(y)
+    rows = [_row(ens, params, Ek_integral, support, trig, Ek=Ek_now, mass_err=mass_err)]
     snapshots = dict.fromkeys(snap_steps.get(0, ()), ens)
     blowup = None
     t = ens.t
 
     for step in range(1, n_steps + 1):
-        _derivs(w, Omega, y[read], m, K, k)
-        Ek_sum = kinetic_energy(w, y[V])  # E_k of the stages, RK4-weighted
-        np.copyto(acc, k)
+        _derivs(w, Omega, y[read], m, K, acc)  # k1, where the sum starts
+        Ek_sum = Ek_now  # E_k of the stages, RK4-weighted
         for i, h in enumerate((half, half, dt)):
-            np.multiply(k[read], h, out=stage)  # the stage input y + h k
+            # the stage input y + h k, from k1 in acc, then from k
+            np.multiply((k if i else acc)[read], h, out=stage)
             stage += y[read]
             Ek_stage = kinetic_energy(w, stage[V - COS])
             Ek_sum += Ek_stage if i == 2 else 2.0 * Ek_stage
@@ -291,29 +331,39 @@ def evolve(ens, params, T, dt=1e-2, record_every=1, snapshot_times=()):
         y, acc = acc, y  # acc keeps the step's start
         t = ens.t + step * dt
 
-        lo, hi = y.min(axis=1), y.max(axis=1)  # NaN propagates through both
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        # A NaN or inf entry makes its row sum NaN or inf; a sum of finite
+        # entries that overflows is sent on to the exact test
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(np.dot(y, ones)).all()
+        if not (finite or np.isfinite(y).all()):
             blowup = BlowupEvent(t, "non-finite")
-        if blowup is None and lo[J] <= 0.0:
+        if blowup is None and y[J].min() <= 0.0:
             y, acc, step = acc, y, step - 1  # back to the last state with every J > 0
             t = ens.t + step * dt
             blowup = BlowupEvent(t + dt * _first_zero(y, acc, dt), "gradient-collapse")
-            # the run ends on that state, recorded now unless it was already
+            # the run ends on that state, recorded now unless it was already;
+            # Ek_now is still its E_k
             at_record, at_snapshot = step % record_every != 0, step not in snap_steps
         else:
             Ek_integral += sixth * Ek_sum
+            Ek_now = kinetic_energy(w, y[V])
             at_record = blowup is not None or step == n_steps or step % record_every == 0
             at_snapshot = blowup is not None or step in snap_steps
         if at_record or at_snapshot:
-            now = _ensemble_at(ens, y, t)
+            now = _rows_at(ens, y, t)
         if at_record:
-            rows.append(_row(now, params, Ek_integral, trig=_unit_phasor(y)))
+            trig = _unit_phasor(y)
+            rows.append(
+                _row(now, params, Ek_integral, support, trig, Ek=Ek_now, mass_err=mass_err)
+            )
         if at_snapshot:
-            snapshots.update(dict.fromkeys(snap_steps.get(step, [t]), now))
+            now_ens = _ensemble_at(ens, now)
+            snapshots.update(dict.fromkeys(snap_steps.get(step, [t]), now_ens))
         if blowup is not None:
             break
 
-    return RunResult(TimeSeries(rows), _ensemble_at(ens, y, t), snapshots, blowup)
+    final = _ensemble_at(ens, _rows_at(ens, y, t))
+    return RunResult(TimeSeries(rows), final, snapshots, blowup)
 
 
 def pushforward_density(ens, grid, per_omega=False):

@@ -35,7 +35,13 @@ from kurahydro import (
     sample_initial,
     velocity_envelope,
 )
-from kurahydro.diagnostics import BLOWUP_GRAD, min_grad_u, series_row
+from kurahydro.diagnostics import (
+    BLOWUP_GRAD,
+    _field_cell_masses,
+    kinetic_energy,
+    min_grad_u,
+    series_row,
+)
 
 
 class _Ens:
@@ -350,3 +356,68 @@ def test_monitor_observe_matches_the_isfinite_test(random_state_factory, field, 
     assert mon.event == reference.event
     assert mon.max_rho0 == reference.max_rho0
     assert mon.fired == (field is not None)
+
+
+def _row_bits(row):
+    return np.array(row, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("bad", [None, math.nan, math.inf])
+def test_field_row_from_handed_values_is_the_row_from_scratch(random_state_factory, bad):
+    """E_k, and the max rho and min_grad_u that the monitor computed on this
+    very state, handed to series_row, give the bits of a row that computes
+    them.  On a non-finite state observe skips min_grad_u and hands only
+    max rho."""
+    state = random_state_factory(n_theta=32, n_omega=3, kind="gaussian")
+    if bad is not None:
+        u = np.array(state.u)
+        u[1, 7] = bad
+        state = FieldState(state.grid, state.omega, state.rho, u, t=0.5)
+    params = Params(0.7, 1.3)
+    mon = BlowupMonitor()
+    mon.observe(state)
+    max_rho, min_du = mon.extrema(state)
+    assert max_rho == float(np.max(state.rho))
+    assert (min_du is None) == (bad is not None)
+    with np.errstate(invalid="ignore"):
+        Ek = kinetic_energy(_field_cell_masses(state), state.u)
+        handed = series_row(state, params, 0.25, 1e-9, Ek=Ek, max_rho=max_rho, min_du=min_du)
+        scratch = series_row(state, params, 0.25, 1e-9)
+    assert _row_bits(handed) == _row_bits(scratch)
+
+
+def test_monitor_extrema_belong_to_its_last_state_only(random_state_factory):
+    """A state with the same values but another identity gets nothing."""
+    a = random_state_factory(n_theta=16, n_omega=3, kind="gaussian")
+    b = FieldState(a.grid, a.omega, a.rho, a.u, t=a.t)
+    mon = BlowupMonitor()
+    assert mon.extrema(a) == (None, None)
+    mon.observe(a)
+    assert mon.extrema(a) == (float(np.max(a.rho)), min_grad_u(a))
+    assert mon.extrema(b) == (None, None)
+    mon.observe(b)
+    assert mon.extrema(a) == (None, None)
+
+
+@pytest.mark.parametrize("n_theta", [7, 8, 64])
+def test_covering_arc_of_grid_centres_is_the_sorted_formula(rng, n_theta):
+    """Ascending grid centres, rotated at their first angle >= 0, are the
+    sorted angles mod 2 pi: the arc has the bits of the sorting formula on
+    every support of up to 8 cells and on random ones."""
+    from kurahydro.diagnostics import _covering_arc
+
+    def sorted_formula(angles):
+        if angles.size == 1:
+            return 0.0
+        a = np.sort(np.mod(angles, 2.0 * np.pi))
+        return float(2.0 * np.pi - max(np.max(np.diff(a)), a[0] + 2.0 * np.pi - a[-1]))
+
+    centres = make_theta_grid(n_theta).centers
+    masks = [rng.random(n_theta) < p for p in (0.1, 0.5, 0.9) for _ in range(30)]
+    if n_theta <= 8:
+        bits = np.arange(1, 2**n_theta)[:, None] >> np.arange(n_theta)
+        masks = list((bits & 1).astype(bool))
+    for mask in masks:
+        if mask.any():
+            angles = centres[mask]
+            assert _row_bits([_covering_arc(angles)]) == _row_bits([sorted_formula(angles)])

@@ -322,6 +322,60 @@ def test_ek_integral_is_the_trapezoid_over_every_step_bitwise():
     assert run_eulerian(cfg).series.Ek_integral.tolist() == expected
 
 
+@pytest.mark.parametrize("kw", [_GAUSSIAN, _BLOWUP], ids=["gaussian", "blowup"])
+def test_run_eulerian_rows_are_the_rows_from_scratch(kw):
+    """Each row, built from the E_k and the monitor extrema that the run
+    computed, has the bits of series_row computing them on that state."""
+    from kurahydro.diagnostics import series_row
+
+    cfg = _config(**kw)
+    times = [round(k * cfg.record_dt, 12) for k in range(round(cfg.t_end / cfg.record_dt) + 1)]
+    cfg = _config(**kw, snapshot_times=times)
+    start = build_state(cfg)
+    eps_supp = 1e-8 * float(np.max(start.rho))
+    run = run_eulerian(cfg, start)
+    # a run stopped by blow-up ends on a row between snapshot times
+    states = [state for _, state in sorted(run.snapshots.items())]
+    states += [run.final] * (len(run.series) - len(states))
+    assert len(states) == len(run.series) > 2
+    for row, state in zip(run.series.data, states):
+        assert row[0] == state.t
+        scratch = series_row(state, cfg.params, row[-1], eps_supp)
+        assert row.tobytes() == np.array(scratch).tobytes()
+
+
+def test_steady_r_hands_each_order_parameter_to_the_next_step(monkeypatch):
+    """Two order parameters per sweep step, not three: steady_r's own of
+    each new state is the next step's stage-1 value, and the warm start's
+    is the first step's."""
+    from kurahydro import experiments, fv
+
+    calls = []
+    for module in (experiments, fv):
+        real = module.order_parameter
+
+        def counting(state, real=real):
+            calls.append(state)
+            return real(state)
+
+        monkeypatch.setattr(module, "order_parameter", counting)
+    steps = []
+    real_step = experiments.step_rk2
+
+    def recording(state, *args):
+        steps.append(state)
+        return real_step(state, *args)
+
+    monkeypatch.setattr(experiments, "step_rk2", recording)
+    cfg = _config(**_GAUSSIAN)
+    sweep = SweepConfig(k_path=(cfg.params.K,), steady_window=1.0, t_max=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # t_max < window
+        steady_r(cfg, cfg.params.K, build_state(cfg), sweep)
+    assert len(steps) > 3
+    assert len(calls) == 1 + 2 * len(steps)
+
+
 def test_run_eulerian_peaks_below_six_and_a_half_fields(monkeypatch):
     """A 120x100 run in 20 blocks of 6 slices holds its old state and
     midpoint while it steps (4 fields), the new state and E_k's two
@@ -411,9 +465,9 @@ def test_run_eulerian_steps_every_record_time_with_one_workspace(monkeypatch):
 
     real_step = experiments.step_rk2
 
-    def record_step(state, dt, params, scheme, ws):
+    def record_step(state, dt, params, scheme, ws, *rest):
         used.append(ws)
-        return real_step(state, dt, params, scheme, ws)
+        return real_step(state, dt, params, scheme, ws, *rest)
 
     monkeypatch.setattr(experiments, "Workspace", Counted)
     monkeypatch.setattr(experiments, "step_rk2", record_step)

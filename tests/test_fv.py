@@ -42,7 +42,7 @@ def _minmod(a, b):
 def _reconstruct(q, dtheta):
     """The edge values of q's n real columns."""
     padded = (q.shape[0], q.shape[1] + 2)
-    q_e, q_w = reconstruct(q, dtheta, fv.Workspace(), (np.empty(padded), np.empty(padded)))
+    q_e, q_w = reconstruct((q,), dtheta, fv.Workspace(), (np.empty(padded), np.empty(padded)))
     return q_e[:, 1:-1], q_w[:, 1:-1]
 
 
@@ -544,6 +544,84 @@ def test_rhs_matches_the_plain_formula_bitwise_with_signed_zeros(rng):
             assert got.tobytes() == expected.tobytes()
 
 
+def _same_bits_or_both_nan(a, b):
+    """Equal bits, except that NaN matches NaN of either sign (see the fv
+    module docstring: a NaN tendency's sign bit is not kept)."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@pytest.mark.parametrize("n_omega, block_slices", [(1, None), (7, None), (7, 3), (7, 1)])
+def test_stacked_rhs_matches_the_plain_formula_on_ieee_edge_values(
+    rng, monkeypatch, n_omega, block_slices
+):
+    """rho and u reconstructed as one stacked block, with one flux
+    difference and one division for both, against the per-field plain
+    formulas: rho and u drawn from signed zeros, +-inf, NaN, subnormal
+    pairs and +-1e300 among ordinary values, over one block and over
+    ragged blocks (3, 3, 1 slices, and one slice each)."""
+    n_theta = 24
+    if block_slices is not None:
+        monkeypatch.setattr(fv, "BLOCK_CELLS", block_slices * 2 * n_theta)
+    grid = make_theta_grid(n_theta)
+    omega = (
+        discretize_frequency("gaussian", n_omega, 5.0)
+        if n_omega > 1 else discretize_frequency("dirac")
+    )
+    params = Params(0.7, 2.5)
+    clean = FieldState(grid, omega, np.ones((n_omega, n_theta)), np.zeros((n_omega, n_theta)))
+    op = order_parameter(replace(clean, rho=rng.uniform(0.1, 2.0, size=clean.rho.shape)))
+    force = _force_block(clean, op, params)
+    blocks = list(fv._blocks(n_omega, 2 * n_theta))
+    for trial in range(40):
+        pool = np.concatenate([_EDGE_VALUES, rng.normal(size=8)])
+        rho = rng.choice(pool, size=(n_omega, n_theta))
+        u = rng.choice(pool, size=(n_omega, n_theta))
+        if trial % 2:  # neighbouring subnormals of either sign
+            u[:, ::4], u[:, 1::4] = 5e-324, -5e-324
+            rho[:, 2::4] = 1e-320
+        state = FieldState(grid, omega, rho, u)
+        ws = fv.Workspace()
+        with np.errstate(all="ignore"):
+            expected = _plain_rhs(state, op, params)
+            parts = [[a.copy() for a in fv.rhs(state, force, params, ws, b)] for b in blocks]
+        for i, plain in enumerate(expected):
+            got = np.concatenate([part[i] for part in parts])
+            assert got.shape == plain.shape
+            assert _same_bits_or_both_nan(got, plain), (trial, i)
+
+
+def test_rhs_writes_a_number_past_the_last_rho_interface():
+    """The stacked flux difference reads one flux past rho's last interface
+    into a discarded column.  rhs sets it, so a workspace left holding
+    huge values there gives no overflow on a smooth state."""
+    state = _gaussian_state(3, 32)
+    params = Params(0.8, 2.0)
+    op = order_parameter(state)
+    ws = fv.Workspace()
+    expected = [a.copy() for a in _rhs(state, op, params, ws)]
+    for flat in ws._flat.values():
+        if flat.dtype == float:
+            flat.fill(1.7e308)
+    with np.errstate(all="raise"):
+        got = _rhs(state, op, params, ws)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_step_from_a_given_order_parameter_is_the_same_step():
+    """step_rk2 with op0 = order_parameter(state) gives the bits of a step
+    that computes it; any other op0 gives another step."""
+    state = _gaussian_state(5, 48)
+    params, scheme = Params(0.8, 2.0), SchemeConfig()
+    dt = cfl_dt(state, scheme)
+    op = order_parameter(state)
+    computed = step_rk2(state, dt, params, scheme)
+    _assert_same_bits(step_rk2(state, dt, params, scheme, op0=op), computed)
+    other = order_parameter(replace(state, rho=state.rho[:, ::-1]))
+    assert step_rk2(state, dt, params, scheme, op0=other).u.tobytes() != computed.u.tobytes()
+
+
 def test_clip_with_nan_and_negative_density_matches_the_plain_formula():
     """A NaN velocity poisons one slice; a spike stepped past CFL goes negative."""
     grid = make_theta_grid(32)
@@ -684,13 +762,15 @@ def test_used_workspace_gives_a_new_state_the_bits_of_a_fresh_one():
 
 
 @pytest.mark.parametrize("blocks", [1, 3])
-def test_advance_step_reconstructs_four_times_per_block(monkeypatch, blocks):
-    """rho and u at each of the two stages, on every block; cfl_dt reconstructs nothing."""
+def test_advance_step_reconstructs_twice_per_block(monkeypatch, blocks):
+    """rho and u stacked in one block, once at each of the two stages, on
+    every block; cfl_dt reconstructs nothing.  A block is sized on its
+    stacked cells, 2 * rows * n_theta."""
     from kurahydro.diagnostics import BlowupMonitor
     from kurahydro.experiments import _advance
 
-    monkeypatch.setattr(fv, "BLOCK_CELLS", 120 // blocks * 100)
-    assert [hi - lo for lo, hi in fv._blocks(120, 100)] == [120 // blocks] * blocks
+    monkeypatch.setattr(fv, "BLOCK_CELLS", 120 // blocks * 2 * 100)
+    assert [hi - lo for lo, hi in fv._blocks(120, 2 * 100)] == [120 // blocks] * blocks
     calls = []
     real = fv.reconstruct
 
@@ -705,7 +785,7 @@ def test_advance_step_reconstructs_four_times_per_block(monkeypatch, blocks):
     next(steps)
     calls.clear()
     next(steps)
-    assert len(calls) == 4 * blocks
+    assert len(calls) == 2 * blocks
 
 
 @pytest.mark.parametrize("blocks", [1, 3])

@@ -444,6 +444,54 @@ def test_malformed_series_names_the_file(tmp_path, body):
         read_series_csv(str(path))
 
 
+_HEADER = b"theta,omega,rho,u"
+
+
+@pytest.mark.parametrize(
+    "rows, theta, omega",
+    [
+        # a later slice writes theta 0.5 as 0.50
+        ([b"0.5,0,1,2", b"1.5,0,3,4", b"0.50,1,5,6", b"1.5,1,7,8"], [0.5, 1.5], [0.0, 1.0]),
+        # the second slice writes omega 1 as 1.0: one slice by value
+        ([b"0.5,1,1,2", b"1.5,1,3,4", b"0.5,1.0,5,6", b"1.5,1.0,7,8"],
+         [0.5, 0.5, 1.5, 1.5], [1.0]),
+        # 0.1 in 28 characters, which cut to the column's 25 read as 1
+        ([b"1.00000000000000000000000e-1,0,1,2", b"2.5,0,3,4"], [0.1, 2.5], [0.0]),
+    ],
+    ids=["theta-text", "omega-text", "long-text"],
+)
+def test_texts_that_differ_from_the_writers_are_read_whole(tmp_path, rows, theta, omega):
+    """The streamed read compares theta and omega as texts and parses few of
+    them, so it gives up on any table whose texts it cannot vouch for; the
+    whole-table parse reads them by value."""
+    path = tmp_path / "snap.csv"
+    path.write_bytes(b"\r\n".join([_HEADER, *rows]) + b"\r\n")
+    assert run_io._stream_snapshot(str(path)) is None
+    theta_r, omega_r, rho, u = read_snapshot_csv(str(path))
+    assert theta_r.tolist() == theta and omega_r.tolist() == omega
+    values = np.concatenate([rho.ravel(), u.ravel()])
+    assert sorted(values.tolist()) == list(range(1, 2 * len(rows) + 1))
+
+
+def test_streamed_read_parses_theta_once_and_omega_per_slice(tmp_path, rng, monkeypatch):
+    """Of a writer-ordered table's theta and omega texts, only the first
+    slice's theta and each slice's omega are parsed as numbers."""
+    path = str(tmp_path / "snap.csv")
+    write_snapshot_csv(path, *_signed_zero_snapshot(rng, 6, 40))
+    parsed = []
+    real = run_io._parse_texts
+
+    def counting(texts):
+        parsed.append(texts.size)
+        return real(texts)
+
+    monkeypatch.setattr(run_io, "_parse_texts", counting)
+    monkeypatch.setattr(run_io, "_SNAPSHOT_CHUNK_ROWS", 7)
+    _streamed_only(monkeypatch)
+    read_snapshot_csv(path)
+    assert sorted(parsed) == [6, 40]
+
+
 def test_snapshot_write_rejects_mismatched_shapes(tmp_path):
     with pytest.raises(ValueError, match="shape"):
         write_snapshot_csv(

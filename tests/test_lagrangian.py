@@ -28,7 +28,7 @@ from kurahydro import (
 )
 from kurahydro import lagrangian
 from kurahydro.config import parse_config
-from kurahydro.diagnostics import TimeSeries, kinetic_energy, series_row
+from kurahydro.diagnostics import TimeSeries, kinetic_energy, sample_support, series_row
 from kurahydro.domain import TableData
 from kurahydro.experiments import build_grids
 
@@ -426,3 +426,69 @@ def test_uncoupled_samples_follow_the_closed_form():
     np.testing.assert_allclose(
         run.final.eta, ens.eta + ens.Omega * t + m * dev0 * (1.0 - decay), rtol=0, atol=1e-10
     )
+
+
+def _state_array(ens, rng):
+    """A state array as evolve holds it, with J and P moved off their start."""
+    y = np.empty((6, ens.n))
+    y[lagrangian.ETA], y[lagrangian.V] = ens.eta, ens.v
+    y[lagrangian.COS], y[lagrangian.SIN] = np.cos(ens.eta), np.sin(ens.eta)
+    y[lagrangian.J] = rng.uniform(0.2, 2.0, size=ens.n)
+    y[lagrangian.P] = rng.normal(size=ens.n)
+    return y
+
+
+@pytest.mark.parametrize("case", ["gaussian", "point-cell", "non-finite"])
+def test_oracle_row_of_state_rows_is_the_row_from_scratch(case):
+    """evolve's row reads the state rows in place and takes the run's
+    support and |sum w - 1|, and the E_k it computed, as they are; it has
+    the bits of series_row on the CharEnsemble of the same state, which
+    computes all of them: zero-weight samples and a NaN velocity included."""
+    rng = np.random.default_rng(7)
+    if case == "point-cell":
+        ens = _identical_ensemble(64, u0=USine(0.1), rho0=RhoPointCell(0.0))
+    else:
+        ens = _identical_ensemble(64)
+    y = _state_array(ens, rng)
+    if case == "non-finite":
+        y[lagrangian.V, 5] = np.nan
+    params = Params(0.5, 0.8)
+    rows = lagrangian._rows_at(ens, y, 0.5)
+    trig = lagrangian._unit_phasor(y)
+    Ek = kinetic_energy(ens.weight, y[lagrangian.V])
+    mass_err = abs(float(np.sum(ens.weight)) - 1.0)
+    handed = lagrangian._row(
+        rows, params, 0.3, sample_support(ens), trig, Ek=Ek, mass_err=mass_err
+    )
+    scratch = series_row(lagrangian._ensemble_at(ens, rows), params, 0.3, trig=trig)
+    assert np.array(handed).tobytes() == np.array(scratch).tobytes()
+
+
+# The series columns that do not depend on the carried (cos, sin) rows,
+# which a CharEnsemble does not keep.
+_PHASOR_FREE = [
+    TimeSeries.columns.index(c)
+    for c in ("t", "Ek", "vc", "etac", "d_eta", "d_v", "mass_err", "min_du", "max_rho")
+]
+
+
+@pytest.mark.parametrize(
+    "u0, T, record_every",
+    [(USine(-1.0), 0.2, 3), (USine(-2.0), 1.0, 7)],
+    ids=["smooth", "collapse"],
+)
+def test_oracle_rows_keep_the_bits_of_rows_from_scratch(u0, T, record_every):
+    """Every row's E_k is the one the step computed at its end (or, after a
+    collapse, at the start it went back to), and its other phasor-free
+    columns have the bits of series_row on the snapshot at that step."""
+    ens = _identical_ensemble(96, u0=u0)
+    params, dt = Params(1.0, 1.0), 1e-2
+    times = [round(k * dt, 12) for k in range(round(T / dt) + 1)]
+    run = evolve(ens, params, T, dt=dt, record_every=record_every, snapshot_times=times)
+    assert (run.blowup is not None) == (u0.amplitude == -2.0)
+    assert len(run.series) > 3
+    for row in run.series.data:
+        snap = run.snapshots[min(run.snapshots, key=lambda ts: abs(ts - row[0]))]
+        assert snap.t == row[0]
+        scratch = np.array(series_row(snap, params, row[-1]))
+        assert row[_PHASOR_FREE].tobytes() == scratch[_PHASOR_FREE].tobytes()
