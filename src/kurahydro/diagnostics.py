@@ -254,7 +254,7 @@ def _range_over(x, mask):
 
 
 def series_row(obj, params, Ek_integral, support=None, trig=None, *, Ek=None,
-               max_rho=None, min_du=None, mass_err=None):
+               op=None, extrema=None, mass_err=None):
     """The SERIES_COLUMNS row of a FieldState or of a sample ensemble.
 
     The guise decides r and phi (moments of rho, or of the sample weights),
@@ -263,17 +263,20 @@ def series_row(obj, params, Ek_integral, support=None, trig=None, *, Ek=None,
     exp(max log rho)).  An ensemble is any object with the attributes eta,
     v, d, log_rho, weight and t.  support is the field's support floor
     eps_supp (see diameters), or the ensemble's sample_support mask; trig is
-    (cos eta, sin eta) of an ensemble if the caller has them.  Ek, max_rho,
-    min_du and mass_err, if given, are those columns as the caller computed
-    them on this very obj, and are taken as they are.  The field's cell
-    masses are formed once, for E_k, L, v_c and eta_c.
+    (cos eta, sin eta) of an ensemble if the caller has them.  Ek, op (the
+    OrderParam), extrema (the pair max_rho, min_du; either may be None) and
+    mass_err, if given, are those values as the caller computed them on
+    this very obj, and are taken as they are.  The field's cell masses are
+    formed once, for E_k, L, v_c and eta_c.
     """
+    max_rho, min_du = (None, None) if extrema is None else extrema
     if isinstance(obj, FieldState):
         # before the cell masses: the support mask and the u values on it
         # are temporaries of their own
         d_eta, d_v = diameters(obj, support)
         trig = (obj.grid.cos, obj.grid.sin)
-        op = order_parameter(obj)
+        if op is None:
+            op = order_parameter(obj)
         if mass_err is None:
             mass_err = float(np.abs(obj.per_slice_mass() - 1.0).max())
         if min_du is None:
@@ -283,7 +286,8 @@ def series_row(obj, params, Ek_integral, support=None, trig=None, *, Ek=None,
     else:
         if trig is None:
             trig = (np.cos(obj.eta), np.sin(obj.eta))
-        op = ensemble_order_parameter(obj.eta, obj.weight, trig)
+        if op is None:
+            op = ensemble_order_parameter(obj.eta, obj.weight, trig)
         if support is None:
             support = sample_support(obj)
         if mass_err is None:
@@ -458,16 +462,13 @@ class BlowupMonitor:
     """Latching detector: density concentration, gradient collapse, or NaN.
 
     The first observed state fixes the reference max(rho0).  Once fired the
-    monitor stays fired (the event is kept).  It keeps the last state that
-    observe saw, with the max rho and min_grad_u it computed there, for
-    extrema().
+    monitor stays fired (the event is kept).
     """
 
     def __init__(self, rho_factor=1e3):
         self.rho_factor = rho_factor
         self.max_rho0 = None
         self.event = None
-        self._seen = (None, None, None)
 
     @property
     def fired(self):
@@ -488,7 +489,9 @@ class BlowupMonitor:
         return self.event
 
     def observe(self, state):
-        """Observe a FieldState; returns the event or None.
+        """Observe a FieldState; returns (max rho, min_grad_u) as computed on
+        it, for its series row, with min_grad_u None where an entry is
+        non-finite (it is then skipped).  The event, if any, is self.event.
 
         The oracle does not come through here: lagrangian.evolve runs its
         own finiteness test and its gradient-collapse test, J <= 0, on the
@@ -500,13 +503,5 @@ class BlowupMonitor:
         max_rho = float(rho.max())
         finite = all(map(math.isfinite, (max_rho, rho.min(), u.max(), u.min())))
         min_du = min_grad_u(state) if finite else None
-        self._seen = (state, max_rho, min_du)
-        min_du = min_du if finite else -math.inf
-        return self.observe_values(state.t, max_rho, min_du, finite)
-
-    def extrema(self, state):
-        """(max rho, min_grad_u) as observe computed them on this very state
-        object, the last it saw; (None, None) for any other state, and None
-        for min_grad_u where observe found a non-finite entry and skipped it."""
-        seen, max_rho, min_du = self._seen
-        return (max_rho, min_du) if seen is state else (None, None)
+        self.observe_values(state.t, max_rho, min_du if finite else -math.inf, finite)
+        return max_rho, min_du

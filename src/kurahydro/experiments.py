@@ -109,32 +109,42 @@ def build_state(config):
 
 
 def _advance(state, params, scheme, monitor, t_stop, ws, op=None):
-    """Step with dt = min(cfl_dt, t_stop - t), yielding each new state.
+    """Step with dt = min(cfl_dt, t_stop - t), yielding (state, op, extrema)
+    after each step.
 
-    The monitor sees each state before it is yielded.  Stops at t_stop (within
-    1e-12) or once the monitor has fired; MassClipError propagates.  All steps
-    share the caller's fv.Workspace ws (one per run), and each calls cfl_dt
-    and then step_rk2 on the same state.  op is order_parameter(state) if
-    the caller has it, and a consumer that takes the order parameter of a
-    yielded state may send() it back: step_rk2 then starts from that value
-    instead of computing it again (a for loop sends None).
+    op is order_parameter of the yielded state, taken once right after its
+    step and handed to the next step_rk2 as its stage-1 value; extrema is
+    what monitor.observe returned on that state.  The op argument is
+    order_parameter of the state handed in, if the caller has it.  Stops at
+    t_stop (within 1e-12) or once the monitor has fired; MassClipError
+    propagates.  All steps share the caller's fv.Workspace ws (one per
+    run), and each calls cfl_dt and then step_rk2 on the same state.
     """
     while state.t < t_stop - 1e-12 and not monitor.fired:
         dt = min(cfl_dt(state, scheme), t_stop - state.t)
         state = step_rk2(state, dt, params, scheme, ws, op)
-        monitor.observe(state)
-        op = yield state
+        extrema = monitor.observe(state)
+        op = order_parameter(state)
+        yield state, op, extrema
 
 
 def run_eulerian(config, state=None):
-    """Advance the finite-volume solver to t_end, blow-up, or solver failure."""
+    """Advance the finite-volume solver to t_end, blow-up, or solver failure.
+
+    A row takes the order parameter and monitor extrema that _advance
+    yielded with its state (for the initial state, those taken here) and
+    the state's E_k from the trapezoid sum.  A state is recorded once: an
+    output time toward which no step was taken (the first failed, or the
+    initial state fired the monitor) adds no row and no snapshot.
+    """
     if state is None:
         state = build_state(config)
     params = config.params
     scheme = config.scheme
     eps_supp = 1e-8 * float(np.max(state.rho))
     monitor = BlowupMonitor(scheme.blowup_rho_factor)
-    monitor.observe(state)
+    extrema = monitor.observe(state)
+    op = order_parameter(state)
 
     # rows and snapshots up to t_end and at t_end; times match at 12 decimals
     t_last = round(config.t_end, 12)
@@ -148,7 +158,8 @@ def run_eulerian(config, state=None):
 
     Ek_integral = 0.0
     Ek_prev = kinetic_energy(_field_cell_masses(state), state.u)  # E_k of state
-    rows = [_row_of(state, params, Ek_integral, eps_supp, Ek_prev, monitor)]
+    rows = [_field_row(state, params, Ek_integral, eps_supp, Ek=Ek_prev, op=op,
+                       extrema=extrema)]
     snapshots = {}
     if round(state.t, 12) in snap_set:
         snapshots[float(state.t)] = state
@@ -158,8 +169,10 @@ def run_eulerian(config, state=None):
     for target in events:
         if target <= state.t:
             continue
+        t_start = state.t
         try:
-            for new_state in _advance(state, params, scheme, monitor, target, ws):
+            steps = _advance(state, params, scheme, monitor, target, ws, op)
+            for new_state, op, extrema in steps:
                 # rebind first, so the old state is freed before E_k's temporaries
                 t_prev, state = state.t, new_state
                 Ek_now = kinetic_energy(_field_cell_masses(state), state.u)
@@ -167,21 +180,14 @@ def run_eulerian(config, state=None):
                 Ek_prev = Ek_now
         except MassClipError as err:
             failure = str(err)
-        rows.append(_row_of(state, params, Ek_integral, eps_supp, Ek_prev, monitor))
-        if round(float(state.t), 12) in snap_set:
-            snapshots[float(target)] = state
+        if state.t > t_start:  # else no step was taken and state is recorded
+            rows.append(_field_row(state, params, Ek_integral, eps_supp, Ek=Ek_prev,
+                                   op=op, extrema=extrema))
+            if round(float(state.t), 12) in snap_set:
+                snapshots[float(target)] = state
         if monitor.fired or failure is not None:
             break
     return RunResult(TimeSeries(rows), state, snapshots, monitor.event, failure)
-
-
-def _row_of(state, params, Ek_integral, eps_supp, Ek, monitor):
-    """The series row of state through _field_row, with its E_k and the
-    extrema the monitor computed on it, if it was the monitor's last state."""
-    max_rho, min_du = monitor.extrema(state)
-    return _field_row(
-        state, params, Ek_integral, eps_supp, Ek=Ek, max_rho=max_rho, min_du=min_du
-    )
 
 
 def run_lagrangian(config):
@@ -324,42 +330,33 @@ class SweepConfig:
         return forward, self.k_path[peak:]
 
 
-def _send(steps, op):
-    """steps.send(op): the next state of an _advance, or None once it stops."""
-    try:
-        return steps.send(op)
-    except StopIteration:
-        return None
-
-
 def steady_r(config, K, warm_state, sweep):
     """Integrate at coupling K until r settles; returns (r_inf, state, flag).
 
     Steady when |r(t) - r(t - window)| < tol (checked once the window has
     elapsed), capped at t_max, where an unsettled r warns (RuntimeWarning).
     Blow-up or solver failure maps to r_inf = 1 with the flag set, returning
-    the last finite state for warm-starting.
+    the last finite state for warm-starting.  r of each state is the order
+    parameter that _advance yields with it.
     """
     params = replace(config.params, K=float(K))
     scheme = config.scheme
     state = replace(warm_state, t=0.0, clipped_mass=0.0)
     monitor = BlowupMonitor(scheme.blowup_rho_factor)
-    if monitor.observe(state) is not None:  # a non-finite warm start
+    monitor.observe(state)
+    if monitor.fired:  # a non-finite warm start
         return 1.0, state, True
     op = order_parameter(state)
     history = [(0.0, op.r)]
     head = 0
     r_now = op.r
     dr = 0.0
-    # each state's order parameter goes back to the step that starts from it
     steps = _advance(state, params, scheme, monitor, sweep.t_max, Workspace(), op)
     try:
-        new_state = next(steps, None)
-        while new_state is not None:
+        for new_state, op, _ in steps:
             if monitor.fired:
                 return 1.0, state, True
             state = new_state
-            op = order_parameter(state)
             r_now = op.r
             history.append((state.t, r_now))
             # Compare against the latest record at or before t - window, so
@@ -373,7 +370,6 @@ def steady_r(config, K, warm_state, sweep):
             dr = abs(r_now - r_ref)
             if t_ref <= state.t - sweep.steady_window and dr < sweep.steady_tol:
                 break
-            new_state = _send(steps, op)
         else:
             msg = f"r did not settle at K={K:g} by t_max={sweep.t_max:g}; last |dr|"
             msg += f" over the window {dr:.3g} (tol {sweep.steady_tol:g})"

@@ -364,39 +364,25 @@ def _row_bits(row):
 
 @pytest.mark.parametrize("bad", [None, math.nan, math.inf])
 def test_field_row_from_handed_values_is_the_row_from_scratch(random_state_factory, bad):
-    """E_k, and the max rho and min_grad_u that the monitor computed on this
-    very state, handed to series_row, give the bits of a row that computes
-    them.  On a non-finite state observe skips min_grad_u and hands only
-    max rho."""
+    """E_k, the order parameter, and the extrema that the monitor's observe
+    returns on this very state, handed to series_row, give the bits of a row
+    that computes them.  On a non-finite state observe skips min_grad_u and
+    hands only max rho."""
     state = random_state_factory(n_theta=32, n_omega=3, kind="gaussian")
     if bad is not None:
         u = np.array(state.u)
         u[1, 7] = bad
         state = FieldState(state.grid, state.omega, state.rho, u, t=0.5)
     params = Params(0.7, 1.3)
-    mon = BlowupMonitor()
-    mon.observe(state)
-    max_rho, min_du = mon.extrema(state)
-    assert max_rho == float(np.max(state.rho))
-    assert (min_du is None) == (bad is not None)
+    extrema = BlowupMonitor().observe(state)
+    assert extrema[0] == float(np.max(state.rho))
+    assert (extrema[1] is None) == (bad is not None)
     with np.errstate(invalid="ignore"):
         Ek = kinetic_energy(_field_cell_masses(state), state.u)
-        handed = series_row(state, params, 0.25, 1e-9, Ek=Ek, max_rho=max_rho, min_du=min_du)
+        op = order_parameter(state)
+        handed = series_row(state, params, 0.25, 1e-9, Ek=Ek, op=op, extrema=extrema)
         scratch = series_row(state, params, 0.25, 1e-9)
     assert _row_bits(handed) == _row_bits(scratch)
-
-
-def test_monitor_extrema_belong_to_its_last_state_only(random_state_factory):
-    """A state with the same values but another identity gets nothing."""
-    a = random_state_factory(n_theta=16, n_omega=3, kind="gaussian")
-    b = FieldState(a.grid, a.omega, a.rho, a.u, t=a.t)
-    mon = BlowupMonitor()
-    assert mon.extrema(a) == (None, None)
-    mon.observe(a)
-    assert mon.extrema(a) == (float(np.max(a.rho)), min_grad_u(a))
-    assert mon.extrema(b) == (None, None)
-    mon.observe(b)
-    assert mon.extrema(a) == (None, None)
 
 
 @pytest.mark.parametrize("n_theta", [7, 8, 64])

@@ -344,14 +344,13 @@ def test_run_eulerian_rows_are_the_rows_from_scratch(kw):
         assert row.tobytes() == np.array(scratch).tobytes()
 
 
-def test_steady_r_hands_each_order_parameter_to_the_next_step(monkeypatch):
-    """Two order parameters per sweep step, not three: steady_r's own of
-    each new state is the next step's stage-1 value, and the warm start's
-    is the first step's."""
-    from kurahydro import experiments, fv
+def _count_order_parameters(monkeypatch):
+    """Record every order_parameter call in the modules that take one of a
+    field, and every state that experiments.step_rk2 steps from."""
+    from kurahydro import diagnostics, experiments, fv
 
     calls = []
-    for module in (experiments, fv):
+    for module in (experiments, fv, diagnostics):
         real = module.order_parameter
 
         def counting(state, real=real):
@@ -367,6 +366,14 @@ def test_steady_r_hands_each_order_parameter_to_the_next_step(monkeypatch):
         return real_step(state, *args)
 
     monkeypatch.setattr(experiments, "step_rk2", recording)
+    return calls, steps
+
+
+def test_steady_r_hands_each_order_parameter_to_the_next_step(monkeypatch):
+    """Two order parameters per sweep step, not three: the one _advance
+    takes of each new state is steady_r's r and the next step's stage-1
+    value, and the warm start's is the first step's."""
+    calls, steps = _count_order_parameters(monkeypatch)
     cfg = _config(**_GAUSSIAN)
     sweep = SweepConfig(k_path=(cfg.params.K,), steady_window=1.0, t_max=0.3)
     with warnings.catch_warnings():
@@ -374,6 +381,92 @@ def test_steady_r_hands_each_order_parameter_to_the_next_step(monkeypatch):
         steady_r(cfg, cfg.params.K, build_state(cfg), sweep)
     assert len(steps) > 3
     assert len(calls) == 1 + 2 * len(steps)
+
+
+@pytest.mark.parametrize("kw", [_GAUSSIAN, _BLOWUP], ids=["gaussian", "blowup"])
+def test_run_eulerian_takes_two_order_parameters_per_step(monkeypatch, kw):
+    """The initial state's, then per step stage 2's and the new state's,
+    which its row and the next step's stage 1 take: no row takes its own."""
+    calls, steps = _count_order_parameters(monkeypatch)
+    run = run_eulerian(_config(**kw))
+    assert len(steps) > len(run.series) > 2
+    assert len(calls) == 1 + 2 * len(steps)
+
+
+def _clip_at(monkeypatch, k):
+    """Make experiments.step_rk2 raise MassClipError on its k-th call;
+    returns the list of states it was called on."""
+    from kurahydro import experiments
+    from kurahydro.fv import MassClipError
+
+    seen = []
+    real_step = experiments.step_rk2
+
+    def clipping(state, dt, *args):
+        seen.append(state)
+        if len(seen) == k:
+            raise MassClipError(state.t + dt, 1.0)
+        return real_step(state, dt, *args)
+
+    monkeypatch.setattr(experiments, "step_rk2", clipping)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "k", [1, 5, 21, 27], ids=["first-step", "first-interval", "first-after-a-row", "mid-run"]
+)
+def test_clip_abort_ends_the_run_on_the_last_good_state(monkeypatch, k):
+    """A step that clips too much mass ends the run: the failure is set,
+    the last row has the bits of a row from scratch on the state the failed
+    step started from, and every snapshot holds the state of its own time,
+    none past that state.  _GAUSSIAN takes 20 steps per row; a clip on the
+    first step toward a row time leaves the state recorded last, which gets
+    no second row and no snapshot under the next time's name."""
+    from kurahydro.diagnostics import series_row
+
+    cfg = _config(**_GAUSSIAN, snapshot_times=(0.0, 0.2, 0.4, 0.6))
+    start = build_state(cfg)
+    seen = _clip_at(monkeypatch, k)
+    run = run_eulerian(cfg, start)
+    last = seen[-1]
+    assert len(seen) == k
+    assert run.failure.startswith("clipped 1.000e+00 density mass")
+    assert run.blowup is None
+    assert run.final is last
+    row = run.series.data[-1]
+    eps_supp = 1e-8 * float(np.max(start.rho))
+    assert row.tobytes() == np.array(series_row(last, cfg.params, row[-1], eps_supp)).tobytes()
+    assert np.all(np.diff(run.series.t) > 0)
+    assert all(round(snap.t, 12) == t_s <= last.t for t_s, snap in run.snapshots.items())
+
+
+def test_non_finite_initial_state_is_recorded_once():
+    """The monitor fires on the initial state, so no step is taken: the run
+    is that state's one row and one snapshot, with no second row of it and
+    no snapshot of it under the next time's name."""
+    cfg = _config(**_GAUSSIAN, snapshot_times=(0.0, 0.2))
+    start = build_state(cfg)
+    u = np.array(start.u)
+    u[2, 5] = np.nan
+    start = FieldState(start.grid, start.omega, start.rho, u)
+    run = run_eulerian(cfg, start)
+    assert (run.blowup.t, run.blowup.reason) == (0.0, "non-finite")
+    assert run.final is start
+    assert run.series.t.tolist() == [0.0]
+    assert list(run.snapshots) == [0.0]
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_clip_abort_flags_the_sweep_point(monkeypatch, k):
+    """steady_r maps a clipped step to (1.0, the state that step started
+    from, True)."""
+    cfg = _config(**_GAUSSIAN)
+    sweep = SweepConfig(k_path=(cfg.params.K,), steady_window=1.0, t_max=0.6)
+    seen = _clip_at(monkeypatch, k)
+    r_inf, state, flag = steady_r(cfg, cfg.params.K, build_state(cfg), sweep)
+    assert (r_inf, flag) == (1.0, True)
+    assert len(seen) == k
+    assert state is seen[-1]
 
 
 def test_run_eulerian_peaks_below_six_and_a_half_fields(monkeypatch):

@@ -791,7 +791,10 @@ def test_advance_step_reconstructs_twice_per_block(monkeypatch, blocks):
 @pytest.mark.parametrize("blocks", [1, 3])
 def test_advance_step_takes_the_mean_field_once_per_stage(monkeypatch, blocks):
     """One order parameter and one force row per stage, on any block count:
-    the slices are coupled only through them."""
+    the slices are coupled only through them.  Stage 1 takes the order
+    parameter that _advance took of the state after the step before, so
+    both modules that take one are counted."""
+    from kurahydro import experiments
     from kurahydro.diagnostics import BlowupMonitor
     from kurahydro.experiments import _advance
 
@@ -799,8 +802,8 @@ def test_advance_step_takes_the_mean_field_once_per_stage(monkeypatch, blocks):
     assert [hi - lo for lo, hi in fv._blocks(120, 100)] == [120 // blocks] * blocks
     calls = {"order_parameter": 0, "mean_field_force": 0}
 
-    def counting(name):
-        real = getattr(fv, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -809,7 +812,10 @@ def test_advance_step_takes_the_mean_field_once_per_stage(monkeypatch, blocks):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(fv, name, counting(name))
+        monkeypatch.setattr(fv, name, counting(fv, name))
+    monkeypatch.setattr(
+        experiments, "order_parameter", counting(experiments, "order_parameter")
+    )
     steps = _advance(
         _gaussian_state(120, 100), Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0, fv.Workspace()
     )
