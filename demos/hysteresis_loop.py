@@ -4,19 +4,14 @@ Sweep the coupling 0 -> 4 -> 0 with warm starts on a desk-scale grid of
 nonidentical oscillators.  On the way up the incoherent branch survives past
 the backward transition; on the way down the synchronized branch survives
 below the forward one, opening a loop whose area grows with inertia.
+The scenario is configs/hysteresis_desk.yaml.
 """
+import os
+
 import kurahydro as kh
 
-base = kh.ScenarioConfig(
-    params=kh.Params(1.0, 0.0),
-    init=kh.InitSpec(kh.RhoGaussian(), kh.USine(-0.5)),
-    n_theta=100, g="gaussian", n_omega=120,
-)
-sweep = kh.SweepConfig(
-    k_path=tuple(round(0.2 * i, 12) for i in range(21))
-    + tuple(round(0.2 * i, 12) for i in range(19, -1, -1)),
-    base=base,
-)
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
+sweep = kh.parse_config(os.path.join(CONFIGS, "hysteresis_desk.yaml"))
 
 result = kh.hysteresis_sweep(sweep, out_dir="results/hysteresis_m1")
 

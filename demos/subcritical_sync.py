@@ -5,17 +5,17 @@ initial density.  The initial slope (min -1) sits above the
 subcritical root d_-, so the flow stays smooth: the finite-volume solver and
 the characteristic oracle track each other, kinetic energy drains at rate
 2/m, and r(t) climbs toward the limit predicted from the energy budget.
+The scenario is configs/subcritical_sync.yaml.
 """
+import os
+
 import numpy as np
 
 import kurahydro as kh
 
-params = kh.Params(0.5, 0.1)
-init = kh.InitSpec(kh.RhoGaussian(), kh.USine(-1.0))
-config = kh.ScenarioConfig(
-    params=params, init=init, n_theta=1000, t_end=5.0, record_dt=0.01,
-    snapshot_times=(0.0, 1.0, 5.0), solver="both", n_samples=8000,
-)
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
+config = kh.parse_config(os.path.join(CONFIGS, "subcritical_sync.yaml"))
+params = config.params
 
 result = kh.run_scenario(config, out_dir="results/subcritical_sync")
 se = result.eulerian.series

@@ -6,25 +6,24 @@ concentrates.  The oracle watches d(t) against the closed-form supercritical
 envelope and flags gradient collapse; the Eulerian solver cannot represent
 densities beyond 1/dtheta per cell, so its concentration detector runs with
 a lowered density factor.
+The scenario is configs/supercritical_blowup.yaml.
 """
+import os
+
 import numpy as np
 
 import kurahydro as kh
 
-params = kh.Params(1.0, 1.0)
-init = kh.InitSpec(kh.RhoGaussian(), kh.USine(-2.0))
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
+config = kh.parse_config(os.path.join(CONFIGS, "supercritical_blowup.yaml"))
+params = config.params
 
-verdict = kh.classify(init, params)
+verdict = kh.classify(config.init, params)
 print(f"classifier: {verdict.category}; min du0 = {verdict.min_du0}")
 print(f"blow-up no later than t = {verdict.blowup_time_bound:.4f} "
       "(pole of the supercritical envelope)")
 print()
 
-config = kh.ScenarioConfig(
-    params=params, init=init, n_theta=1000, t_end=3.0, record_dt=0.01,
-    solver="both", n_samples=8000,
-    scheme=kh.SchemeConfig(blowup_rho_factor=50.0),
-)
 result = kh.run_scenario(config, out_dir="results/supercritical_blowup")
 
 oracle = result.lagrangian

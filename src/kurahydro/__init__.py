@@ -33,7 +33,7 @@ from .meanfield import (
     mean_field_force,
     order_parameter,
 )
-from .fv import MassClipError, SchemeConfig, cfl_dt, step_rk2
+from .fv import MassClipError, cfl_dt, step_rk2
 from .lagrangian import (
     CharEnsemble,
     evolve,
@@ -75,8 +75,6 @@ from .thresholds import (
     supercritical_envelope,
 )
 from .experiments import (
-    ScenarioConfig,
-    SweepConfig,
     SweepResult,
     build_grids,
     build_state,
@@ -88,6 +86,9 @@ from .experiments import (
     steady_r,
 )
 from .config import (
+    ScenarioConfig,
+    SchemeConfig,
+    SweepConfig,
     apply_overrides,
     format_rho0,
     format_wave,

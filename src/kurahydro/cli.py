@@ -9,8 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import parse_config
-from .experiments import ScenarioConfig, SweepConfig, hysteresis_sweep, run_scenario
+from .config import ScenarioConfig, SweepConfig, parse_config
+from .experiments import hysteresis_sweep, run_scenario
 from .io import format_time, list_snapshots, read_series_csv, read_snapshot_csv
 from .thresholds import classify
 

@@ -1,14 +1,15 @@
 """Config file schema: YAML key:value mappings resolved to run configurations.
 
-The config dataclasses are the schema.  Each field of ScenarioConfig,
-SchemeConfig and SweepConfig declared int, float, str, tuple (of floats) or
-float | None is a config key of the same name; a given value is coerced to
-that type, and a key left out keeps the field's default.  The keys, with
-defaults in parentheses:
+The config dataclasses ScenarioConfig, SchemeConfig and SweepConfig, defined
+here, are the schema.  Each of their fields declared int, float, str, tuple
+(of floats) or float | None is a config key of the same name; a given value
+is coerced to that type, and a key left out keeps the field's default.  The
+keys, with defaults in parentheses:
 
 Scenario: m, K [required]; n_theta (1000); g: dirac|gaussian (dirac);
 omega0 (0.0); n_omega (600); omega_L (5.0); rho0 (gaussian); u0 ("0");
-init_table [replaces rho0/u0; a table in the snapshot format]; t_end (5.0);
+init_table [replaces rho0/u0; a table in the snapshot format, which
+resolve_config reads with io.read_snapshot_csv]; t_end (5.0);
 record_dt (0.01); snapshot_times ([]); solver: eulerian|lagrangian|both
 (eulerian); n_samples (1024); dt_oracle (1e-2).  The times are finite.
 With solver lagrangian or both, t_end, record_dt and each snapshot time up
@@ -19,10 +20,9 @@ scheme section: cfl (0.4); max_dt (1e-2); blowup_rho_factor (1e3);
 clip_abort (1e-8).
 
 A sweep section, even an empty one, turns the result into a SweepConfig:
-k_min (0) / k_max (4) /
-k_step (0.1) building the path k_min -> k_max -> k_min, or an explicit
-k_path list, plus steady_tol (1e-4), steady_window (1.0), t_max (50),
-refine_step (null), refine_window (0.3).
+k_min (0) / k_max (4) / k_step (0.1) building the path k_min -> k_max ->
+k_min, or an explicit k_path list, plus steady_tol (1e-4),
+steady_window (1.0), t_max (50), refine_step (null), refine_window (0.3).
 
 rho0 accepts the named forms uniform | gaussian | gaussian(mu,sigma) |
 point(theta0) or a nonnegative wave expression; u0 accepts wave expressions
@@ -31,9 +31,10 @@ point(theta0) or a nonnegative wave expression; u0 accepts wave expressions
 from __future__ import annotations
 
 import functools
+import math
 import re
 import typing
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -49,8 +50,113 @@ from .domain import (
     UCosine,
     USine,
 )
-from .experiments import ScenarioConfig, SweepConfig
-from .fv import SchemeConfig
+from .io import read_snapshot_csv
+from .lagrangian import oracle_step
+
+
+@dataclass(frozen=True)
+class SchemeConfig:
+    """Scheme knobs: CFL number, step cap, blow-up and clipping thresholds."""
+
+    cfl: float = 0.4
+    max_dt: float = 1e-2
+    blowup_rho_factor: float = 1e3
+    clip_abort: float = 1e-8
+
+    def __post_init__(self):
+        if not 0.0 < self.cfl < 1.0:
+            raise ValueError("cfl must lie in (0, 1)")
+        if not self.max_dt > 0:
+            raise ValueError("max_dt must be positive")
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    params: Params
+    init: InitSpec
+    n_theta: int = 1000
+    g: str = "dirac"
+    omega0: float = 0.0
+    n_omega: int = 600
+    omega_L: float = 5.0
+    t_end: float = 5.0
+    record_dt: float = 0.01
+    snapshot_times: tuple = ()
+    solver: str = "eulerian"
+    scheme: SchemeConfig = SchemeConfig()
+    n_samples: int = 1024
+    dt_oracle: float = 1e-2
+
+    def __post_init__(self):
+        for name in ("t_end", "record_dt", "dt_oracle"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if self.n_samples < 2:
+            raise ValueError("n_samples must be at least 2")
+        if self.solver not in ("eulerian", "lagrangian", "both"):
+            raise ValueError("solver must be eulerian, lagrangian, or both")
+        tabulated = (isinstance(p, TableData) for p in (self.init.rho0, self.init.u0))
+        if self.solver != "eulerian" and any(tabulated):
+            raise ValueError(
+                f"init_table runs with solver eulerian only, not {self.solver}: "
+                "the oracle samples symbolic initial data"
+            )
+        if self.g not in ("dirac", "gaussian"):
+            raise ValueError("g must be dirac or gaussian")
+        object.__setattr__(self, "snapshot_times", tuple(self.snapshot_times))
+        # a negative time is never reached, so neither solver would write it;
+        # times past t_end stay accepted (a shortened run keeps its config)
+        if any(not 0 <= t < math.inf for t in self.snapshot_times):
+            raise ValueError("snapshot_times must be nonnegative and finite")
+        # the oracle writes rows and snapshots only at its steps
+        if self.solver != "eulerian":
+            dt = self.dt_oracle
+            for name in ("t_end", "record_dt"):
+                if oracle_step(getattr(self, name), dt, name) < 1:
+                    raise ValueError(f"{name} must be at least dt_oracle={dt!r}")
+            for t in self.snapshot_times:
+                if round(t, 12) <= round(self.t_end, 12):
+                    oracle_step(t, dt, "snapshot_times entry")
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """Coupling path (forward leg then backward leg) plus steady-state knobs."""
+
+    k_path: tuple
+    steady_tol: float = 1e-4
+    steady_window: float = 1.0
+    t_max: float = 50.0
+    refine_step: float | None = None
+    refine_window: float = 0.3
+    base: ScenarioConfig | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "k_path", tuple(float(k) for k in self.k_path))
+        if not self.k_path:
+            raise ValueError("k_path must contain at least one coupling value")
+        if any(k < 0 for k in self.k_path):
+            raise ValueError("coupling values must be nonnegative")
+        for name in ("steady_tol", "steady_window", "t_max", "refine_window"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.refine_step is not None and not self.refine_step > 0:
+            raise ValueError("refine_step must be positive")
+        if self.refine_step is not None and len(self.k_path) > 1:
+            steps = [
+                abs(b - a)
+                for a, b in zip(self.k_path, self.k_path[1:])
+                if abs(b - a) > 0
+            ]
+            if steps and self.refine_step >= min(steps):
+                raise ValueError("refine_step must be smaller than the sweep step")
+
+    def branches(self):
+        """Split the path at its peak into (forward, backward) legs."""
+        peak = max(range(len(self.k_path)), key=lambda i: self.k_path[i])
+        forward = self.k_path[: peak + 1]
+        return forward, self.k_path[peak:]
+
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _CONST_RE = re.compile(rf"^[+-]?{_NUM}$")
@@ -224,7 +330,8 @@ def resolve_config(data):
     if table_path is not None:
         if "rho0" in data or "u0" in data:
             raise ValueError("init_table replaces rho0/u0; remove those keys")
-        init = InitSpec.from_table(table_path)
+        table = TableData(*read_snapshot_csv(table_path), path=str(table_path))
+        init = InitSpec(rho0=table, u0=table)
     else:
         init = InitSpec(
             rho0=parse_rho0(data.get("rho0", "gaussian")),

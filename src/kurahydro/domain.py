@@ -4,8 +4,9 @@ The model lives on the periodic phase circle [-pi, pi) crossed with a set of
 natural frequencies Omega_k carrying probability weights w_k ~ g(Omega_k).
 A FieldState holds the density rho(theta, Omega) -- per unit theta, each
 Omega-slice carrying unit mass -- and the phase velocity u(theta, Omega).
-Tabulated initial data (TableData) is a table in the snapshot format, read
-by io.read_snapshot_csv, the one reader of that format.
+Tabulated initial data (TableData) is a table in the snapshot format;
+config.resolve_config reads it with io.read_snapshot_csv, the one reader of
+that format, so this module reads no files.
 """
 from __future__ import annotations
 
@@ -204,13 +205,6 @@ class InitSpec:
 
     rho0: object = field(default_factory=RhoGaussian)
     u0: object = field(default_factory=UConst)
-
-    @classmethod
-    def from_table(cls, path):
-        from .io import read_snapshot_csv  # io imports domain (via diagnostics)
-
-        table = TableData(*read_snapshot_csv(path), path=str(path))
-        return cls(rho0=table, u0=table)
 
 
 def evaluate_u0(u0, theta):

@@ -1,18 +1,17 @@
 """Scenario runner and hysteresis sweeps.
 
-A ScenarioConfig bundles parameters, grids, initial data, and solver choice;
-run_scenario advances the Eulerian solver and/or the Lagrangian oracle to
-t_end (or blow-up), returning diagnostics series and field snapshots, and
-optionally writing a results directory.  hysteresis_sweep walks a coupling
-path forward and backward with warm starts, reading off quasi-steady order
-parameters.
+A config.ScenarioConfig bundles parameters, grids, initial data, and solver
+choice; run_scenario advances the Eulerian solver and/or the Lagrangian
+oracle to t_end (or blow-up), returning diagnostics series and field
+snapshots, and optionally writing a results directory.  hysteresis_sweep
+walks a coupling path forward and backward with warm starts, reading off
+quasi-steady order parameters.
 
 Only the generator _advance steps the finite-volume solver; run_eulerian
 (series rows, snapshots) and steady_r (steady-state test) consume it.
 """
 from __future__ import annotations
 
-import math
 import os
 import time
 import warnings
@@ -20,7 +19,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import __version__
 from . import io as run_io
+from .config import ScenarioConfig, serialize_config
 from .diagnostics import (
     BlowupMonitor,
     RunResult,
@@ -32,66 +33,10 @@ from .diagnostics import (
 # through _field_row, and energies is imported only so the hook resolves.
 from .diagnostics import energies  # noqa: F401
 from .diagnostics import series_row as _field_row
-from .domain import (
-    InitSpec,
-    Params,
-    TableData,
-    discretize_frequency,
-    init_state,
-    make_theta_grid,
-)
-from .fv import MassClipError, SchemeConfig, Workspace, cfl_dt, step_rk2
+from .domain import discretize_frequency, init_state, make_theta_grid
+from .fv import MassClipError, Workspace, cfl_dt, step_rk2
 from .lagrangian import evolve, oracle_step, pushforward_density, sample_initial
 from .meanfield import order_parameter
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    params: Params
-    init: InitSpec
-    n_theta: int = 1000
-    g: str = "dirac"
-    omega0: float = 0.0
-    n_omega: int = 600
-    omega_L: float = 5.0
-    t_end: float = 5.0
-    record_dt: float = 0.01
-    snapshot_times: tuple = ()
-    solver: str = "eulerian"
-    scheme: SchemeConfig = SchemeConfig()
-    n_samples: int = 1024
-    dt_oracle: float = 1e-2
-
-    def __post_init__(self):
-        for name in ("t_end", "record_dt", "dt_oracle"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if self.n_samples < 2:
-            raise ValueError("n_samples must be at least 2")
-        if self.solver not in ("eulerian", "lagrangian", "both"):
-            raise ValueError("solver must be eulerian, lagrangian, or both")
-        tabulated = (isinstance(p, TableData) for p in (self.init.rho0, self.init.u0))
-        if self.solver != "eulerian" and any(tabulated):
-            raise ValueError(
-                f"init_table runs with solver eulerian only, not {self.solver}: "
-                "the oracle samples symbolic initial data"
-            )
-        if self.g not in ("dirac", "gaussian"):
-            raise ValueError("g must be dirac or gaussian")
-        object.__setattr__(self, "snapshot_times", tuple(self.snapshot_times))
-        # a negative time is never reached, so neither solver would write it;
-        # times past t_end stay accepted (a shortened run keeps its config)
-        if any(not 0 <= t < math.inf for t in self.snapshot_times):
-            raise ValueError("snapshot_times must be nonnegative and finite")
-        # the oracle writes rows and snapshots only at its steps
-        if self.solver != "eulerian":
-            dt = self.dt_oracle
-            for name in ("t_end", "record_dt"):
-                if oracle_step(getattr(self, name), dt, name) < 1:
-                    raise ValueError(f"{name} must be at least dt_oracle={dt!r}")
-            for t in self.snapshot_times:
-                if round(t, 12) <= round(self.t_end, 12):
-                    oracle_step(t, dt, "snapshot_times entry")
 
 
 def build_grids(config):
@@ -236,9 +181,6 @@ def _snapshot_fields(solver, run, grid):
 
 
 def _manifest_payload(config, wall_time, solver, extra):
-    from . import __version__
-    from .config import serialize_config
-
     return {
         "config": serialize_config(config),
         "solver": solver,
@@ -289,45 +231,6 @@ def marginalize(state):
 
 # ---------------------------------------------------------------------------
 # Quasi-steady order parameter and hysteresis sweeps.
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Coupling path (forward leg then backward leg) plus steady-state knobs."""
-
-    k_path: tuple
-    steady_tol: float = 1e-4
-    steady_window: float = 1.0
-    t_max: float = 50.0
-    refine_step: float | None = None
-    refine_window: float = 0.3
-    base: ScenarioConfig | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "k_path", tuple(float(k) for k in self.k_path))
-        if not self.k_path:
-            raise ValueError("k_path must contain at least one coupling value")
-        if any(k < 0 for k in self.k_path):
-            raise ValueError("coupling values must be nonnegative")
-        for name in ("steady_tol", "steady_window", "t_max", "refine_window"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.refine_step is not None and not self.refine_step > 0:
-            raise ValueError("refine_step must be positive")
-        if self.refine_step is not None and len(self.k_path) > 1:
-            steps = [
-                abs(b - a)
-                for a, b in zip(self.k_path, self.k_path[1:])
-                if abs(b - a) > 0
-            ]
-            if steps and self.refine_step >= min(steps):
-                raise ValueError("refine_step must be smaller than the sweep step")
-
-    def branches(self):
-        """Split the path at its peak into (forward, backward) legs."""
-        peak = max(range(len(self.k_path)), key=lambda i: self.k_path[i])
-        forward = self.k_path[: peak + 1]
-        return forward, self.k_path[peak:]
 
 
 def steady_r(config, K, warm_state, sweep):
@@ -469,8 +372,6 @@ def hysteresis_sweep(sweep, out_dir=None):
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         run_io.write_sweep_csv(os.path.join(out_dir, "sweep.csv"), result)
-        from .config import serialize_config
-
         extra = {"sweep": serialize_config(sweep)["sweep"]}
         run_io.write_manifest(
             os.path.join(out_dir, "manifest.json"),

@@ -70,7 +70,6 @@ formulas on zeros, infinities, NaN and underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,22 +98,6 @@ class MassClipError(RuntimeError):
         )
         self.t = t
         self.clipped = clipped
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Scheme knobs: CFL number, step cap, blow-up and clipping thresholds."""
-
-    cfl: float = 0.4
-    max_dt: float = 1e-2
-    blowup_rho_factor: float = 1e3
-    clip_abort: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 < self.cfl < 1.0:
-            raise ValueError("cfl must lie in (0, 1)")
-        if not self.max_dt > 0:
-            raise ValueError("max_dt must be positive")
 
 
 class Workspace:

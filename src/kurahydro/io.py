@@ -119,7 +119,7 @@ def read_series_csv(path):
 
 def format_time(t):
     """t rounded to 12 decimals, in the shortest %g form that reads back as it."""
-    t = round(float(t), 12)
+    t = round(float(t), 12) + 0.0  # -0.0 -> 0.0
     return next(s for p in range(1, 18) if float(s := "%.*g" % (p, t)) == t)
 
 

@@ -532,6 +532,20 @@ def test_cli_writes_distinct_snapshot_times_to_distinct_files(tmp_path):
     assert set(list_snapshots(str(out))) == {0.1234561, 0.1234564}
 
 
+def test_both_solvers_name_a_negative_zero_snapshot_t0(tmp_path, capsys):
+    """A snapshot time of -0.0 is the file t=0.csv from either solver, and
+    compare keys it "0"."""
+    cfg = _write_cfg(tmp_path, solver="both")
+    out = tmp_path / "x"
+    argv = ["run", "--config", cfg, "--out", str(out), "--set", "snapshot_times=[-0.0, 0.1]"]
+    assert main(argv) == 0
+    for solver in ("eulerian", "lagrangian"):
+        assert sorted(os.listdir(out / solver / "snapshots")) == ["t=0.1.csv", "t=0.csv"]
+    capsys.readouterr()
+    assert main(["compare", str(out / "eulerian"), str(out / "lagrangian")]) == 0
+    assert sorted(json.loads(capsys.readouterr().out)["l1_rho"]) == ["0", "0.1"]
+
+
 @pytest.mark.parametrize(
     "override", ["t_end=.inf", "record_dt=.inf", "dt_oracle=.inf", "snapshot_times=[.inf]"]
 )

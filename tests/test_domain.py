@@ -21,6 +21,7 @@ from kurahydro import (
     evaluate_u0,
     init_state,
     make_theta_grid,
+    resolve_config,
     min_du0,
     rho0_profile,
     wrap_angle,
@@ -156,6 +157,11 @@ def test_field_state_freezes_a_view_not_the_callers_array():
     assert state.u[0, 0] == 1.0
 
 
+def _table_spec(path):
+    """The InitSpec of a config that names path as its init_table."""
+    return resolve_config({"m": 1.0, "K": 0.0, "init_table": str(path)}).init
+
+
 def test_table_round_trip(tmp_path):
     grid = make_theta_grid(16)
     om = discretize_frequency("dirac")
@@ -169,7 +175,7 @@ def test_table_round_trip(tmp_path):
                 % (grid.centers[j], om.nodes[k], direct.rho[k, j], direct.u[k, j])
             )
     path.write_text("\n".join(lines) + "\n")
-    spec = InitSpec.from_table(path)
+    spec = _table_spec(path)
     state = init_state(spec, grid, om)
     assert np.allclose(state.rho, direct.rho, atol=1e-15)
     assert np.allclose(state.u, direct.u, atol=1e-15)
@@ -178,7 +184,7 @@ def test_table_round_trip(tmp_path):
 def test_table_grid_mismatch(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("theta,omega,rho,u\n0.1,0,1,0\n0.2,0,1,0\n0.3,0,1,0\n0.4,0,1,0\n")
-    spec = InitSpec.from_table(path)
+    spec = _table_spec(path)
     grid = make_theta_grid(4)
     om = discretize_frequency("dirac")
     with pytest.raises(ValueError, match="theta values do not match"):
@@ -189,7 +195,7 @@ def test_table_header_required(tmp_path):
     path = tmp_path / "nohdr.csv"
     path.write_text("0.1,0,1,0\n")
     with pytest.raises(ValueError, match="nohdr.csv: header"):
-        InitSpec.from_table(path)
+        _table_spec(path)
 
 
 @pytest.mark.parametrize("header", ["omega,theta,rho,u", "theta, omega, rho, u"])
@@ -199,7 +205,7 @@ def test_table_header_must_be_the_snapshot_header(tmp_path, header):
     path = tmp_path / "permuted.csv"
     path.write_text(header + "\n0,0,1,0\n")
     with pytest.raises(ValueError, match="permuted.csv: header"):
-        InitSpec.from_table(path)
+        _table_spec(path)
 
 
 @pytest.mark.parametrize(

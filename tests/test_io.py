@@ -21,14 +21,16 @@ from kurahydro.io import (
 
 def test_snapshot_filename_is_the_time_at_12_decimals():
     """The name is %g whenever %g reads back, so the shipped runs keep their
-    names; more digits only when needed, and none past the 12th decimal."""
-    cases = {
-        0.0: "t=0.csv", 5.0: "t=5.csv", 0.5: "t=0.5.csv", 0.05: "t=0.05.csv",
-        0.62: "t=0.62.csv", 0.1 + 0.2: "t=0.3.csv", 0.1234561: "t=0.1234561.csv",
-        0.1234564: "t=0.1234564.csv", 2.5 + 4e-13: "t=2.5.csv",
-        1e-12: "t=1e-12.csv", 123.4567890123456: "t=123.456789012346.csv",
-    }
-    for t, name in cases.items():
+    names; more digits only when needed, none past the 12th decimal, and
+    -0.0 is named 0."""
+    cases = [
+        (0.0, "t=0.csv"), (-0.0, "t=0.csv"), (5.0, "t=5.csv"), (0.5, "t=0.5.csv"),
+        (0.05, "t=0.05.csv"), (0.62, "t=0.62.csv"), (0.1 + 0.2, "t=0.3.csv"),
+        (0.1234561, "t=0.1234561.csv"), (0.1234564, "t=0.1234564.csv"),
+        (2.5 + 4e-13, "t=2.5.csv"), (1e-12, "t=1e-12.csv"),
+        (123.4567890123456, "t=123.456789012346.csv"),
+    ]
+    for t, name in cases:
         assert run_io.snapshot_filename(t) == name
         assert run_io.parse_snapshot_time(name) == round(t, 12)
 

@@ -259,6 +259,47 @@ def test_supercritical_collapse_time_is_independent_of_the_step():
     assert times[-1] == pytest.approx(0.6251445, abs=1e-6)
 
 
+def _reflection_case(case):
+    """(ensemble, params, collapse time or None) of one reflection test case."""
+    seven = discretize_frequency("gaussian", 7, 5.0)
+    if case == "gaussian-collapse":
+        init = InitSpec(RhoGaussian(0.3, 0.8), USine(-1.3, 1.0, 0.2))
+        return sample_initial(init, seven, 40), Params(0.7, 2.5), 0.78527
+    if case == "dirac-supercritical":
+        return _identical_ensemble(64, u0=USine(-2.0)), Params(1.0, 1.0), 0.62604
+    init = InitSpec(RhoGaussian(0.3, 0.8), USine(-0.5, 1.0, 0.2))
+    return sample_initial(init, seven, 40), Params(0.7, 0.5), None
+
+
+@pytest.mark.parametrize("case", ["gaussian-collapse", "dirac-supercritical", "smooth"])
+def test_reflection_commutes_with_evolve(case):
+    """eta -> -eta, v -> -v, Omega -> -Omega maps a run onto a run, bit for
+    bit: phi, vc and etac are negated, every other series column, the
+    blow-up event, d and log rho are the same bits."""
+    ens, params, t_collapse = _reflection_case(case)
+    run = evolve(ens, params, 2.0)
+    mirror = evolve(replace(ens, Omega=-ens.Omega, eta=-ens.eta, v=-ens.v), params, 2.0)
+    if t_collapse is None:
+        assert run.blowup is None
+    else:
+        assert run.blowup.reason == "gradient-collapse"
+        assert run.blowup.t == pytest.approx(t_collapse, abs=1e-5)
+    assert mirror.blowup == run.blowup
+    assert run.series.data.shape == mirror.series.data.shape
+    for name in TimeSeries.columns:
+        a, b = getattr(run.series, name), getattr(mirror.series, name)
+        if name in ("phi", "vc", "etac"):
+            assert np.array_equal(a, -b), name
+        else:
+            assert a.tobytes() == b.tobytes(), name
+    final, reflected = run.final, mirror.final
+    assert final.t == reflected.t
+    assert np.array_equal(final.eta, -reflected.eta)
+    assert np.array_equal(final.v, -reflected.v)
+    assert final.d.tobytes() == reflected.d.tobytes()
+    assert final.log_rho.tobytes() == reflected.log_rho.tobytes()
+
+
 def test_snapshots_at_requested_times():
     ens = _identical_ensemble(32)
     run = evolve(

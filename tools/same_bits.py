@@ -2,8 +2,9 @@
 
     python3 tools/same_bits.py PARENT_TREE CHANGE_TREE
 
-Runs the four CLI commands below with each tree's own `src/` and
-`configs/`, one tree after the other, in a temporary directory:
+Runs the CLI commands below with each tree's own `src/` and `configs/`, one
+tree after the other, in a temporary directory.  The first four run in the
+tree:
 
     run   subcritical_sync.yaml (solver both)        -> sub/
     run   supercritical_blowup.yaml (solver both)    -> super/
@@ -12,10 +13,19 @@ Runs the four CLI commands below with each tree's own `src/` and
     sweep hysteresis_desk.yaml, k 0 -> 1.6 step 0.4,
           t_max=10                                   -> sweep/
 
-then compares the two sets of outputs: every CSV by relative path and by
-bytes, and every manifest.json as JSON without its `wall_time_s`.  Prints
-one line per difference and a summary; exits 0 when nothing differs, 1
-otherwise (2 when a command fails).
+The last three run in the tree's output root, on restart.yaml, a config
+written there that restarts the sub/ run from its eulerian snapshot at t=1
+(init_table, a path relative to the root, so both manifests record it
+alike), each with its stdout saved to <name>.stdout:
+
+    run      restart.yaml                           -> restart/
+    classify restart.yaml
+    compare  sub/eulerian sub/lagrangian
+
+then compares the two sets of outputs: every CSV and stdout file by relative
+path and by bytes, and every manifest.json as JSON without its
+`wall_time_s`.  Prints one line per difference and a summary; exits 0 when
+nothing differs, 1 otherwise (2 when a command fails).
 """
 from __future__ import annotations
 
@@ -41,15 +51,40 @@ COMMANDS = {
     ],
 }
 
+RESTART_YAML = """\
+m: 0.5
+K: 0.1
+n_theta: 1000
+g: dirac
+init_table: sub/eulerian/snapshots/t=1.csv
+t_end: 0.5
+solver: eulerian
+"""
+
+# Run in the output root once COMMANDS have run; stdout goes to <name>.stdout.
+ROOT_COMMANDS = {
+    "restart": ["run", "--config", "restart.yaml", "--out", "restart"],
+    "classify": ["classify", "--config", "restart.yaml"],
+    "compare": ["compare", "sub/eulerian", "sub/lagrangian"],
+}
+
 
 def run_tree(tree, out_root):
     """Run every command with tree's src/ and configs/, writing under out_root."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    for name, args in COMMANDS.items():
-        argv = [sys.executable, "-m", "kurahydro.cli", *args]
-        argv += ["--out", os.path.join(out_root, name)]
+
+    def cli(args, cwd, stdout):
         print(f"[{tree}] {' '.join(args)}", flush=True)
-        subprocess.run(argv, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
+        argv = [sys.executable, "-m", "kurahydro.cli", *args]
+        subprocess.run(argv, cwd=cwd, env=env, check=True, stdout=stdout)
+
+    for name, args in COMMANDS.items():
+        cli([*args, "--out", os.path.join(out_root, name)], tree, subprocess.DEVNULL)
+    with open(os.path.join(out_root, "restart.yaml"), "w") as fh:
+        fh.write(RESTART_YAML)
+    for name, args in ROOT_COMMANDS.items():
+        with open(os.path.join(out_root, name + ".stdout"), "w") as out:
+            cli(args, out_root, out)
 
 
 def outputs(root, suffix):
@@ -78,9 +113,10 @@ def compare(root_a, root_b):
     """Lines naming each difference between two output trees; prints a count
     of the equal files of each kind."""
     lines = []
-    for suffix, read, what in (
-        (".csv", _read_bytes, "bytes differ"),
-        ("manifest.json", _read_manifest, "differs beyond wall_time_s"),
+    for suffix, read, what, kind in (
+        (".csv", _read_bytes, "bytes differ", "CSVs"),
+        (".stdout", _read_bytes, "bytes differ", "stdout files"),
+        ("manifest.json", _read_manifest, "differs beyond wall_time_s", "manifests"),
     ):
         names_a, names_b = outputs(root_a, suffix), outputs(root_b, suffix)
         lines += [f"only in parent: {n}" for n in sorted(names_a - names_b)]
@@ -92,7 +128,6 @@ def compare(root_a, root_b):
                 same += 1
             else:
                 lines.append(f"{what}: {name}")
-        kind = "CSVs" if suffix == ".csv" else "manifests"
         print(f"{kind}: {len(names_a)} in parent, {len(names_b)} in change, "
               f"{same} of {len(shared)} shared equal")
     return lines
