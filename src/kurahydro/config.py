@@ -9,7 +9,8 @@ keys, with defaults in parentheses:
 Scenario: m, K [required]; n_theta (1000); g: dirac|gaussian (dirac);
 omega0 (0.0); n_omega (600); omega_L (5.0); rho0 (gaussian); u0 ("0");
 init_table [replaces rho0/u0; a table in the snapshot format, which
-resolve_config reads with io.read_snapshot_csv]; t_end (5.0);
+resolve_config reads with io.read_snapshot_csv; parse_config takes a
+relative path in a file as relative to that file]; t_end (5.0);
 record_dt (0.01); snapshot_times ([]); solver: eulerian|lagrangian|both
 (eulerian); n_samples (1024); dt_oracle (1e-2).  The times are finite.
 With solver lagrangian or both, t_end, record_dt and each snapshot time up
@@ -17,12 +18,14 @@ to t_end must be a multiple of dt_oracle (lagrangian.oracle_step), t_end and
 record_dt a positive one.
 
 scheme section: cfl (0.4); max_dt (1e-2); blowup_rho_factor (1e3);
-clip_abort (1e-8).
+clip_abort (1e-8).  max_dt is finite, blowup_rho_factor at least 1 and
+clip_abort nonnegative.
 
 A sweep section, even an empty one, turns the result into a SweepConfig:
 k_min (0) / k_max (4) / k_step (0.1) building the path k_min -> k_max ->
 k_min, or an explicit k_path list, plus steady_tol (1e-4),
-steady_window (1.0), t_max (50), refine_step (null), refine_window (0.3).
+steady_window (1.0), t_max (50), refine_step (null), refine_window (0.3);
+each of these knobs, when given, is positive and finite.
 
 rho0 accepts the named forms uniform | gaussian | gaussian(mu,sigma) |
 point(theta0) or a nonnegative wave expression; u0 accepts wave expressions
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import re
 import typing
 from dataclasses import dataclass, fields
@@ -65,9 +69,15 @@ class SchemeConfig:
 
     def __post_init__(self):
         if not 0.0 < self.cfl < 1.0:
-            raise ValueError("cfl must lie in (0, 1)")
-        if not self.max_dt > 0:
-            raise ValueError("max_dt must be positive")
+            raise ValueError("scheme.cfl must lie in (0, 1)")
+        if not 0 < self.max_dt < math.inf:
+            raise ValueError("scheme.max_dt must be positive and finite")
+        # a factor below 1 fires on the initial state, and NaN never fires
+        if not self.blowup_rho_factor >= 1:
+            raise ValueError("scheme.blowup_rho_factor must be at least 1")
+        # a negative limit aborts the first step, and NaN never aborts
+        if not self.clip_abort >= 0:
+            raise ValueError("scheme.clip_abort must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -137,11 +147,10 @@ class SweepConfig:
             raise ValueError("k_path must contain at least one coupling value")
         if any(k < 0 for k in self.k_path):
             raise ValueError("coupling values must be nonnegative")
-        for name in ("steady_tol", "steady_window", "t_max", "refine_window"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.refine_step is not None and not self.refine_step > 0:
-            raise ValueError("refine_step must be positive")
+        for name in ("steady_tol", "steady_window", "t_max", "refine_window", "refine_step"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"sweep.{name} must be positive and finite")
         if self.refine_step is not None and len(self.k_path) > 1:
             steps = [
                 abs(b - a)
@@ -407,8 +416,17 @@ def apply_overrides(data, overrides):
 
 
 def parse_config(path, overrides=()):
-    """Read, override, and resolve a config file."""
-    return resolve_config(apply_overrides(load_config_data(path), overrides))
+    """Read, override, and resolve a config file.
+
+    A relative init_table in the file names a path relative to the file's
+    directory, and is joined to it; one set by an override stays relative
+    to the working directory.
+    """
+    data = load_config_data(path)
+    table_path = data.get("init_table")
+    if isinstance(table_path, str):
+        data["init_table"] = os.path.join(os.path.dirname(path), table_path)
+    return resolve_config(apply_overrides(data, overrides))
 
 
 def dump_config(config):

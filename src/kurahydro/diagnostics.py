@@ -4,7 +4,8 @@ asymptotic order-parameter prediction, Dirac-distance bound, blow-up monitor.
 Most quantities exist in two guises -- over an Eulerian FieldState (mass
 weights dtheta*rho*w_k) or over a Lagrangian sample ensemble (quadrature
 weights) -- and the public functions dispatch on the argument type.
-series_row is the one row of the SERIES_COLUMNS series for both solvers.
+series_row is the one row of the SERIES_COLUMNS series for both solvers,
+and record_run the one rule that chooses a run's rows and snapshots.
 
 Support.  Over an ensemble, the diameters and the min_du column span only the
 samples with positive weight: a zero-weight sample is a quadrature node
@@ -31,7 +32,7 @@ GRAD_CHUNK_CELLS = 1 << 13
 
 # Gradient-collapse limit of the FV blow-up monitor: its test on min
 # du/dtheta fires below -BLOWUP_GRAD.  (The oracle times a collapse as the
-# zero of its Jacobian row instead; see lagrangian.evolve.)
+# zero of its Jacobian row instead; see lagrangian._oracle_states.)
 BLOWUP_GRAD = 1e6
 
 SERIES_COLUMNS = (
@@ -456,6 +457,40 @@ class RunResult:
     snapshots: dict
     blowup: BlowupEvent | None = None
     failure: str | None = None
+
+
+def record_run(states, row_times, snapshot_times):
+    """The RunResult of a run of either solver: the one output rule.
+
+    states is a generator that yields (t, row, stored) for states of the
+    run as they are produced, row() building the state's series row and
+    stored() the state to keep, and returns (t, row, stored, blowup,
+    failure) for the state the run ends on.  Times match at 12 decimals:
+    a state at one of row_times adds its row, a state at one of
+    snapshot_times adds its snapshot under that rounded time, and the end
+    state adds its row unless it already has one, and is the final state.
+    row and stored are called before states is resumed, so they may read
+    the generator's current state, and no yielded item is held while the
+    next state is made.
+    """
+    row_keys = {round(float(t), 12) for t in row_times}
+    snapshot_keys = {round(float(t), 12) for t in snapshot_times}
+    rows, snapshots, t_row = [], {}, None
+    while True:
+        try:
+            t, row, stored = next(states)
+        except StopIteration as end:
+            t, row, stored, blowup, failure = end.value
+            if t != t_row:
+                rows.append(row())
+            return RunResult(TimeSeries(rows), stored(), snapshots, blowup, failure)
+        key = round(float(t), 12)
+        if key in row_keys:
+            rows.append(row())
+            t_row = t
+        if key in snapshot_keys:
+            snapshots[key] = stored()
+        del row, stored
 
 
 class BlowupMonitor:

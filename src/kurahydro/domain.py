@@ -10,6 +10,7 @@ that format, so this module reads no files.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,22 +145,35 @@ class RhoPointCell:
     theta0: float = 0.0
 
 
+def _check_freq(wave):
+    """Refuse a wave that is not periodic on the circle."""
+    if not (math.isfinite(wave.freq) and float(wave.freq).is_integer()):
+        raise ValueError(
+            f"wave frequency {wave.freq!r} must be a finite integer: any other "
+            "wave is not periodic on the circle"
+        )
+
+
 @dataclass(frozen=True)
 class USine:
-    """u0(theta) = amplitude * sin(freq * theta) + offset."""
+    """u0(theta) = amplitude * sin(freq * theta) + offset, freq an integer."""
 
     amplitude: float = 1.0
     freq: float = 1.0
     offset: float = 0.0
+
+    __post_init__ = _check_freq
 
 
 @dataclass(frozen=True)
 class UCosine:
-    """u0(theta) = amplitude * cos(freq * theta) + offset."""
+    """u0(theta) = amplitude * cos(freq * theta) + offset, freq an integer."""
 
     amplitude: float = 1.0
     freq: float = 1.0
     offset: float = 0.0
+
+    __post_init__ = _check_freq
 
 
 @dataclass(frozen=True)
@@ -231,19 +245,15 @@ def evaluate_du0(u0, theta):
     raise TypeError(f"cannot differentiate u0 spec of type {type(u0).__name__}")
 
 
-def min_du0(u0, n_scan=8192):
-    """Minimum of the analytic derivative of a symbolic u0 over the circle.
-
-    For the sine/cosine family with |freq| >= 1 the minimum -|amplitude*freq|
-    is attained exactly; otherwise a dense scan of the analytic derivative is
-    used (the scan also covers non-integer frequencies below 1).
-    """
+def min_du0(u0):
+    """Minimum of the analytic derivative of a symbolic u0 over the circle:
+    -|amplitude*freq| for a wave (attained, as freq is an integer), 0 for a
+    constant."""
     if isinstance(u0, UConst):
         return 0.0
-    if isinstance(u0, (USine, UCosine)) and abs(u0.freq) >= 1.0:
+    if isinstance(u0, (USine, UCosine)):
         return -abs(u0.amplitude * u0.freq)
-    theta = np.linspace(-np.pi, np.pi, n_scan)
-    return float(np.min(evaluate_du0(u0, theta)))
+    raise TypeError(f"cannot differentiate u0 spec of type {type(u0).__name__}")
 
 
 @dataclass(frozen=True)

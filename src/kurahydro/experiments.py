@@ -7,8 +7,9 @@ snapshots, and optionally writing a results directory.  hysteresis_sweep
 walks a coupling path forward and backward with warm starts, reading off
 quasi-steady order parameters.
 
-Only the generator _advance steps the finite-volume solver; run_eulerian
-(series rows, snapshots) and steady_r (steady-state test) consume it.
+Only the generator _advance steps the finite-volume solver; _field_states
+(the states run_eulerian records through diagnostics.record_run) and
+steady_r (steady-state test) consume it.
 """
 from __future__ import annotations
 
@@ -25,9 +26,9 @@ from .config import ScenarioConfig, serialize_config
 from .diagnostics import (
     BlowupMonitor,
     RunResult,
-    TimeSeries,
     _field_cell_masses,
     kinetic_energy,
+    record_run,
 )
 # perfbench's tracer wraps both names here: run_eulerian builds its rows
 # through _field_row, and energies is imported only so the hook resolves.
@@ -73,66 +74,67 @@ def _advance(state, params, scheme, monitor, t_stop, ws, op=None):
         yield state, op, extrema
 
 
-def run_eulerian(config, state=None):
-    """Advance the finite-volume solver to t_end, blow-up, or solver failure.
+def _field_states(state, config, targets):
+    """The states run_eulerian records (see diagnostics.record_run): the
+    initial one, then the one at each of targets (ascending, each past
+    state.t) in turn, stepped to by _advance, carrying the E_k trapezoid
+    sum over every step.  Returns with the state it ends on: at the last
+    target, on blow-up, or the last good state when a step fails with
+    MassClipError.
 
     A row takes the order parameter and monitor extrema that _advance
     yielded with its state (for the initial state, those taken here) and
-    the state's E_k from the trapezoid sum.  A state is recorded once: an
-    output time toward which no step was taken (the first failed, or the
-    initial state fired the monitor) adds no row and no snapshot.
+    the state's E_k from the trapezoid sum.  row and stored read the
+    current state, so record_run calls them before the next step.
     """
-    if state is None:
-        state = build_state(config)
-    params = config.params
-    scheme = config.scheme
+    params, scheme = config.params, config.scheme
     eps_supp = 1e-8 * float(np.max(state.rho))
     monitor = BlowupMonitor(scheme.blowup_rho_factor)
     extrema = monitor.observe(state)
     op = order_parameter(state)
-
-    # rows and snapshots up to t_end and at t_end; times match at 12 decimals
-    t_last = round(config.t_end, 12)
-    record_times = np.arange(
-        state.t, config.t_end + 0.5 * config.record_dt, config.record_dt
-    )
-    snap_set = {round(float(ts), 12) for ts in config.snapshot_times}
-    events = sorted(
-        t for t in set(np.round(record_times, 12)) | snap_set | {t_last} if t <= t_last
-    )
-
     Ek_integral = 0.0
     Ek_prev = kinetic_energy(_field_cell_masses(state), state.u)  # E_k of state
-    rows = [_field_row(state, params, Ek_integral, eps_supp, Ek=Ek_prev, op=op,
-                       extrema=extrema)]
-    snapshots = {}
-    if round(state.t, 12) in snap_set:
-        snapshots[float(state.t)] = state
-    failure = None
     ws = Workspace()
 
-    for target in events:
-        if target <= state.t:
-            continue
-        t_start = state.t
+    def row():
+        return _field_row(state, params, Ek_integral, eps_supp, Ek=Ek_prev, op=op,
+                          extrema=extrema)
+
+    def stored():
+        return state
+
+    yield state.t, row, stored
+    for target in targets:
+        if monitor.fired:
+            break
         try:
-            steps = _advance(state, params, scheme, monitor, target, ws, op)
-            for new_state, op, extrema in steps:
+            for new_state, op, extrema in _advance(state, params, scheme, monitor, target,
+                                                   ws, op):
                 # rebind first, so the old state is freed before E_k's temporaries
                 t_prev, state = state.t, new_state
                 Ek_now = kinetic_energy(_field_cell_masses(state), state.u)
                 Ek_integral += 0.5 * (state.t - t_prev) * (Ek_prev + Ek_now)
                 Ek_prev = Ek_now
         except MassClipError as err:
-            failure = str(err)
-        if state.t > t_start:  # else no step was taken and state is recorded
-            rows.append(_field_row(state, params, Ek_integral, eps_supp, Ek=Ek_prev,
-                                   op=op, extrema=extrema))
-            if round(float(state.t), 12) in snap_set:
-                snapshots[float(target)] = state
-        if monitor.fired or failure is not None:
-            break
-    return RunResult(TimeSeries(rows), state, snapshots, monitor.event, failure)
+            return state.t, row, stored, monitor.event, str(err)
+        yield state.t, row, stored
+    return state.t, row, stored, monitor.event, None
+
+
+def run_eulerian(config, state=None):
+    """Advance the finite-volume solver to t_end, blow-up, or solver failure.
+
+    diagnostics.record_run chooses the rows and snapshots, with rows at the
+    multiples of record_dt; the solver steps to each of those, to each
+    snapshot time and to t_end.
+    """
+    state = build_state(config) if state is None else state
+    t_last = round(config.t_end, 12)
+    record_dt = config.record_dt
+    row_times = np.round(np.arange(state.t, config.t_end + 0.5 * record_dt, record_dt), 12)
+    times = {*row_times, *(round(float(t), 12) for t in config.snapshot_times), t_last}
+    targets = sorted(t for t in times if state.t < t <= t_last)
+    return record_run(_field_states(state, config, targets), row_times, config.snapshot_times)
 
 
 def run_lagrangian(config):

@@ -547,7 +547,9 @@ def test_both_solvers_name_a_negative_zero_snapshot_t0(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "override", ["t_end=.inf", "record_dt=.inf", "dt_oracle=.inf", "snapshot_times=[.inf]"]
+    "override",
+    ["t_end=.inf", "record_dt=.inf", "dt_oracle=.inf", "snapshot_times=[.inf]",
+     "scheme.max_dt=.inf", "sweep.t_max=.inf"],
 )
 def test_cli_rejects_a_non_finite_time_naming_its_key(tmp_path, capsys, override):
     """An infinite time would fail only inside a solver, or never end; it
@@ -604,6 +606,31 @@ def test_restart_from_a_snapshot_is_bitwise(tmp_path):
     assert main(["run", "--config", str(restart), "--out", str(tmp_path / "again")]) == 0
     manifest = read_manifest(str(tmp_path / "again" / "manifest.json"))
     assert manifest["config"]["init_table"] == str(snap)
+
+
+def test_a_relative_init_table_is_read_from_the_config_files_directory(
+    tmp_path, monkeypatch
+):
+    """A config restarting from ../run/snapshots/t=0.2.csv runs from any
+    working directory (it used to exit 2, file not found), and the manifest
+    records that path joined to the config's directory as the command
+    named it.  An init_table set on the command line stays relative to the
+    working directory."""
+    cfg = _write_cfg(tmp_path, snapshot_times="[0.2]")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    table = "../run/snapshots/t=0.2.csv"
+    (tmp_path / "restart").mkdir()
+    (tmp_path / "restart" / "restart.yaml").write_text(
+        f"m: 0.5\nK: 0.1\nn_theta: 48\nt_end: 0.1\ninit_table: {table}\n"
+    )
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    restart = ["run", "--config", "../restart/restart.yaml"]
+    assert main([*restart, "--out", "again"]) == 0
+    manifest = read_manifest("again/manifest.json")
+    assert manifest["config"]["init_table"] == "../restart/" + table
+    assert main([*restart, "--out", "typed", "--set", f"init_table={table}"]) == 0
+    assert read_manifest("typed/manifest.json")["config"]["init_table"] == table
 
 
 @pytest.mark.parametrize("name,value", [("u", np.inf), ("rho", np.nan)])

@@ -1,6 +1,8 @@
 """Grids, parameter validation, initial-data specs, and state construction."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import truncnorm
@@ -127,11 +129,12 @@ def test_min_du0_exact_and_scan():
     assert min_du0(USine(10.0, 2.0)) == -20.0
     assert min_du0(UCosine(3.0, 1.0)) == -3.0
     assert min_du0(UConst(5.0)) == 0.0
-    # freq < 1 goes through the dense scan of the analytic derivative
-    spec = USine(1.0, 0.5)
-    theta = np.linspace(-np.pi, np.pi, 200001)
-    expected = float(np.min(evaluate_du0(spec, theta)))
-    assert min_du0(spec) == pytest.approx(expected, abs=1e-6)
+    # a wave of non-integer frequency jumps across theta = +-pi, so it is
+    # refused: 0.2*sin(0.5*theta) had a min du0 of 6e-18 by the old dense
+    # scan, against -6.37 in the FV's first row
+    for wave, freq in ((USine, 0.5), (UCosine, 1.5), (USine, math.inf), (UCosine, math.nan)):
+        with pytest.raises(ValueError, match=rf"frequency {freq!r} must be a finite integer"):
+            wave(0.2, freq)
 
 
 def test_field_state_shape_validation():

@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 from conftest import peak_fields
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kurahydro import (
     BlowupMonitor,
@@ -440,6 +442,53 @@ def test_clip_abort_ends_the_run_on_the_last_good_state(monkeypatch, k):
     assert all(round(snap.t, 12) == t_s <= last.t for t_s, snap in run.snapshots.items())
 
 
+def test_a_clip_after_a_snapshot_only_time_ends_on_one_row_of_that_state(monkeypatch):
+    """_GAUSSIAN steps to 0.1 in 10 steps and 0.1 is a snapshot time off the
+    record grid: it gets a snapshot and no row.  A clip on the next step
+    ends the run on that state, which then gets its one row."""
+    from kurahydro.diagnostics import series_row
+
+    cfg = _config(**_GAUSSIAN, snapshot_times=(0.0, 0.1))
+    start = build_state(cfg)
+    seen = _clip_at(monkeypatch, 11)
+    run = run_eulerian(cfg, start)
+    last = seen[-1]
+    assert round(last.t, 12) == 0.1
+    assert run.final is last
+    assert run.series.t.tolist() == [0.0, last.t]
+    assert run.snapshots == {0.0: start, 0.1: last}
+    eps_supp = 1e-8 * float(np.max(start.rho))
+    row = run.series.data[-1]
+    assert row.tobytes() == np.array(series_row(last, cfg.params, row[-1], eps_supp)).tobytes()
+
+
+@st.composite
+def _output_times(draw):
+    """dt_oracle, and t_end (at most 0.5), record_dt and up to three
+    snapshot times (some past t_end) as multiples of it."""
+    dt = draw(st.sampled_from([0.005, 0.01, 0.02]))
+    n_end = draw(st.integers(1, round(0.5 / dt)))
+    n_record = draw(st.integers(1, n_end))
+    n_snaps = draw(st.lists(st.integers(0, n_end + 5), max_size=3))
+    return dict(dt_oracle=dt, t_end=n_end * dt, record_dt=n_record * dt,
+                snapshot_times=[n * dt for n in n_snaps])
+
+
+@settings(max_examples=40)
+@given(times=_output_times())
+def test_both_solvers_follow_one_output_rule(times):
+    """On any t_end, record_dt and snapshot times on the dt_oracle grid,
+    both solvers write rows at the same times, and snapshots under the
+    same keys."""
+    cfg = _config(solver="both", n_theta=32, n_samples=16, **times)
+    result = run_scenario(cfg)
+    fv, oracle = result.eulerian, result.lagrangian
+    assert fv.blowup is oracle.blowup is None
+    assert fv.series.t.shape == oracle.series.t.shape
+    np.testing.assert_allclose(fv.series.t, oracle.series.t, rtol=0, atol=1e-12)
+    assert set(fv.snapshots) == set(oracle.snapshots)
+
+
 def test_non_finite_initial_state_is_recorded_once():
     """The monitor fires on the initial state, so no step is taken: the run
     is that state's one row and one snapshot, with no second row of it and
@@ -587,12 +636,16 @@ def test_sweep_config_validation_and_branches():
     ("refine_step", 0.0), ("refine_step", -0.1), ("steady_window", 0.0),
     ("steady_window", -1.0), ("steady_tol", 0.0), ("t_max", 0.0),
     ("t_max", float("nan")), ("refine_window", 0.0), ("refine_window", -0.3),
+    ("t_max", float("inf")), ("steady_window", float("inf")), ("steady_tol", float("inf")),
+    ("refine_window", float("inf")),
 ])
 def test_sweep_config_rejects_nonpositive_knobs(name, value):
     """A zero refine_step divides by zero once a jump is found and a negative
     one refines nothing; steady_window <= 0 calls a point steady after one
     step; t_max = 0 returns the initial r; steady_tol = 0 is never met; a
-    refine_window <= 0 leaves an empty window, so refinement adds no point."""
+    refine_window <= 0 leaves an empty window, so refinement adds no point.
+    An infinite t_max never ends a point that does not settle, and the
+    other knobs cannot be honoured at infinity either."""
     with pytest.raises(ValueError, match=f"{name} must be positive"):
         SweepConfig(k_path=(0.0, 1.0, 0.0), **{name: value})
 

@@ -1,6 +1,7 @@
 """Finite-volume scheme: stencil oracle, conservation, TVD, convergence."""
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -70,8 +71,17 @@ def test_scheme_config_validation():
         SchemeConfig(cfl=1.0)
     with pytest.raises(ValueError, match="cfl must lie in"):
         SchemeConfig(cfl=0.0)
-    with pytest.raises(ValueError, match="max_dt"):
-        SchemeConfig(max_dt=0.0)
+    for max_dt in (0.0, math.inf):
+        with pytest.raises(ValueError, match="scheme.max_dt must be positive and finite"):
+            SchemeConfig(max_dt=max_dt)
+    # a factor below 1 fired on the initial state, and NaN switched the test off
+    for factor in (-1.0, 0.5, math.nan):
+        with pytest.raises(ValueError, match="scheme.blowup_rho_factor must be at least 1"):
+            SchemeConfig(blowup_rho_factor=factor)
+    for limit in (-1e-8, math.nan):
+        with pytest.raises(ValueError, match="scheme.clip_abort must be nonnegative"):
+            SchemeConfig(clip_abort=limit)
+    SchemeConfig(blowup_rho_factor=1.0, clip_abort=0.0)
 
 
 def test_minmod_properties(rng):

@@ -94,6 +94,10 @@ def test_evolve_rejects_bad_step_and_horizon():
         evolve(ens, Params(0.5, 0.1), 0.0)
     with pytest.raises(ValueError, match="dt > 0"):
         evolve(ens, Params(0.5, 0.1), 1.0, dt=0.0)
+    # record_every=0 used to die with a ZeroDivisionError
+    for record_every in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="record_every must be a positive integer"):
+            evolve(ens, Params(0.5, 0.1), 1.0, record_every=record_every)
 
 
 def test_series_diameters_skip_zero_weight_samples():
@@ -207,14 +211,17 @@ def test_gradient_consistency_along_flow():
 
 def test_blowup_flag_and_truncation():
     """Steep initial compression drives some J through zero: the run stops
-    there and ends on the step's start, the last state with every J > 0."""
+    there and ends on the step's start, the last state with every J > 0,
+    with one row of it and no snapshot, as none was asked there."""
     ens = _identical_ensemble(128, u0=USine(-2.0))
     dt = 1e-3
-    run = evolve(ens, Params(1.0, 1.0), 5.0, dt=dt, record_every=100)
+    run = evolve(ens, Params(1.0, 1.0), 5.0, dt=dt, record_every=100,
+                 snapshot_times=(0.0, 4.0))
     assert run.blowup is not None
     assert run.blowup.reason == "gradient-collapse"
     assert run.blowup.t < 5.0
-    assert run.series.t[-1] == run.final.t
+    assert run.series.t[-1] == run.final.t > run.series.t[-2]
+    assert list(run.snapshots) == [0.0]
     assert run.final.t < run.blowup.t <= run.final.t + dt
     assert np.all(np.isfinite(run.final.d)) and np.all(np.isfinite(run.final.log_rho))
     assert np.min(run.final.d) < -100.0  # within a step of the collapse
@@ -340,15 +347,19 @@ def test_pushforward_recovers_smooth_density():
 def test_non_finite_slope_is_reported_as_non_finite(row, value):
     """A NaN velocity (or an infinite frequency) in one sample spreads NaN
     into every d through the order parameter within one step; the oracle
-    names that state as the FV monitor does, not as a gradient collapse."""
+    names that state as the FV monitor does, not as a gradient collapse.
+    The run ends on one row of that state, and no snapshot, as none was
+    asked there."""
     ens = _identical_ensemble(64)
     bad = getattr(ens, row).copy()
     bad[5] = value
-    run = evolve(replace(ens, **{row: bad}), Params(0.5, 1.0), 1.0, dt=1e-3)
+    run = evolve(replace(ens, **{row: bad}), Params(0.5, 1.0), 1.0, dt=1e-3,
+                 record_every=10, snapshot_times=(0.0,))
     assert run.blowup is not None
     assert run.blowup.reason == "non-finite"
     assert run.blowup.t == pytest.approx(1e-3)
-    assert run.series.t[-1] == pytest.approx(1e-3)
+    assert run.series.t.tolist() == [0.0, pytest.approx(1e-3)]
+    assert list(run.snapshots) == [0.0]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -457,7 +468,7 @@ def test_uncoupled_samples_follow_the_closed_form():
     v - Omega by exp(-dt/m) up to (dt/m)^5/120 a step, 2000 steps of it
     a relative 5e-13; the bounds leave room for round-off in eta ~ 10."""
     om = discretize_frequency("gaussian", 8, 5.0)
-    ens = sample_initial(InitSpec(RhoGaussian(), USine(-1.0, 0.5)), om, 32)
+    ens = sample_initial(InitSpec(RhoGaussian(), USine(-1.0)), om, 32)
     params = Params(0.5, 0.0)
     run = evolve(ens, params, 2.0, dt=1e-3, record_every=10**9)
     t, m = run.final.t, params.m

@@ -3,20 +3,27 @@
     python3 tools/same_bits.py PARENT_TREE CHANGE_TREE
 
 Runs the CLI commands below with each tree's own `src/` and `configs/`, one
-tree after the other, in a temporary directory.  The first four run in the
+tree after the other, in a temporary directory.  The first five run in the
 tree:
 
     run   subcritical_sync.yaml (solver both)        -> sub/
     run   supercritical_blowup.yaml (solver both)    -> super/
+    run   supercritical_blowup.yaml (solver both),
+          record_dt=0.1, snapshots at 0, 0.25, 0.5   -> edges/
     run   nonidentical_frequencies.yaml, t_end=0.05,
           snapshots at 0 and 0.05                    -> nonid/
     sweep hysteresis_desk.yaml, k 0 -> 1.6 step 0.4,
           t_max=10                                   -> sweep/
 
+edges/ pins the edge cases of the output rule: its snapshot time 0.25 is
+off the record grid but on the oracle's step grid, and both solvers stop
+early on blow-up, between record times.
+
 The last three run in the tree's output root, on restart.yaml, a config
 written there that restarts the sub/ run from its eulerian snapshot at t=1
-(init_table, a path relative to the root, so both manifests record it
-alike), each with its stdout saved to <name>.stdout:
+(init_table, a path relative to the config file, which the manifests
+record joined to the config's directory as given: restart.yaml is named
+relative to the root, so both record it alike), each with its stdout saved to <name>.stdout:
 
     run      restart.yaml                           -> restart/
     classify restart.yaml
@@ -39,6 +46,10 @@ COMMANDS = {
     "sub": ["run", "--config", "configs/subcritical_sync.yaml", "--set", "solver=both"],
     "super": [
         "run", "--config", "configs/supercritical_blowup.yaml", "--set", "solver=both",
+    ],
+    "edges": [
+        "run", "--config", "configs/supercritical_blowup.yaml", "--set", "solver=both",
+        "--set", "record_dt=0.1", "--set", "snapshot_times=[0, 0.25, 0.5]",
     ],
     "nonid": [
         "run", "--config", "configs/nonidentical_frequencies.yaml",
