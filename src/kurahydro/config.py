@@ -7,25 +7,30 @@ is coerced to that type, and a key left out keeps the field's default.  The
 keys, with defaults in parentheses:
 
 Scenario: m, K [required]; n_theta (1000); g: dirac|gaussian (dirac);
-omega0 (0.0); n_omega (600); omega_L (5.0); rho0 (gaussian); u0 ("0");
-init_table [replaces rho0/u0; a table in the snapshot format, which
-resolve_config reads with io.read_snapshot_csv; parse_config takes a
-relative path in a file as relative to that file]; t_end (5.0);
-record_dt (0.01); snapshot_times ([]); solver: eulerian|lagrangian|both
-(eulerian); n_samples (1024); dt_oracle (1e-2).  The times are finite.
-With solver lagrangian or both, t_end, record_dt and each snapshot time up
-to t_end must be a multiple of dt_oracle (lagrangian.oracle_step), t_end and
-record_dt a positive one.
+n_omega (600); omega_L (5.0); rho0 (gaussian); u0 ("0"); init_table
+[replaces rho0/u0; a table in the snapshot format, which resolve_config
+reads with io.read_snapshot_csv; parse_config takes a relative path in a
+file as relative to that file]; t_end (5.0); record_dt (0.01);
+snapshot_times ([]); solver: eulerian|lagrangian|both (eulerian);
+n_samples (1024); dt_oracle (1e-2).  A dirac g is the single frequency 0
+(domain.discretize_frequency).  The times are finite, and omega_L
+positive and finite.  With solver lagrangian or both, t_end, record_dt and
+each snapshot time up to t_end must be a multiple of dt_oracle
+(lagrangian.oracle_step), t_end and record_dt a positive one.
 
-scheme section: cfl (0.4); max_dt (1e-2); blowup_rho_factor (1e3);
-clip_abort (1e-8).  max_dt is finite, blowup_rho_factor at least 1 and
-clip_abort nonnegative.
+scheme section: cfl (0.4); max_dt (1e-2); blowup_rho_factor (1e3).
+max_dt is finite and blowup_rho_factor at least 1.  The mass a step may
+clip is the constant fv.CLIP_ABORT.
 
 A sweep section, even an empty one, turns the result into a SweepConfig:
 k_min (0) / k_max (4) / k_step (0.1) building the path k_min -> k_max ->
-k_min, or an explicit k_path list, plus steady_tol (1e-4),
-steady_window (1.0), t_max (50), refine_step (null), refine_window (0.3);
-each of these knobs, when given, is positive and finite.
+k_min, or an explicit k_path list, plus steady_tol (1e-4), steady_window
+(1.0), t_max (50), refine_step (null); each of these knobs, when given, is
+positive and finite.  Refinement walks a window of half-width
+experiments.REFINE_WINDOW around each jump.
+
+A key that no dataclass declares, such as a setting that has become a
+module constant, is refused as unknown.
 
 rho0 accepts the named forms uniform | gaussian | gaussian(mu,sigma) |
 point(theta0) or a nonnegative wave expression; u0 accepts wave expressions
@@ -43,6 +48,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import yaml
 
+from .diagnostics import time_key
 from .domain import (
     InitSpec,
     Params,
@@ -60,12 +66,11 @@ from .lagrangian import oracle_step
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme knobs: CFL number, step cap, blow-up and clipping thresholds."""
+    """Scheme knobs: CFL number, step cap and blow-up threshold."""
 
     cfl: float = 0.4
     max_dt: float = 1e-2
     blowup_rho_factor: float = 1e3
-    clip_abort: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 < self.cfl < 1.0:
@@ -75,9 +80,6 @@ class SchemeConfig:
         # a factor below 1 fires on the initial state, and NaN never fires
         if not self.blowup_rho_factor >= 1:
             raise ValueError("scheme.blowup_rho_factor must be at least 1")
-        # a negative limit aborts the first step, and NaN never aborts
-        if not self.clip_abort >= 0:
-            raise ValueError("scheme.clip_abort must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,6 @@ class ScenarioConfig:
     init: InitSpec
     n_theta: int = 1000
     g: str = "dirac"
-    omega0: float = 0.0
     n_omega: int = 600
     omega_L: float = 5.0
     t_end: float = 5.0
@@ -98,7 +99,7 @@ class ScenarioConfig:
     dt_oracle: float = 1e-2
 
     def __post_init__(self):
-        for name in ("t_end", "record_dt", "dt_oracle"):
+        for name in ("t_end", "record_dt", "dt_oracle", "omega_L"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if self.n_samples < 2:
@@ -125,7 +126,7 @@ class ScenarioConfig:
                 if oracle_step(getattr(self, name), dt, name) < 1:
                     raise ValueError(f"{name} must be at least dt_oracle={dt!r}")
             for t in self.snapshot_times:
-                if round(t, 12) <= round(self.t_end, 12):
+                if time_key(t) <= time_key(self.t_end):
                     oracle_step(t, dt, "snapshot_times entry")
 
 
@@ -138,7 +139,6 @@ class SweepConfig:
     steady_window: float = 1.0
     t_max: float = 50.0
     refine_step: float | None = None
-    refine_window: float = 0.3
     base: ScenarioConfig | None = None
 
     def __post_init__(self):
@@ -147,7 +147,7 @@ class SweepConfig:
             raise ValueError("k_path must contain at least one coupling value")
         if any(k < 0 for k in self.k_path):
             raise ValueError("coupling values must be nonnegative")
-        for name in ("steady_tol", "steady_window", "t_max", "refine_window", "refine_step"):
+        for name in ("steady_tol", "steady_window", "t_max", "refine_step"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"sweep.{name} must be positive and finite")

@@ -459,22 +459,29 @@ class RunResult:
     failure: str | None = None
 
 
+def time_key(t):
+    """t rounded to 12 decimals, the one form in which the package matches
+    output times: rows and snapshots (record_run), the times the solvers
+    step or write to, and snapshot file names (io.format_time)."""
+    return round(float(t), 12)
+
+
 def record_run(states, row_times, snapshot_times):
     """The RunResult of a run of either solver: the one output rule.
 
     states is a generator that yields (t, row, stored) for states of the
     run as they are produced, row() building the state's series row and
     stored() the state to keep, and returns (t, row, stored, blowup,
-    failure) for the state the run ends on.  Times match at 12 decimals:
-    a state at one of row_times adds its row, a state at one of
-    snapshot_times adds its snapshot under that rounded time, and the end
+    failure) for the state the run ends on.  Times match by time_key: a
+    state at one of row_times adds its row, a state at one of
+    snapshot_times adds its snapshot under that time's key, and the end
     state adds its row unless it already has one, and is the final state.
     row and stored are called before states is resumed, so they may read
     the generator's current state, and no yielded item is held while the
     next state is made.
     """
-    row_keys = {round(float(t), 12) for t in row_times}
-    snapshot_keys = {round(float(t), 12) for t in snapshot_times}
+    row_keys = {time_key(t) for t in row_times}
+    snapshot_keys = {time_key(t) for t in snapshot_times}
     rows, snapshots, t_row = [], {}, None
     while True:
         try:
@@ -484,7 +491,7 @@ def record_run(states, row_times, snapshot_times):
             if t != t_row:
                 rows.append(row())
             return RunResult(TimeSeries(rows), stored(), snapshots, blowup, failure)
-        key = round(float(t), 12)
+        key = time_key(t)
         if key in row_keys:
             rows.append(row())
             t_row = t

@@ -94,15 +94,17 @@ class OmegaGrid:
         return self.nodes.size
 
 
-def discretize_frequency(kind, n_omega=600, L=5.0, omega0=0.0):
+def discretize_frequency(kind, n_omega=600, L=5.0):
     """Discretize the frequency distribution g.
 
-    kind 'dirac' gives the single node omega0 with weight 1.  kind 'gaussian'
+    kind 'dirac' gives the single node 0 with weight 1: identical natural
+    frequencies Omega0 are the same system seen from a frame rotating at
+    Omega0 (theta -> theta - Omega0 t, u -> u - Omega0).  kind 'gaussian'
     samples the standard normal density at n_omega equispaced nodes on
     [-L, L] with trapezoid weights, renormalized so the weights sum to 1.
     """
     if kind == "dirac":
-        return OmegaGrid(np.array([float(omega0)]), np.array([1.0]))
+        return OmegaGrid(np.array([0.0]), np.array([1.0]))
     if kind != "gaussian":
         raise ValueError(f"unknown frequency distribution {kind!r}")
     n_omega = int(n_omega)

@@ -29,6 +29,7 @@ from .diagnostics import (
     _field_cell_masses,
     kinetic_energy,
     record_run,
+    time_key,
 )
 # perfbench's tracer wraps both names here: run_eulerian builds its rows
 # through _field_row, and energies is imported only so the hook resolves.
@@ -43,7 +44,7 @@ from .meanfield import order_parameter
 def build_grids(config):
     grid = make_theta_grid(config.n_theta)
     if config.g == "dirac":
-        omega = discretize_frequency("dirac", omega0=config.omega0)
+        omega = discretize_frequency("dirac")
     else:
         omega = discretize_frequency("gaussian", config.n_omega, config.omega_L)
     return grid, omega
@@ -129,10 +130,11 @@ def run_eulerian(config, state=None):
     snapshot time and to t_end.
     """
     state = build_state(config) if state is None else state
-    t_last = round(config.t_end, 12)
+    t_last = time_key(config.t_end)
     record_dt = config.record_dt
-    row_times = np.round(np.arange(state.t, config.t_end + 0.5 * record_dt, record_dt), 12)
-    times = {*row_times, *(round(float(t), 12) for t in config.snapshot_times), t_last}
+    grid_times = np.arange(state.t, config.t_end + 0.5 * record_dt, record_dt)
+    row_times = [time_key(t) for t in grid_times]
+    times = {*row_times, *map(time_key, config.snapshot_times), t_last}
     targets = sorted(t for t in times if state.t < t <= t_last)
     return record_run(_field_states(state, config, targets), row_times, config.snapshot_times)
 
@@ -195,9 +197,11 @@ def _manifest_payload(config, wall_time, solver, extra):
 def write_scenario_result(result, out_dir):
     """Write series/snapshots/manifest; 'both' runs get per-solver subdirs.
 
-    Each manifest's `wall_time_s` is that solver's own time from
-    `result.wall_times`; a result built outside run_scenario carries no
-    times and writes null.
+    A snapshots/ directory holds this run's snapshots only: a t=*.csv file
+    that an earlier run left there and this run does not write is removed,
+    so the directory never mixes two runs.  Each manifest's `wall_time_s`
+    is that solver's own time from `result.wall_times`; a result built
+    outside run_scenario carries no times and writes null.
     """
     config = result.config
     grid, _ = build_grids(config)
@@ -209,6 +213,10 @@ def write_scenario_result(result, out_dir):
         snap_dir = os.path.join(path, "snapshots")
         os.makedirs(snap_dir, exist_ok=True)
         run_io.write_series_csv(os.path.join(path, "series.csv"), run.series)
+        keep = {run_io.snapshot_filename(t_s) for t_s in run.snapshots}
+        for name in os.listdir(snap_dir):
+            if name.startswith("t=") and name.endswith(".csv") and name not in keep:
+                os.remove(os.path.join(snap_dir, name))
         for t_s, *fields in _snapshot_fields(solver, run, grid):
             run_io.write_snapshot_csv(
                 os.path.join(snap_dir, run_io.snapshot_filename(t_s)), *fields
@@ -316,8 +324,12 @@ def _walk(config, sweep, k_values, start_state, keep_states):
     return points, states, state
 
 
+# Half-width, in K, of the window _refine_branch walks around each jump.
+REFINE_WINDOW = 0.3
+
+
 def _refine_branch(config, sweep, points, states, sign):
-    """Insert refined K points in a window around each detected jump.
+    """Insert refined K points in the REFINE_WINDOW around each detected jump.
 
     sign is +1 on the forward leg (K rising) and -1 on the backward leg: the
     leg's points and each window's new points are walked in order of sign*K.
@@ -325,7 +337,7 @@ def _refine_branch(config, sweep, points, states, sign):
     refined = list(points)
     for k0, k1, _ in _jumps_of(points):
         center = 0.5 * (k0 + k1)
-        lo, hi = center - sweep.refine_window, center + sweep.refine_window
+        lo, hi = center - REFINE_WINDOW, center + REFINE_WINDOW
         ks = np.arange(lo, hi + 0.5 * sweep.refine_step, sweep.refine_step)
         existing = {round(k, 9) for k, _, _ in refined}
         ks = [k for k in ks if k >= 0 and round(k, 9) not in existing]

@@ -49,6 +49,10 @@ a state, because the blow-up monitor's gradient test fires long before.
 The speed is floored at the module constant EPS_SPEED, as is kt_flux's
 a+ - a-.
 
+Clipping.  step_rk2 sets negative densities to 0 and records the largest
+per-slice mass it removed; a step that removes more than the module
+constant CLIP_ABORT aborts the run with MassClipError.
+
 Bitwise contract.  Every cell goes through the same floating-point operations
 in the same order whatever the block size and whether a workspace is reused,
 so neither changes a bit of the result: blocks split only elementwise work;
@@ -81,6 +85,7 @@ from .meanfield import mean_field_force, order_parameter
 BLOCK_CELLS = 1 << 15
 
 EPS_SPEED = 1e-12  # floor on cfl_dt's speed and on kt_flux's a+ - a-
+CLIP_ABORT = 1e-8  # most density mass one step may clip in any slice
 
 # Workspace names of the kernels' own scratch.  reconstruct takes the first
 # four and minmod, inside it, the fifth; kt_flux, called after reconstruct
@@ -353,8 +358,8 @@ def step_rk2(state, dt, params, config, ws=None, op0=None):
     it is; a caller that has it for this very state saves one evaluation.
 
     NaN/Inf in the result is not an error here -- blow-up is the monitor's
-    business -- but losing more than config.clip_abort of mass to clipping in
-    a single step aborts with MassClipError.
+    business -- but losing more than CLIP_ABORT of mass to clipping in a
+    single step aborts with MassClipError.
     """
     assert dt > 0
     ws = Workspace() if ws is None else ws
@@ -398,7 +403,7 @@ def step_rk2(state, dt, params, config, ws=None, op0=None):
         )
         clipped = float(np.max(clipped_per_slice))
         np.copyto(rho_new, 0.0, where=negative)
-        if np.isfinite(clipped) and clipped > config.clip_abort:
+        if np.isfinite(clipped) and clipped > CLIP_ABORT:
             raise MassClipError(state.t + dt, clipped)
     return FieldState(
         state.grid,

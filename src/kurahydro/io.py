@@ -55,7 +55,7 @@ import warnings
 
 import numpy as np
 
-from .diagnostics import SERIES_COLUMNS, TimeSeries
+from .diagnostics import SERIES_COLUMNS, TimeSeries, time_key
 
 FLOAT_FMT = "%.17g"
 SNAPSHOT_COLUMNS = ("theta", "omega", "rho", "u")
@@ -118,8 +118,8 @@ def read_series_csv(path):
 
 
 def format_time(t):
-    """t rounded to 12 decimals, in the shortest %g form that reads back as it."""
-    t = round(float(t), 12) + 0.0  # -0.0 -> 0.0
+    """time_key(t), in the shortest %g form that reads back as it."""
+    t = time_key(t) + 0.0  # -0.0 -> 0.0
     return next(s for p in range(1, 18) if float(s := "%.*g" % (p, t)) == t)
 
 

@@ -36,11 +36,11 @@ enters with the stage's RK4 weight, and the E_k of a step's result is the
 next step's first stage's.
 
 A series row reads the state array in place, through StateRows: eta and v
-are y's rows, and only d = P / J and log rho are formed.  It takes the
-run's values as they are: the E_k the step computed, the support mask and
-|sum w - 1| (the weights never change, so those are computed once per run),
-and the unit phasor.  Only snapshots and the final ensemble are copied out
-into a validated CharEnsemble.
+are y's rows, and d = P / J, log rho and the unit phasor are written into
+arrays the run allocates once.  It takes the run's values as they are: the
+E_k the step computed, the support mask and |sum w - 1| (the weights never
+change, so those are computed once per run).  Only snapshots and the final
+ensemble are copied out into a validated CharEnsemble.
 
 J and P feed no tendency of eta, cos, sin or v, so at a given dt those rows
 take the same bits as in the earlier formulation that carried d and
@@ -65,6 +65,7 @@ from .diagnostics import (
     kinetic_energy,
     record_run,
     sample_support,
+    time_key,
 )
 # perfbench's tracer wraps this name: evolve builds its rows through _row.
 from .diagnostics import series_row as _row
@@ -184,10 +185,10 @@ def _derivs(w, Omega, y, m, K, out):
 
 
 class StateRows:
-    """What series_row reads of an ensemble, for state array y at time t:
-    eta and v are views of y's rows, d = P / J and log rho = log rho0 -
-    log J are formed from them.  Nothing is copied or checked, so it holds
-    only while y does; _ensemble_at makes a CharEnsemble of it."""
+    """What series_row reads of an ensemble at time t: eta and v are views
+    of the state array's rows, d and log_rho the arrays _oracle_states
+    writes them into.  Nothing is copied or checked, so it holds only until
+    the next row is made."""
 
     __slots__ = ("eta", "v", "d", "log_rho", "weight", "t")
 
@@ -196,36 +197,23 @@ class StateRows:
         self.weight, self.t = weight, t
 
 
-def _rows_at(ens, y, t):
-    """The StateRows of state array y at time t, started from ens."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite state
-        d = y[P] / y[J]
-        log_rho = np.log(y[J])
-        np.subtract(ens.log_rho, log_rho, out=log_rho)
-    return StateRows(y[ETA], y[V], d, log_rho, ens.weight, t)
-
-
-def _ensemble_at(ens, rows):
-    """The CharEnsemble of StateRows rows, with eta and v copied out."""
-    return replace(
-        ens, eta=rows.eta.copy(), v=rows.v.copy(), d=rows.d, log_rho=rows.log_rho, t=rows.t
-    )
-
-
-def _unit_phasor(y):
-    """The (cos eta, sin eta) rows of y divided by their modulus.
+def _unit_phasor(y, out):
+    """Write the (cos eta, sin eta) rows of y divided by their modulus into
+    the pair of arrays out, and return out.
 
     The carried rows drift off the unit circle by the RK4 error, and r reads
     that drift at full size: at dt = 1e-2 on subcritical_sync.yaml it moves
     r by 1.6e-10 from dt = 1e-3 as carried, by 9.1e-11 once divided out.
     """
     c, s = y[COS], y[SIN]
-    unit_c, unit_s = np.square(c), np.square(s)
+    unit_c, unit_s = out
+    np.square(c, out=unit_c)
+    np.square(s, out=unit_s)
     unit_c += unit_s
     np.sqrt(unit_c, out=unit_c)  # the modulus
     np.divide(s, unit_c, out=unit_s)
     np.divide(c, unit_c, out=unit_c)
-    return unit_c, unit_s
+    return out
 
 
 def _first_zero(start, end, dt):
@@ -273,6 +261,10 @@ def _oracle_states(ens, params, n_steps, dt):
     or infinite entry is accepted and ends the run with a "non-finite"
     event.  Returns with the state the run ends on.  row and stored read
     the current state, so record_run calls them before the next step.
+
+    A row's d, log rho and unit phasor are written into arrays allocated
+    once for the run, which the next row overwrites; stored() copies them
+    out with eta and v.
     """
     m, K = params.m, params.K
     w, Omega, n = ens.weight, ens.Omega, ens.n
@@ -293,19 +285,23 @@ def _oracle_states(ens, params, n_steps, dt):
     Ek_integral = 0.0
     Ek_now = kinetic_energy(w, y[V])  # E_k of y, the next step's first stage
     t = ens.t
-    # A row's d, log rho and unit phasor stay alive until the next row's
-    # are made: freeing them at once lets the allocator trim and re-fault
-    # the top of the heap on every row (measured slower on 8000 samples).
-    now = trig = None
+    d, log_rho, trig = np.empty(n), np.empty(n), (np.empty(n), np.empty(n))
+
+    def rows():
+        with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite state
+            np.divide(y[P], y[J], out=d)
+            np.log(y[J], out=log_rho)
+            np.subtract(ens.log_rho, log_rho, out=log_rho)
+        return StateRows(y[ETA], y[V], d, log_rho, w, t)
 
     def row():
-        nonlocal now, trig
-        now = _rows_at(ens, y, t)
-        trig = _unit_phasor(y)
-        return _row(now, params, Ek_integral, support, trig, Ek=Ek_now, mass_err=mass_err)
+        _unit_phasor(y, trig)
+        return _row(rows(), params, Ek_integral, support, trig, Ek=Ek_now, mass_err=mass_err)
 
     def stored():
-        return _ensemble_at(ens, _rows_at(ens, y, t))
+        rows()
+        return replace(ens, eta=y[ETA].copy(), v=y[V].copy(), d=d.copy(),
+                       log_rho=log_rho.copy(), t=t)
 
     yield t, row, stored
     for step in range(1, n_steps + 1):
@@ -347,13 +343,13 @@ def evolve(ens, params, T, dt=1e-2, record_every=1, snapshot_times=()):
 
     The state is one (6, n) array with rows eta, cos eta, sin eta, v, J and
     P; the cos and sin rows are seeded once from ens.eta, J from 1 and P
-    from ens.d.  T, and each of snapshot_times up to T (compared at 12
-    decimals), must be a step time ens.t + n dt (see oracle_step); a
-    snapshot time past T is not written.  diagnostics.record_run chooses
-    the rows and snapshots, from the rows at every record_every-th step
-    and the snapshots at those step times.  The run stops early with a
-    blow-up event on a non-finite state or a gradient collapse (see
-    _oracle_states).
+    from ens.d.  T, and each of snapshot_times up to T (compared by
+    diagnostics.time_key), must be a step time ens.t + n dt (see
+    oracle_step); a snapshot time past T is not written.
+    diagnostics.record_run chooses the rows and snapshots, from the rows at
+    every record_every-th step and the snapshots at those step times.  The
+    run stops early with a blow-up event on a non-finite state or a
+    gradient collapse (see _oracle_states).
     """
     if not (dt > 0 and T > ens.t):
         raise ValueError(f"evolve needs dt > 0 and T > t0={ens.t}; got dt={dt}, T={T}")
@@ -361,7 +357,7 @@ def evolve(ens, params, T, dt=1e-2, record_every=1, snapshot_times=()):
         raise ValueError(f"record_every must be a positive integer; got {record_every!r}")
     n_steps = oracle_step(T, dt, "T", ens.t)
     snapshot_steps = [oracle_step(ts, dt, "snapshot time", ens.t)
-                      for ts in snapshot_times if round(ts, 12) <= round(T, 12)]
+                      for ts in snapshot_times if time_key(ts) <= time_key(T)]
     # the times ens.t + step * dt of the steps, with the bits _oracle_states gives them
     row_times = ens.t + dt * np.arange(0, n_steps + 1, record_every)
     states = _oracle_states(ens, params, n_steps, dt)

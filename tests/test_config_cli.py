@@ -434,11 +434,12 @@ def test_cli_bad_config_path_returns_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["eps_speed", "blowup_grad"])
+@pytest.mark.parametrize("key", ["eps_speed", "blowup_grad", "clip_abort"])
 def test_cli_rejects_a_removed_scheme_key(tmp_path, capsys, key):
-    """The CFL speed floor and the gradient-collapse limit are constants
-    (fv.EPS_SPEED, diagnostics.BLOWUP_GRAD), no longer scheme keys: a config
-    or an old manifest that sets one is refused, naming it."""
+    """The CFL speed floor, the gradient-collapse limit and the clipped-mass
+    limit are constants (fv.EPS_SPEED, diagnostics.BLOWUP_GRAD,
+    fv.CLIP_ABORT), no longer scheme keys: a config or an old manifest that
+    sets one is refused, naming it."""
     path = tmp_path / "old.yaml"
     path.write_text(
         'm: 0.5\nK: 0.1\nu0: "0"\nn_theta: 48\nt_end: 0.1\n'
@@ -504,20 +505,49 @@ def test_cli_sweep_rejects_a_zero_refine_step(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_sweep_rejects_a_negative_refine_window(tmp_path, capsys):
-    """A negative refine_window leaves every refinement window empty, so the
-    sweep would silently refine nothing; the config is refused up front."""
-    path = tmp_path / "sweep.yaml"
-    path.write_text(
-        "m: 0.5\nK: 0.0\nu0: -sin(theta)\nn_theta: 48\n"
-        "sweep:\n  k_min: 0.0\n  k_max: 0.4\n  k_step: 0.2\n  refine_step: 0.05\n"
-        "  refine_window: -0.3\n"
-    )
+@pytest.mark.parametrize(
+    "command, text, override, message",
+    [
+        ("run", "", ["--set", "omega0=0"], "unknown config keys: omega0"),
+        ("sweep", "sweep:\n  k_path: [0, 0.2, 0]\n  refine_step: 0.05\n"
+         "  refine_window: 0.3\n", [], "unknown sweep keys: refine_window"),
+    ],
+    ids=["omega0", "refine_window"],
+)
+def test_cli_rejects_a_setting_that_became_a_constant(
+    tmp_path, capsys, command, text, override, message
+):
+    """sweep.refine_window is the constant experiments.REFINE_WINDOW, and
+    omega0 is gone: a dirac g is the frequency 0, since a common frequency
+    is the same system in a rotating frame (scheme.clip_abort, now
+    fv.CLIP_ABORT, is a case of test_cli_rejects_a_removed_scheme_key).
+    Setting one is refused before anything runs, naming it."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text("m: 0.5\nK: 0.0\nu0: -sin(theta)\nn_theta: 48\n" + text)
     out = tmp_path / "x"
-    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert main([command, "--config", str(path), "--out", str(out), *override]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "refine_window must be positive" in err
+    assert err.startswith("error:") and message in err
     assert not out.exists()
+
+
+def test_cli_run_into_a_used_directory_keeps_only_its_own_snapshots(tmp_path, capsys):
+    """A second run into the same --out removes the snapshots of the first
+    that it does not write, so the directory, its manifest and compare all
+    tell of one run; files other than t=*.csv stay."""
+    cfg = _write_cfg(tmp_path, snapshot_times="[0, 0.1, 0.2]")
+    out = tmp_path / "x"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out / "snapshots")) == ["t=0.1.csv", "t=0.2.csv", "t=0.csv"]
+    (out / "snapshots" / "notes.txt").write_text("kept")
+    argv = ["run", "--config", cfg, "--out", str(out),
+            "--set", "snapshot_times=[0.0]", "--set", "K=0.9"]
+    assert main(argv) == 0
+    assert sorted(os.listdir(out / "snapshots")) == ["notes.txt", "t=0.csv"]
+    assert read_manifest(str(out / "manifest.json"))["config"]["K"] == 0.9
+    capsys.readouterr()
+    assert main(["compare", str(out), str(out)]) == 0
+    assert list(json.loads(capsys.readouterr().out)["l1_rho"]) == ["0"]
 
 
 def test_cli_writes_distinct_snapshot_times_to_distinct_files(tmp_path):

@@ -60,11 +60,12 @@ def test_wrap_angle_range_and_periodicity(rng):
 
 
 def test_dirac_frequency_grid():
-    om = discretize_frequency("dirac", omega0=0.7)
+    """A dirac g is the single frequency 0: a common frequency Omega0 is
+    the same system in a frame rotating at Omega0."""
+    om = discretize_frequency("dirac")
     assert om.n == 1
-    assert om.nodes[0] == 0.7
-    assert om.weights[0] == 1.0
-    assert np.sum(om.weights * om.nodes**2) == pytest.approx(0.7**2)
+    assert om.nodes.tolist() == [0.0]
+    assert om.weights.tolist() == [1.0]
 
 
 def test_gaussian_frequency_grid_moments():

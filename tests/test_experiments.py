@@ -72,6 +72,10 @@ def test_scenario_config_validation():
     for dt_oracle in (0.0, -1e-3, float("nan")):
         with pytest.raises(ValueError, match="dt_oracle must be positive"):
             _config(dt_oracle=dt_oracle)
+    # refused here, naming the key, not later by the frequency grid
+    for omega_L in (float("inf"), -1.0):
+        with pytest.raises(ValueError, match="omega_L must be positive and finite"):
+            _config(g="gaussian", omega_L=omega_L)
     with pytest.raises(ValueError, match="n_samples must be at least 2"):
         _config(n_samples=1)
     # the oracle would write its nearest step's ensemble, up to dt_oracle / 2
@@ -635,17 +639,15 @@ def test_sweep_config_validation_and_branches():
 @pytest.mark.parametrize("name, value", [
     ("refine_step", 0.0), ("refine_step", -0.1), ("steady_window", 0.0),
     ("steady_window", -1.0), ("steady_tol", 0.0), ("t_max", 0.0),
-    ("t_max", float("nan")), ("refine_window", 0.0), ("refine_window", -0.3),
-    ("t_max", float("inf")), ("steady_window", float("inf")), ("steady_tol", float("inf")),
-    ("refine_window", float("inf")),
+    ("t_max", float("nan")), ("t_max", float("inf")), ("steady_window", float("inf")),
+    ("steady_tol", float("inf")),
 ])
 def test_sweep_config_rejects_nonpositive_knobs(name, value):
     """A zero refine_step divides by zero once a jump is found and a negative
     one refines nothing; steady_window <= 0 calls a point steady after one
-    step; t_max = 0 returns the initial r; steady_tol = 0 is never met; a
-    refine_window <= 0 leaves an empty window, so refinement adds no point.
-    An infinite t_max never ends a point that does not settle, and the
-    other knobs cannot be honoured at infinity either."""
+    step; t_max = 0 returns the initial r; steady_tol = 0 is never met.  An
+    infinite t_max never ends a point that does not settle, and the other
+    knobs cannot be honoured at infinity either."""
     with pytest.raises(ValueError, match=f"{name} must be positive"):
         SweepConfig(k_path=(0.0, 1.0, 0.0), **{name: value})
 
@@ -684,6 +686,10 @@ def test_sweep_warm_start_continuity():
 
 
 def test_refinement_inserts_points():
+    """Each jump gets the points of the refine_step grid within
+    REFINE_WINDOW of its midpoint, walked in the leg's direction."""
+    from kurahydro import experiments
+
     cfg = _config(
         n_theta=40,
         g="gaussian",
@@ -697,7 +703,6 @@ def test_refinement_inserts_points():
         steady_window=0.5,
         t_max=6.0,
         refine_step=0.5,
-        refine_window=0.6,
         base=cfg,
     )
     with pytest.warns(RuntimeWarning, match="did not settle"):  # t_max cuts it short
@@ -708,6 +713,10 @@ def test_refinement_inserts_points():
         assert len(fwd_k) > 4  # refinement added interior points
     bwd_k = [k for k, _, _ in result.backward]
     assert bwd_k == sorted(bwd_k, reverse=True)
+    # every added point lies within REFINE_WINDOW of a midpoint of the path
+    mids = [0.5 * (k0 + k1) for k0, k1 in zip(ks, ks[1:])]
+    for k in set(fwd_k + bwd_k) - set(ks):
+        assert min(abs(k - mid) for mid in mids) <= experiments.REFINE_WINDOW + 1e-12
 
 
 def test_run_scenario_writes_results_layout(tmp_path):

@@ -28,7 +28,7 @@ from kurahydro import (
 )
 from kurahydro import lagrangian
 from kurahydro.config import parse_config
-from kurahydro.diagnostics import TimeSeries, kinetic_energy, sample_support, series_row
+from kurahydro.diagnostics import TimeSeries, kinetic_energy, series_row
 from kurahydro.domain import TableData
 from kurahydro.experiments import build_grids
 
@@ -480,40 +480,46 @@ def test_uncoupled_samples_follow_the_closed_form():
     )
 
 
-def _state_array(ens, rng):
-    """A state array as evolve holds it, with J and P moved off their start."""
-    y = np.empty((6, ens.n))
-    y[lagrangian.ETA], y[lagrangian.V] = ens.eta, ens.v
-    y[lagrangian.COS], y[lagrangian.SIN] = np.cos(ens.eta), np.sin(ens.eta)
-    y[lagrangian.J] = rng.uniform(0.2, 2.0, size=ens.n)
-    y[lagrangian.P] = rng.normal(size=ens.n)
-    return y
-
-
 @pytest.mark.parametrize("case", ["gaussian", "point-cell", "non-finite"])
-def test_oracle_row_of_state_rows_is_the_row_from_scratch(case):
-    """evolve's row reads the state rows in place and takes the run's
-    support and |sum w - 1|, and the E_k it computed, as they are; it has
-    the bits of series_row on the CharEnsemble of the same state, which
-    computes all of them: zero-weight samples and a NaN velocity included."""
-    rng = np.random.default_rng(7)
+def test_oracle_row_of_state_rows_is_the_row_from_scratch(case, monkeypatch):
+    """evolve's rows read the state array in place, write d, log rho and the
+    unit phasor into arrays held for the run, and take the run's support,
+    |sum w - 1| and E_k as they are.  On every state of the run the row has
+    the bits of series_row on the CharEnsemble that stored() copies out of
+    the same state, which computes all of them: zero-weight samples and a
+    NaN velocity included.  A CharEnsemble keeps no phasor, so the row from
+    scratch is handed the one the run's row took."""
     if case == "point-cell":
         ens = _identical_ensemble(64, u0=USine(0.1), rho0=RhoPointCell(0.0))
     else:
         ens = _identical_ensemble(64)
-    y = _state_array(ens, rng)
     if case == "non-finite":
-        y[lagrangian.V, 5] = np.nan
+        v = ens.v.copy()
+        v[5] = np.nan
+        ens = replace(ens, v=v)
+    phasors = []
+    real_phasor = lagrangian._unit_phasor
+
+    def phasor(y, out):
+        phasors.append(tuple(a.copy() for a in real_phasor(y, out)))
+        return out
+
+    monkeypatch.setattr(lagrangian, "_unit_phasor", phasor)
     params = Params(0.5, 0.8)
-    rows = lagrangian._rows_at(ens, y, 0.5)
-    trig = lagrangian._unit_phasor(y)
-    Ek = kinetic_energy(ens.weight, y[lagrangian.V])
-    mass_err = abs(float(np.sum(ens.weight)) - 1.0)
-    handed = lagrangian._row(
-        rows, params, 0.3, sample_support(ens), trig, Ek=Ek, mass_err=mass_err
-    )
-    scratch = series_row(lagrangian._ensemble_at(ens, rows), params, 0.3, trig=trig)
-    assert np.array(handed).tobytes() == np.array(scratch).tobytes()
+    integral = TimeSeries.columns.index("Ek_integral")
+    states = []
+    for _, row, stored in lagrangian._oracle_states(ens, params, 6, 0.05):
+        handed = row()
+        states.append(stored())
+        scratch = series_row(states[-1], params, handed[integral], trig=phasors[-1])
+        assert np.array(handed).tobytes() == np.array(scratch).tobytes()
+    assert len(states) == (2 if case == "non-finite" else 7)
+    # J has moved off 1, so d and log rho are formed, not copied
+    assert not np.array_equal(states[-1].d, ens.d)
+    # stored() copies them out of the arrays the next row overwrites
+    for a, b in zip(states, states[1:]):
+        assert not np.shares_memory(a.d, b.d)
+        assert not np.shares_memory(a.log_rho, b.log_rho)
 
 
 # The series columns that do not depend on the carried (cos, sin) rows,

@@ -3,7 +3,7 @@
     python3 tools/same_bits.py PARENT_TREE CHANGE_TREE
 
 Runs the CLI commands below with each tree's own `src/` and `configs/`, one
-tree after the other, in a temporary directory.  The first five run in the
+tree after the other, in a temporary directory.  The first six run in the
 tree:
 
     run   subcritical_sync.yaml (solver both)        -> sub/
@@ -14,10 +14,14 @@ tree:
           snapshots at 0 and 0.05                    -> nonid/
     sweep hysteresis_desk.yaml, k 0 -> 1.6 step 0.4,
           t_max=10                                   -> sweep/
+    sweep hysteresis_desk.yaml at 40x24, k path
+          0 1 2 3 1 0, refine_step=0.5, t_max=6      -> refine/
 
 edges/ pins the edge cases of the output rule: its snapshot time 0.25 is
 off the record grid but on the oracle's step grid, and both solvers stop
-early on blow-up, between record times.
+early on blow-up, between record times.  refine/ reaches the refinement
+pass (experiments._refine_branch) on both legs; its points stop at t_max
+without settling, so it pins the bytes, not a converged result.
 
 The last three run in the tree's output root, on restart.yaml, a config
 written there that restarts the sub/ run from its eulerian snapshot at t=1
@@ -59,6 +63,12 @@ COMMANDS = {
         "sweep", "--config", "configs/hysteresis_desk.yaml",
         "--set", "sweep.k_max=1.6",
         "--set", "sweep.k_step=0.4", "--set", "sweep.t_max=10",
+    ],
+    "refine": [
+        "sweep", "--config", "configs/hysteresis_desk.yaml",
+        "--set", "n_theta=40", "--set", "n_omega=24",
+        "--set", "sweep.k_path=[0, 1, 2, 3, 1, 0]", "--set", "sweep.steady_window=0.5",
+        "--set", "sweep.t_max=6", "--set", "sweep.refine_step=0.5",
     ],
 }
 
