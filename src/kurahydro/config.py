@@ -8,9 +8,9 @@ keys, with defaults in parentheses:
 
 Scenario: m, K [required]; n_theta (1000); g: dirac|gaussian (dirac);
 n_omega (600); omega_L (5.0); rho0 (gaussian); u0 ("0"); init_table
-[replaces rho0/u0; a table in the snapshot format, which resolve_config
-reads with io.read_snapshot_csv; parse_config takes a relative path in a
-file as relative to that file]; t_end (5.0); record_dt (0.01);
+[replaces rho0/u0: a snapshot-format table, read by io.read_snapshot_csv
+into one TableData as the config's init; parse_config takes a relative
+path in a file as relative to that file]; t_end (5.0); record_dt (0.01);
 snapshot_times ([]); solver: eulerian|lagrangian|both (eulerian);
 n_samples (1024); dt_oracle (1e-2).  A dirac g is the single frequency 0
 (domain.discretize_frequency).  The times are finite, and omega_L
@@ -85,7 +85,7 @@ class SchemeConfig:
 @dataclass(frozen=True)
 class ScenarioConfig:
     params: Params
-    init: InitSpec
+    init: InitSpec | TableData
     n_theta: int = 1000
     g: str = "dirac"
     n_omega: int = 600
@@ -106,8 +106,7 @@ class ScenarioConfig:
             raise ValueError("n_samples must be at least 2")
         if self.solver not in ("eulerian", "lagrangian", "both"):
             raise ValueError("solver must be eulerian, lagrangian, or both")
-        tabulated = (isinstance(p, TableData) for p in (self.init.rho0, self.init.u0))
-        if self.solver != "eulerian" and any(tabulated):
+        if self.solver != "eulerian" and isinstance(self.init, TableData):
             raise ValueError(
                 f"init_table runs with solver eulerian only, not {self.solver}: "
                 "the oracle samples symbolic initial data"
@@ -288,8 +287,8 @@ _COERCE = {
 def _plain_fields(cls):
     """{name: coercion} for each field of a config dataclass with a plain type.
 
-    Params, InitSpec and the nested configs (scheme, base) are resolved and
-    serialized by hand.
+    Params, the initial data and the nested configs (scheme, base) are
+    resolved and serialized by hand.
     """
     hints = typing.get_type_hints(cls)
     return {
@@ -339,8 +338,7 @@ def resolve_config(data):
     if table_path is not None:
         if "rho0" in data or "u0" in data:
             raise ValueError("init_table replaces rho0/u0; remove those keys")
-        table = TableData(*read_snapshot_csv(table_path), path=str(table_path))
-        init = InitSpec(rho0=table, u0=table)
+        init = TableData(*read_snapshot_csv(table_path), path=str(table_path))
     else:
         init = InitSpec(
             rho0=parse_rho0(data.get("rho0", "gaussian")),
@@ -377,8 +375,8 @@ def serialize_config(config):
         out["sweep"] = _serialize_fields(config)
         return out
     out = {"m": config.params.m, "K": config.params.K}
-    if isinstance(config.init.rho0, TableData):
-        out["init_table"] = config.init.rho0.path
+    if isinstance(config.init, TableData):
+        out["init_table"] = config.init.path
     else:
         out["rho0"] = format_rho0(config.init.rho0)
         out["u0"] = format_wave(config.init.u0)

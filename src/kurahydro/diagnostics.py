@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import FieldState
-from .meanfield import ensemble_order_parameter, order_parameter
+from .meanfield import ensemble_order_parameter, order_parameter, weighted_sum
 
 # Cells per chunk of min_grad_u's temporary: 2^13 float64 values, 64 KB.
 GRAD_CHUNK_CELLS = 1 << 13
@@ -96,11 +96,12 @@ def _weighted(obj):
 
 
 def _wsum(w, x, out=None):
-    """sum w*x: np.dot over 1-D sample arrays, a sum over field cells.
+    """sum w*x: meanfield.weighted_sum over 1-D sample arrays, a sum over
+    field cells.
 
     out, if given, receives the field product w*x (it may be x itself).
     """
-    return float(np.dot(w, x) if w.ndim == 1 else np.multiply(w, x, out=out).sum())
+    return weighted_sum(w, x) if w.ndim == 1 else float(np.multiply(w, x, out=out).sum())
 
 
 def mean_velocity(obj):
@@ -429,7 +430,7 @@ def dirac_distance_bound(ens, ens0, params):
     """
     vc0 = mean_velocity(ens0)
     eta_inf = mean_phase(ens0) + params.m * vc0
-    measured = float(np.dot(ens.weight, np.abs(ens.eta - eta_inf)))
+    measured = weighted_sum(ens.weight, np.abs(ens.eta - eta_inf))
     d_eta, _ = diameters(ens)
     bound = d_eta + params.m * abs(vc0) * math.exp(-ens.t / params.m)
     return measured, bound

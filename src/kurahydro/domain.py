@@ -4,9 +4,10 @@ The model lives on the periodic phase circle [-pi, pi) crossed with a set of
 natural frequencies Omega_k carrying probability weights w_k ~ g(Omega_k).
 A FieldState holds the density rho(theta, Omega) -- per unit theta, each
 Omega-slice carrying unit mass -- and the phase velocity u(theta, Omega).
-Tabulated initial data (TableData) is a table in the snapshot format;
-config.resolve_config reads it with io.read_snapshot_csv, the one reader of
-that format, so this module reads no files.
+Initial data is either symbolic, an InitSpec of a rho0 and a u0 profile,
+or tabulated, one TableData holding both fields: a table in the snapshot
+format, which config.resolve_config reads with io.read_snapshot_csv, the
+one reader of that format, so this module reads no files.
 """
 from __future__ import annotations
 
@@ -38,10 +39,10 @@ class Params:
     K: float
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError("m must be positive")
-        if not self.K >= 0:
-            raise ValueError("K must be nonnegative")
+        if not 0 < self.m < math.inf:
+            raise ValueError(f"m must be positive and finite, got {self.m!r}")
+        if not 0 <= self.K < math.inf:
+            raise ValueError(f"K must be nonnegative and finite, got {self.K!r}")
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ class TableData:
 
 @dataclass(frozen=True)
 class InitSpec:
-    """Symbolic or tabulated initial data (rho0, u0)."""
+    """Symbolic initial data: a rho0 and a u0 profile."""
 
     rho0: object = field(default_factory=RhoGaussian)
     u0: object = field(default_factory=UConst)
@@ -330,19 +331,13 @@ def normalize_slices(rho, dtheta):
 
 
 def init_state(spec, grid, omega):
-    """Resolve an InitSpec to a normalized FieldState at t = 0."""
-    if isinstance(spec.rho0, TableData):
-        rho, _ = _table_to_fields(spec.rho0, grid, omega)
+    """Resolve an InitSpec or a TableData to a normalized FieldState at t = 0."""
+    if isinstance(spec, TableData):
+        rho, u = _table_to_fields(spec, grid, omega)
         if np.any(rho < 0):
-            raise ValueError(f"{spec.rho0.path}: table rho has negative values")
+            raise ValueError(f"{spec.path}: table rho has negative values")
     else:
-        rho = np.broadcast_to(
-            rho0_profile(spec.rho0, grid.centers), (omega.n, grid.n)
-        ).copy()
-    rho = normalize_slices(rho, grid.dtheta)
-
-    if isinstance(spec.u0, TableData):
-        _, u = _table_to_fields(spec.u0, grid, omega)
-    else:
-        u = np.broadcast_to(evaluate_u0(spec.u0, grid.centers), (omega.n, grid.n)).copy()
-    return FieldState(grid, omega, rho, u, t=0.0)
+        shape = (omega.n, grid.n)
+        rho = np.broadcast_to(rho0_profile(spec.rho0, grid.centers), shape).copy()
+        u = np.broadcast_to(evaluate_u0(spec.u0, grid.centers), shape).copy()
+    return FieldState(grid, omega, normalize_slices(rho, grid.dtheta), u, t=0.0)

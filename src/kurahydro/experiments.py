@@ -215,7 +215,7 @@ def write_scenario_result(result, out_dir):
         run_io.write_series_csv(os.path.join(path, "series.csv"), run.series)
         keep = {run_io.snapshot_filename(t_s) for t_s in run.snapshots}
         for name in os.listdir(snap_dir):
-            if name.startswith("t=") and name.endswith(".csv") and name not in keep:
+            if run_io.is_snapshot_name(name) and name not in keep:
                 os.remove(os.path.join(snap_dir, name))
         for t_s, *fields in _snapshot_fields(solver, run, grid):
             run_io.write_snapshot_csv(

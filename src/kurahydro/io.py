@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import warnings
 
@@ -127,21 +128,40 @@ def snapshot_filename(t):
     return "t=%s.csv" % format_time(t)
 
 
+def is_snapshot_name(name):
+    """Whether a file name has the snapshot form t=*.csv."""
+    return name.startswith("t=") and name.endswith(".csv")
+
+
 def parse_snapshot_time(filename):
     base = os.path.basename(filename)
-    if not (base.startswith("t=") and base.endswith(".csv")):
+    if not is_snapshot_name(base):
         raise ValueError(f"not a snapshot filename: {filename}")
-    return float(base[2:-4])
+    try:
+        t = float(base[2:-4])
+    except ValueError:
+        t = math.nan
+    if not 0 <= t < math.inf:  # the solvers write nonnegative finite times only
+        raise ValueError(f"{filename}: {base[2:-4]!r} is not a snapshot time")
+    return t
 
 
 def list_snapshots(run_dir):
-    """Map snapshot time -> path for every snapshots/t=*.csv in a run dir."""
+    """Map snapshot time -> path for every snapshots/t=*.csv in a run dir.
+
+    A name without a nonnegative finite time, or two names of one time_key
+    (t=0.csv and t=0.0.csv), raise a ValueError naming the files.
+    """
     snap_dir = os.path.join(run_dir, "snapshots")
-    out = {}
+    out, first = {}, {}
     if os.path.isdir(snap_dir):
-        for name in sorted(os.listdir(snap_dir)):
-            if name.startswith("t=") and name.endswith(".csv"):
-                out[parse_snapshot_time(name)] = os.path.join(snap_dir, name)
+        for name in sorted(filter(is_snapshot_name, os.listdir(snap_dir))):
+            path = os.path.join(snap_dir, name)
+            t = parse_snapshot_time(path)
+            key = time_key(t)
+            if first.setdefault(key, path) != path:
+                raise ValueError(f"{first[key]} and {path} name one snapshot time")
+            out[t] = path
     return out
 
 

@@ -72,13 +72,13 @@ from .diagnostics import series_row as _row
 from .domain import (
     TWO_PI,
     InitSpec,
-    TableData,
     _readonly,
     evaluate_du0,
     evaluate_u0,
     rho0_profile,
     wrap_angle,
 )
+from .meanfield import weighted_sum
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class CharEnsemble:
         return self.eta.size
 
 
-def sample_initial(spec, omega, n_samples=256):
+def sample_initial(spec, omega, n_samples):
     """Sample a symbolic InitSpec into a CharEnsemble on the OmegaGrid omega.
 
     n_samples equispaced midpoint nodes per frequency slice, weighted by
@@ -116,10 +116,8 @@ def sample_initial(spec, omega, n_samples=256):
     initial data (TableData) is refused.
     """
     if not isinstance(spec, InitSpec):
-        raise TypeError("sample_initial needs an InitSpec")
-    if isinstance(spec.rho0, TableData) or isinstance(spec.u0, TableData):
         raise TypeError(
-            "tabulated initial data: the oracle samples symbolic initial data only"
+            f"{type(spec).__name__}: the oracle samples symbolic initial data only"
         )
     n_samples = int(n_samples)
     if n_samples < 2:
@@ -158,8 +156,8 @@ def _derivs(w, Omega, y, m, K, out):
     give r sin(phi - eta) = S c - C s and r cos(phi - eta) = C c + S s.
     """
     c, s, v, jac, p = y
-    C = float(np.dot(w, c))
-    S = float(np.dot(w, s))
+    C = weighted_sum(w, c)
+    S = weighted_sum(w, s)
     eta_t, c_t, s_t, v_t, j_t, p_t = out
     np.multiply(v, s, out=c_t)
     np.negative(c_t, out=c_t)  # (cos eta)' = -v sin eta

@@ -4,7 +4,9 @@ The nonlocal coupling integral K * int sin(theta_* - theta) rho g factorizes
 as K*(S*cos(theta) - C*sin(theta)) with first moments C = <cos theta> and
 S = <sin theta> of the density.  This turns the O(N^2) double sum into two
 O(N) reductions; the reduction order (theta index first, then frequency
-index) is fixed for bit-reproducibility.
+index) is fixed for bit-reproducibility.  A weighted sum over samples or
+frequency nodes goes through weighted_sum, whose bits do not depend on the
+BLAS thread count.
 """
 from __future__ import annotations
 
@@ -12,6 +14,23 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+
+
+# OpenBLAS splits a dot product of more than this many elements across its
+# threads, so that its bits depend on the thread count.
+DOT_CHUNK = 10_000
+
+
+def weighted_sum(w, x):
+    """sum w*x of 1-D arrays, with the same bits at every BLAS thread count.
+
+    np.dot takes DOT_CHUNK elements at a time, and the partial sums are
+    added in order; up to DOT_CHUNK elements this is one np.dot.
+    """
+    total = float(np.dot(w[:DOT_CHUNK], x[:DOT_CHUNK]))
+    for i in range(DOT_CHUNK, w.size, DOT_CHUNK):
+        total += float(np.dot(w[i : i + DOT_CHUNK], x[i : i + DOT_CHUNK]))
+    return total
 
 
 @dataclass(frozen=True)
@@ -42,8 +61,8 @@ def order_parameter(state):
     """
     per_slice_c = state.rho @ state.grid.cos
     per_slice_s = state.rho @ state.grid.sin
-    C = state.grid.dtheta * float(np.dot(state.omega.weights, per_slice_c))
-    S = state.grid.dtheta * float(np.dot(state.omega.weights, per_slice_s))
+    C = state.grid.dtheta * weighted_sum(state.omega.weights, per_slice_c)
+    S = state.grid.dtheta * weighted_sum(state.omega.weights, per_slice_s)
     return _from_moments(C, S)
 
 
@@ -53,9 +72,7 @@ def ensemble_order_parameter(eta, weights, trig=None):
     trig is (cos eta, sin eta) if the caller has them already.
     """
     cos_e, sin_e = _cos_sin(eta, trig)
-    C = float(np.dot(weights, cos_e))
-    S = float(np.dot(weights, sin_e))
-    return _from_moments(C, S)
+    return _from_moments(weighted_sum(weights, cos_e), weighted_sum(weights, sin_e))
 
 
 def mean_field_force(op, theta, params, trig=None):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -313,6 +314,22 @@ def test_cli_classify_prints_verdict(tmp_path, capsys):
     assert verdict["min_du0"] == pytest.approx(-1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "command, override, message",
+    [
+        ("run", "K=.inf", "K must be nonnegative and finite, got inf"),
+        ("classify", "m=.inf", "m must be positive and finite, got inf"),
+    ],
+)
+def test_cli_refuses_a_non_finite_parameter(tmp_path, capsys, command, override, message):
+    argv = [command, "--config", _write_cfg(tmp_path), "--set", override]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_run_rejects_sweep_config(tmp_path, capsys):
     path = tmp_path / "sweep.yaml"
     path.write_text(
@@ -405,10 +422,9 @@ def test_cli_compare_two_solvers(tmp_path, capsys):
     assert report["max_abs_dr"] < 5e-3
 
 
-def test_cli_run_is_bit_identical_across_thread_counts(tmp_path):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("m: 0.5\nK: 1.0\nu0: -sin(theta)\ng: gaussian\nn_omega: 64\n"
-                   "n_theta: 200\nt_end: 0.2\nsnapshot_times: [0.2]\n")
+def _outputs_at_thread_counts(tmp_path, command, cfg):
+    """The --out directories of `kurahydro command --config cfg` run in a
+    fresh process at 1 and at 2 BLAS/OpenMP threads."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(kurahydro.__file__)))
     outputs = []
     for threads in ("1", "2"):
@@ -418,14 +434,39 @@ def test_cli_run_is_bit_identical_across_thread_counts(tmp_path):
         )
         out = tmp_path / f"threads{threads}"
         subprocess.run(
-            [sys.executable, "-m", "kurahydro.cli", "run", "--config", str(cfg),
+            [sys.executable, "-m", "kurahydro.cli", command, "--config", str(cfg),
              "--out", str(out)],
             env=env, check=True, capture_output=True,
         )
         outputs.append(out)
+    return outputs
+
+
+def test_cli_run_is_bit_identical_across_thread_counts(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("m: 0.5\nK: 1.0\nu0: -sin(theta)\ng: gaussian\nn_omega: 64\n"
+                   "n_theta: 200\nt_end: 0.2\nsnapshot_times: [0.2]\n")
+    outputs = _outputs_at_thread_counts(tmp_path, "run", cfg)
     for rel in ("series.csv", "snapshots/t=0.2.csv"):
         a, b = ((o / rel).read_bytes() for o in outputs)
         assert a == b, f"{rel} differs between 1 and 2 BLAS/OpenMP threads"
+
+
+@pytest.mark.parametrize(
+    "command, size",
+    [("oracle", "n_samples: 12000\n"), ("run", "g: gaussian\nn_omega: 12000\n")],
+)
+def test_cli_sums_over_12000_terms_are_bit_identical_across_thread_counts(
+    tmp_path, command, size
+):
+    """12,000 samples or frequency nodes: more than OpenBLAS sums on one
+    thread in one np.dot."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("m: 0.5\nK: 1.0\nu0: -sin(theta)\nn_theta: 8\nt_end: 0.1\n"
+                   "record_dt: 0.01\n" + size)
+    outputs = _outputs_at_thread_counts(tmp_path, command, cfg)
+    a, b = ((o / "series.csv").read_bytes() for o in outputs)
+    assert a == b, "series.csv differs between 1 and 2 BLAS/OpenMP threads"
 
 
 def test_cli_bad_config_path_returns_error(tmp_path, capsys):
@@ -548,6 +589,26 @@ def test_cli_run_into_a_used_directory_keeps_only_its_own_snapshots(tmp_path, ca
     capsys.readouterr()
     assert main(["compare", str(out), str(out)]) == 0
     assert list(json.loads(capsys.readouterr().out)["l1_rho"]) == ["0"]
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("t=backup.csv", "{0}/t=backup.csv: 'backup' is not a snapshot time"),
+        ("t=inf.csv", "{0}/t=inf.csv: 'inf' is not a snapshot time"),
+        ("t=0.0.csv", "{0}/t=0.0.csv and {0}/t=0.csv name one snapshot time"),
+    ],
+)
+def test_cli_compare_names_a_bad_snapshot_file(tmp_path, capsys, name, message):
+    """A t=*.csv name without a nonnegative finite time, or a second name
+    of one time, ends compare with an error naming the files."""
+    cfg = _write_cfg(tmp_path, snapshot_times="[0.0]")
+    out = tmp_path / "x"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    shutil.copy(out / "snapshots" / "t=0.csv", out / "snapshots" / name)
+    capsys.readouterr()
+    assert main(["compare", str(out), str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(out / 'snapshots')}\n"
 
 
 def test_cli_writes_distinct_snapshot_times_to_distinct_files(tmp_path):

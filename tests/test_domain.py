@@ -40,6 +40,12 @@ def test_params_validation():
         Params(1.0, -0.1)
 
 
+@pytest.mark.parametrize("m, K, name", [(math.inf, 1.0, "m"), (1.0, math.inf, "K")])
+def test_params_refuse_a_non_finite_value(m, K, name):
+    with pytest.raises(ValueError, match=f"^{name} must be .* and finite, got inf$"):
+        Params(m, K)
+
+
 def test_theta_grid_midpoints():
     grid = make_theta_grid(8)
     assert grid.n == 8
@@ -162,7 +168,7 @@ def test_field_state_freezes_a_view_not_the_callers_array():
 
 
 def _table_spec(path):
-    """The InitSpec of a config that names path as its init_table."""
+    """The initial data (a TableData) of a config that names path as its init_table."""
     return resolve_config({"m": 1.0, "K": 0.0, "init_table": str(path)}).init
 
 

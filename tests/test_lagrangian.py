@@ -62,7 +62,7 @@ def test_sample_initial_rejects_tables():
         np.array([0.0]), np.array([0.0]), np.array([[1.0]]), np.array([[0.0]])
     )
     with pytest.raises(TypeError, match="symbolic initial data only"):
-        sample_initial(InitSpec(table, table), discretize_frequency("dirac"), 16)
+        sample_initial(table, discretize_frequency("dirac"), 16)
 
 
 def test_weights_must_sum_to_one():

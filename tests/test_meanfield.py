@@ -17,6 +17,7 @@ from kurahydro import (
     mean_field_force,
     order_parameter,
 )
+from kurahydro.meanfield import DOT_CHUNK, weighted_sum
 
 
 def test_order_parameter_quadrature_exact_for_trig_density():
@@ -90,3 +91,12 @@ def test_reduction_deterministic(random_state_factory):
     a = order_parameter(state)
     b = order_parameter(state)
     assert (a.C, a.S) == (b.C, b.S)
+
+
+def test_weighted_sum_adds_dots_of_at_most_a_chunk_in_order(rng):
+    """Up to DOT_CHUNK elements one np.dot; beyond, the chunks' dots left to right."""
+    n = DOT_CHUNK
+    w, x = rng.random(2 * n + 123), rng.random(2 * n + 123)
+    assert weighted_sum(w[:n], x[:n]) == float(np.dot(w[:n], x[:n]))
+    parts = [float(np.dot(w[i : i + n], x[i : i + n])) for i in (0, n, 2 * n)]
+    assert weighted_sum(w, x) == (parts[0] + parts[1]) + parts[2]

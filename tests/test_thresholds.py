@@ -107,7 +107,7 @@ def test_classify_table_with_margin():
     table = TableData(
         centers, np.zeros(1), np.full((1, 256), 1.0 / (2 * np.pi)), -np.sin(centers)[None, :]
     )
-    verdict = classify(InitSpec(table, table), Params(0.5, 0.1))
+    verdict = classify(table, Params(0.5, 0.1))
     assert verdict.category == SUBCRITICAL
     assert verdict.margin > 0.0
     assert verdict.min_du0 == pytest.approx(-1.0, abs=1e-3)
