@@ -3,8 +3,12 @@
 The config dataclasses ScenarioConfig, SchemeConfig and SweepConfig, defined
 here, are the schema.  Each of their fields declared int, float, str, tuple
 (of floats) or float | None is a config key of the same name; a given value
-is coerced to that type, and a key left out keeps the field's default.  The
-keys, with defaults in parentheses:
+is coerced to that type, and a key left out keeps the field's default.  A
+number is a number or a numeric string, never a bool, a null or a list,
+and an int is an integral one; a tuple is a list of numbers and a str a
+string.  A value of the wrong type, m, K, the k range and init_table
+included, is refused naming its key.  The keys, with defaults in
+parentheses:
 
 Scenario: m, K [required]; n_theta (1000); g: dirac|gaussian (dirac);
 n_omega (600); omega_L (5.0); rho0 (gaussian); u0 ("0"); init_table
@@ -27,7 +31,8 @@ k_min (0) / k_max (4) / k_step (0.1) building the path k_min -> k_max ->
 k_min, or an explicit k_path list, plus steady_tol (1e-4), steady_window
 (1.0), t_max (50), refine_step (null); each of these knobs, when given, is
 positive and finite.  Refinement walks a window of half-width
-experiments.REFINE_WINDOW around each jump.
+experiments.REFINE_WINDOW around each jump.  A sweep runs the
+finite-volume solver only, so its solver is eulerian.
 
 A key that no dataclass declares, such as a setting that has become a
 module constant, is refused as unknown.
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import re
 import typing
@@ -141,6 +147,11 @@ class SweepConfig:
     base: ScenarioConfig | None = None
 
     def __post_init__(self):
+        if self.base is not None and self.base.solver != "eulerian":
+            raise ValueError(
+                "a sweep runs the finite-volume solver only: solver must be "
+                f"eulerian, not {self.base.solver}"
+            )
         object.__setattr__(self, "k_path", tuple(float(k) for k in self.k_path))
         if not self.k_path:
             raise ValueError("k_path must contain at least one coupling value")
@@ -271,36 +282,76 @@ def format_rho0(spec):
 _K_RANGE_DEFAULTS = {"k_min": 0.0, "k_max": 4.0, "k_step": 0.1}
 
 
-# Declared field type -> coercion of a config value.  YAML leaves
-# exponent-only literals such as 1e-2 as strings, so numbers go through
-# float() or int().
+def _to_float(value):
+    # YAML leaves exponent-only literals such as 1e-2 as strings
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
+        raise TypeError
+    return float(value)
+
+
+def _to_int(value):
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    number = _to_float(value)
+    if not number.is_integer():
+        raise ValueError
+    return int(number)
+
+
+def _to_str(value):
+    if not isinstance(value, str):
+        raise TypeError
+    return value
+
+
+def _to_float_or_none(value):
+    return None if value is None else _to_float(value)
+
+
+def _to_tuple(value):
+    if not isinstance(value, list | tuple):
+        raise TypeError
+    return tuple(map(_to_float, value))
+
+
+# Declared field type -> (what a config value must be, its coercion).
+# A number refuses a bool, a null and a list; an int refuses a fraction.
 _COERCE = {
-    int: int,
-    float: float,
-    str: str,
-    tuple: lambda value: tuple(float(x) for x in value or ()),
-    float | None: lambda value: None if value is None else float(value),
+    int: ("an integer", _to_int),
+    float: ("a number", _to_float),
+    str: ("a string", _to_str),
+    tuple: ("a list of numbers", _to_tuple),
+    float | None: ("a number or null", _to_float_or_none),
 }
+
+
+def _coerce(kind, name, value):
+    """value coerced to the declared type kind; a ValueError names the key."""
+    what, coerce = _COERCE[kind]
+    try:
+        return coerce(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be {what}, got {value!r}") from None
 
 
 @functools.cache
 def _plain_fields(cls):
-    """{name: coercion} for each field of a config dataclass with a plain type.
+    """{name: declared type} for each field of a config dataclass with a
+    plain type, one that _COERCE coerces.
 
     Params, the initial data and the nested configs (scheme, base) are
     resolved and serialized by hand.
     """
     hints = typing.get_type_hints(cls)
-    return {
-        f.name: _COERCE[hints[f.name]] for f in fields(cls) if hints[f.name] in _COERCE
-    }
+    return {f.name: hints[f.name] for f in fields(cls) if hints[f.name] in _COERCE}
 
 
 def _resolve_fields(cls, data, section, by_hand=()):
     """Coerced keyword arguments for the plain fields of cls given in data.
 
     Keys that are neither plain fields nor in by_hand raise; fields not
-    given keep the dataclass default.
+    given keep the dataclass default.  A key of a section is named
+    section.key in a message, and a top-level key by itself.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{section} section must be a key:value mapping")
@@ -308,7 +359,8 @@ def _resolve_fields(cls, data, section, by_hand=()):
     unknown = sorted(set(data) - set(plain) - set(by_hand))
     if unknown:
         raise ValueError(f"unknown {section} keys: " + ", ".join(unknown))
-    return {k: plain[k](v) for k, v in data.items() if k in plain}
+    prefix = "" if section == "config" else section + "."
+    return {k: _coerce(plain[k], prefix + k, v) for k, v in data.items() if k in plain}
 
 
 def _serialize_fields(obj):
@@ -336,9 +388,10 @@ def resolve_config(data):
 
     table_path = data.get("init_table")
     if table_path is not None:
+        table_path = _coerce(str, "init_table", table_path)
         if "rho0" in data or "u0" in data:
             raise ValueError("init_table replaces rho0/u0; remove those keys")
-        init = TableData(*read_snapshot_csv(table_path), path=str(table_path))
+        init = TableData(*read_snapshot_csv(table_path), path=table_path)
     else:
         init = InitSpec(
             rho0=parse_rho0(data.get("rho0", "gaussian")),
@@ -347,7 +400,7 @@ def resolve_config(data):
 
     scheme = SchemeConfig(**_resolve_fields(SchemeConfig, scheme_data, "scheme"))
     scenario = ScenarioConfig(
-        params=Params(float(data["m"]), float(data["K"])),
+        params=Params(*(_coerce(float, k, data[k]) for k in ("m", "K"))),
         init=init,
         scheme=scheme,
         **kwargs,
@@ -360,7 +413,9 @@ def resolve_config(data):
 def _resolve_sweep(data, base):
     kwargs = _resolve_fields(SweepConfig, data, "sweep", _K_RANGE_DEFAULTS)
     if "k_path" not in kwargs:
-        lo, hi, step = (float(data.get(k, d)) for k, d in _K_RANGE_DEFAULTS.items())
+        lo, hi, step = (
+            _coerce(float, f"sweep.{k}", data.get(k, d)) for k, d in _K_RANGE_DEFAULTS.items()
+        )
         if not step > 0 or not hi >= lo:
             raise ValueError("sweep needs k_max >= k_min and k_step > 0")
         ks = np.round(np.arange(lo, hi + 0.5 * step, step), 12)

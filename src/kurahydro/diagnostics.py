@@ -470,16 +470,16 @@ def time_key(t):
 def record_run(states, row_times, snapshot_times):
     """The RunResult of a run of either solver: the one output rule.
 
-    states is a generator that yields (t, row, stored) for states of the
-    run as they are produced, row() building the state's series row and
-    stored() the state to keep, and returns (t, row, stored, blowup,
-    failure) for the state the run ends on.  Times match by time_key: a
-    state at one of row_times adds its row, a state at one of
-    snapshot_times adds its snapshot under that time's key, and the end
-    state adds its row unless it already has one, and is the final state.
-    row and stored are called before states is resumed, so they may read
-    the generator's current state, and no yielded item is held while the
-    next state is made.
+    states is a generator that yields (t, row, stored) for every state of
+    the run as it is produced, row() building the state's series row and
+    stored() the state to keep, and returns (blowup, failure).  The run
+    ends on the last state yielded.  Times match by time_key: a state at
+    one of row_times adds its row, a state at one of snapshot_times adds
+    its snapshot under that time's key, and the end state adds its row
+    unless it already has one, and is the final state.  row and stored
+    read the generator's current state, so each is called before states is
+    resumed; those of the last item, called once the generator has
+    returned, read the end state.
     """
     row_keys = {time_key(t) for t in row_times}
     snapshot_keys = {time_key(t) for t in snapshot_times}
@@ -487,8 +487,8 @@ def record_run(states, row_times, snapshot_times):
     while True:
         try:
             t, row, stored = next(states)
-        except StopIteration as end:
-            t, row, stored, blowup, failure = end.value
+        except StopIteration as end:  # t, row and stored are the last item's
+            blowup, failure = end.value
             if t != t_row:
                 rows.append(row())
             return RunResult(TimeSeries(rows), stored(), snapshots, blowup, failure)
@@ -498,7 +498,6 @@ def record_run(states, row_times, snapshot_times):
             t_row = t
         if key in snapshot_keys:
             snapshots[key] = stored()
-        del row, stored
 
 
 class BlowupMonitor:

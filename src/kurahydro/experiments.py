@@ -7,15 +7,18 @@ snapshots, and optionally writing a results directory.  hysteresis_sweep
 walks a coupling path forward and backward with warm starts, reading off
 quasi-steady order parameters.
 
-Only the generator _advance steps the finite-volume solver; _field_states
-(the states run_eulerian records through diagnostics.record_run) and
-steady_r (steady-state test) consume it.
+Only the generator _advance steps the finite-volume solver.  It owns a
+run's loop state, building its BlowupMonitor and fv.Workspace, yields the
+start state and every state after it, and lands on each output time it is
+given.  _field_states (the states run_eulerian records through
+diagnostics.record_run) and steady_r (steady-state test) consume it.
 """
 from __future__ import annotations
 
 import os
 import time
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,71 +58,67 @@ def build_state(config):
     return init_state(config.init, grid, omega)
 
 
-def _advance(state, params, scheme, monitor, t_stop, ws, op=None):
-    """Step with dt = min(cfl_dt, t_stop - t), yielding (state, op, extrema)
-    after each step.
+def _advance(state, params, scheme, stops):
+    """Step a finite-volume run to each of stops (ascending) in turn,
+    yielding (state, op, extrema, event) for the start state and after
+    each step.
 
-    op is order_parameter of the yielded state, taken once right after its
-    step and handed to the next step_rk2 as its stage-1 value; extrema is
-    what monitor.observe returned on that state.  The op argument is
-    order_parameter of the state handed in, if the caller has it.  Stops at
-    t_stop (within 1e-12) or once the monitor has fired; MassClipError
-    propagates.  All steps share the caller's fv.Workspace ws (one per
-    run), and each calls cfl_dt and then step_rk2 on the same state.
+    op is order_parameter of the yielded state, handed to the next step_rk2
+    as its stage-1 value; extrema is what the run's BlowupMonitor returned
+    on observing it, and event the monitor's event (None until it fires).
+    Each step has dt = min(cfl_dt, stop - t), calling cfl_dt and then
+    step_rk2 on the same state, and a stop counts as reached within 1e-12.
+    Nothing is yielded after the event; MassClipError propagates.  The
+    run's one BlowupMonitor and fv.Workspace are built here.
     """
-    while state.t < t_stop - 1e-12 and not monitor.fired:
-        dt = min(cfl_dt(state, scheme), t_stop - state.t)
-        state = step_rk2(state, dt, params, scheme, ws, op)
-        extrema = monitor.observe(state)
-        op = order_parameter(state)
-        yield state, op, extrema
-
-
-def _field_states(state, config, targets):
-    """The states run_eulerian records (see diagnostics.record_run): the
-    initial one, then the one at each of targets (ascending, each past
-    state.t) in turn, stepped to by _advance, carrying the E_k trapezoid
-    sum over every step.  Returns with the state it ends on: at the last
-    target, on blow-up, or the last good state when a step fails with
-    MassClipError.
-
-    A row takes the order parameter and monitor extrema that _advance
-    yielded with its state (for the initial state, those taken here) and
-    the state's E_k from the trapezoid sum.  row and stored read the
-    current state, so record_run calls them before the next step.
-    """
-    params, scheme = config.params, config.scheme
-    eps_supp = 1e-8 * float(np.max(state.rho))
     monitor = BlowupMonitor(scheme.blowup_rho_factor)
+    ws = Workspace()
     extrema = monitor.observe(state)
     op = order_parameter(state)
-    Ek_integral = 0.0
-    Ek_prev = kinetic_energy(_field_cell_masses(state), state.u)  # E_k of state
-    ws = Workspace()
+    yield state, op, extrema, monitor.event
+    for stop in stops:
+        while state.t < stop - 1e-12 and not monitor.fired:
+            dt = min(cfl_dt(state, scheme), stop - state.t)
+            state = step_rk2(state, dt, params, scheme, ws, op)
+            extrema = monitor.observe(state)
+            op = order_parameter(state)
+            yield state, op, extrema, monitor.event
+
+
+def _field_states(state, config, stops):
+    """The states run_eulerian records (see diagnostics.record_run): every
+    state _advance yields on its way to stops, carrying the E_k trapezoid
+    sum over every step.  Returns (blowup, failure): the run ends on the
+    last state yielded, at the last stop, on blow-up, or the last good
+    state when a step fails with MassClipError.
+
+    A row takes the order parameter and monitor extrema that _advance
+    yielded with its state and the state's E_k from the trapezoid sum.
+    row and stored read the current state, so record_run calls them
+    before the next step.
+    """
+    params = config.params
+    eps_supp = 1e-8 * float(np.max(state.rho))
+    Ek_integral, Ek_now = 0.0, None
 
     def row():
-        return _field_row(state, params, Ek_integral, eps_supp, Ek=Ek_prev, op=op,
+        return _field_row(state, params, Ek_integral, eps_supp, Ek=Ek_now, op=op,
                           extrema=extrema)
 
     def stored():
         return state
 
-    yield state.t, row, stored
-    for target in targets:
-        if monitor.fired:
-            break
-        try:
-            for new_state, op, extrema in _advance(state, params, scheme, monitor, target,
-                                                   ws, op):
-                # rebind first, so the old state is freed before E_k's temporaries
-                t_prev, state = state.t, new_state
-                Ek_now = kinetic_energy(_field_cell_masses(state), state.u)
+    try:
+        for new_state, op, extrema, event in _advance(state, params, config.scheme, stops):
+            # rebind first, so the old state is freed before E_k's temporaries
+            t_prev, state = state.t, new_state
+            Ek_prev, Ek_now = Ek_now, kinetic_energy(_field_cell_masses(state), state.u)
+            if Ek_prev is not None:  # every state after the start
                 Ek_integral += 0.5 * (state.t - t_prev) * (Ek_prev + Ek_now)
-                Ek_prev = Ek_now
-        except MassClipError as err:
-            return state.t, row, stored, monitor.event, str(err)
-        yield state.t, row, stored
-    return state.t, row, stored, monitor.event, None
+            yield state.t, row, stored
+    except MassClipError as err:
+        return event, str(err)
+    return event, None
 
 
 def run_eulerian(config, state=None):
@@ -135,8 +134,8 @@ def run_eulerian(config, state=None):
     grid_times = np.arange(state.t, config.t_end + 0.5 * record_dt, record_dt)
     row_times = [time_key(t) for t in grid_times]
     times = {*row_times, *map(time_key, config.snapshot_times), t_last}
-    targets = sorted(t for t in times if state.t < t <= t_last)
-    return record_run(_field_states(state, config, targets), row_times, config.snapshot_times)
+    stops = sorted(t for t in times if state.t < t <= t_last)
+    return record_run(_field_states(state, config, stops), row_times, config.snapshot_times)
 
 
 def run_lagrangian(config):
@@ -246,50 +245,41 @@ def marginalize(state):
 def steady_r(config, K, warm_state, sweep):
     """Integrate at coupling K until r settles; returns (r_inf, state, flag).
 
-    Steady when |r(t) - r(t - window)| < tol (checked once the window has
-    elapsed), capped at t_max, where an unsettled r warns (RuntimeWarning).
-    Blow-up or solver failure maps to r_inf = 1 with the flag set, returning
-    the last finite state for warm-starting.  r of each state is the order
-    parameter that _advance yields with it.
+    Steady when |r(t) - r(t_ref)| < tol, t_ref the latest state at or
+    before t - window (so only once a full window has elapsed), capped at
+    t_max, where an unsettled r warns (RuntimeWarning).  Blow-up or solver
+    failure maps to r_inf = 1 with the flag set, returning the last finite
+    state for warm-starting.  r of each state is the order parameter that
+    _advance yields with it.
     """
     params = replace(config.params, K=float(K))
-    scheme = config.scheme
     state = replace(warm_state, t=0.0, clipped_mass=0.0)
-    monitor = BlowupMonitor(scheme.blowup_rho_factor)
-    monitor.observe(state)
-    if monitor.fired:  # a non-finite warm start
-        return 1.0, state, True
-    op = order_parameter(state)
-    history = [(0.0, op.r)]
-    head = 0
-    r_now = op.r
-    dr = 0.0
-    steps = _advance(state, params, scheme, monitor, sweep.t_max, Workspace(), op)
+    times, rs = [], []
+    dr = None
     try:
-        for new_state, op, _ in steps:
-            if monitor.fired:
+        for new_state, op, _, event in _advance(state, params, config.scheme, [sweep.t_max]):
+            if event is not None:
                 return 1.0, state, True
             state = new_state
-            r_now = op.r
-            history.append((state.t, r_now))
-            # Compare against the latest record at or before t - window, so
-            # the criterion can only fire once a full window has elapsed.
-            while (
-                head + 1 < len(history)
-                and history[head + 1][0] <= state.t - sweep.steady_window
-            ):
-                head += 1
-            t_ref, r_ref = history[head]
-            dr = abs(r_now - r_ref)
-            if t_ref <= state.t - sweep.steady_window and dr < sweep.steady_tol:
-                break
+            times.append(state.t)
+            rs.append(op.r)
+            ref = bisect_right(times, state.t - sweep.steady_window) - 1
+            if ref >= 0:
+                dr = abs(op.r - rs[ref])
+                if dr < sweep.steady_tol:
+                    break
         else:
-            msg = f"r did not settle at K={K:g} by t_max={sweep.t_max:g}; last |dr|"
-            msg += f" over the window {dr:.3g} (tol {sweep.steady_tol:g})"
+            msg = f"r did not settle at K={K:g}"
+            if dr is None:
+                msg += f": no window of steady_window={sweep.steady_window:g} elapsed"
+                msg += f" by t_max={sweep.t_max:g}"
+            else:
+                msg += f" by t_max={sweep.t_max:g}; last |dr| over the window {dr:.3g}"
+                msg += f" (tol {sweep.steady_tol:g})"
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
     except MassClipError:
         return 1.0, state, True
-    return r_now, state, False
+    return rs[-1], state, False
 
 
 @dataclass

@@ -257,8 +257,9 @@ def _oracle_states(ens, params, n_steps, dt):
     which every J is positive, with a "gradient-collapse" event timed at the
     first zero of J within the step (see _first_zero).  A step with a NaN
     or infinite entry is accepted and ends the run with a "non-finite"
-    event.  Returns with the state the run ends on.  row and stored read
-    the current state, so record_run calls them before the next step.
+    event.  Returns (blowup, None), the run ending on the last state
+    yielded.  row and stored read the current state, so record_run calls
+    them before the next step.
 
     A row's d, log rho and unit phasor are written into arrays allocated
     once for the run, which the next row overwrites; stored() copies them
@@ -325,15 +326,15 @@ def _oracle_states(ens, params, n_steps, dt):
             finite = np.isfinite(np.dot(acc, ones)).all() or np.isfinite(acc).all()
         if finite and acc[J].min() <= 0.0:
             collapse = BlowupEvent(t + dt * _first_zero(y, acc, dt), "gradient-collapse")
-            return t, row, stored, collapse, None
+            return collapse, None
         y, acc = acc, y
         t = ens.t + step * dt
         Ek_integral += sixth * Ek_sum
         Ek_now = kinetic_energy(w, y[V])
         yield t, row, stored
         if not finite:
-            return t, row, stored, BlowupEvent(t, "non-finite"), None
-    return t, row, stored, None, None
+            return BlowupEvent(t, "non-finite"), None
+    return None, None
 
 
 def evolve(ens, params, T, dt=1e-2, record_every=1, snapshot_times=()):

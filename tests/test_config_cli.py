@@ -110,6 +110,61 @@ def test_resolve_defaults():
     assert cfg.solver == "eulerian"
 
 
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        (None, "n_theta", [1, 2], "n_theta must be an integer, got [1, 2]"),
+        (None, "n_theta", 100.7, "n_theta must be an integer, got 100.7"),
+        (None, "n_samples", True, "n_samples must be an integer, got True"),
+        (None, "n_omega", ".inf", "n_omega must be an integer, got '.inf'"),
+        (None, "t_end", True, "t_end must be a number, got True"),
+        (None, "t_end", "abc", "t_end must be a number, got 'abc'"),
+        (None, "m", True, "m must be a number, got True"),
+        (None, "K", None, "K must be a number, got None"),
+        (None, "snapshot_times", 5, "snapshot_times must be a list of numbers, got 5"),
+        (None, "snapshot_times", None, "snapshot_times must be a list of numbers, got None"),
+        (None, "snapshot_times", [0.1, None], "snapshot_times must be a list of numbers, "
+                                              "got [0.1, None]"),
+        (None, "g", 5, "g must be a string, got 5"),
+        (None, "init_table", 7, "init_table must be a string, got 7"),
+        ("scheme", "cfl", [0.3], "scheme.cfl must be a number, got [0.3]"),
+        ("sweep", "k_max", False, "sweep.k_max must be a number, got False"),
+        ("sweep", "k_step", "x", "sweep.k_step must be a number, got 'x'"),
+        ("sweep", "refine_step", True, "sweep.refine_step must be a number or null, got True"),
+        ("sweep", "k_path", 1.0, "sweep.k_path must be a list of numbers, got 1.0"),
+    ],
+)
+def test_resolve_refuses_a_value_of_the_wrong_type_naming_its_key(section, key, value, message):
+    data = _minimal()
+    (data if section is None else data.setdefault(section, {}))[key] = value
+    with pytest.raises(ValueError) as err:
+        resolve_config(data)
+    assert str(err.value) == message
+
+
+def test_resolve_coerces_numbers_of_the_declared_type():
+    """Numeric strings (YAML's exponent-only literals) parse, and an int
+    key takes an integral float."""
+    cfg = resolve_config({**_minimal(), "n_theta": 100.0, "n_samples": "2e3",
+                          "t_end": "1e-1", "m": 1, "snapshot_times": ["1e-2", 0]})
+    assert (cfg.n_theta, cfg.n_samples, cfg.t_end) == (100, 2000, 0.1)
+    assert type(cfg.n_theta) is int and type(cfg.params.m) is float
+    assert cfg.snapshot_times == (0.01, 0.0)
+    sweep = resolve_config(
+        {**_minimal(), "sweep": {"k_max": "2", "k_step": 1, "refine_step": None}}
+    )
+    assert sweep.k_path == (0.0, 1.0, 2.0, 1.0, 0.0) and sweep.refine_step is None
+
+
+@pytest.mark.parametrize("solver", ["lagrangian", "both"])
+def test_a_sweep_refuses_a_solver_other_than_eulerian(solver):
+    with pytest.raises(ValueError, match=f"sweep runs the finite-volume solver only: "
+                                         f"solver must be eulerian, not {solver}"):
+        resolve_config({**_minimal(), "solver": solver, "sweep": {"k_path": [0.5]}})
+    with pytest.raises(ValueError, match="finite-volume solver only"):
+        SweepConfig(k_path=(0.5,), base=resolve_config({**_minimal(), "solver": solver}))
+
+
 def test_resolve_rejects_unknown_and_missing_keys():
     data = _minimal()
     data["n_thetas"] = 50
@@ -166,12 +221,14 @@ def test_every_config_field_resolves_and_round_trips(section, name, default):
     # Given as strings, the way YAML hands back exponent-only literals.
     raw = [str(v) for v in value] if isinstance(value, tuple) else str(value)
     data = _minimal()
-    data["sweep"] = {"k_path": [0.0, 1.0, 0.0]}
+    if name != "solver":  # a sweep runs the finite-volume solver only
+        data["sweep"] = {"k_path": [0.0, 1.0, 0.0]}
     (data if section is None else data.setdefault(section, {}))[name] = raw
-    sweep = resolve_config(data)
-    owner = {None: sweep.base, "scheme": sweep.base.scheme, "sweep": sweep}[section]
+    config = resolve_config(data)
+    base = getattr(config, "base", config)
+    owner = {None: base, "scheme": base.scheme, "sweep": config}[section]
     assert getattr(owner, name) == value
-    assert resolve_config(serialize_config(sweep)) == sweep
+    assert resolve_config(serialize_config(config)) == config
 
 
 @pytest.mark.parametrize(
@@ -326,6 +383,44 @@ def test_cli_refuses_a_non_finite_parameter(tmp_path, capsys, command, override,
     if command == "run":
         argv += ["--out", str(tmp_path / "x")]
     assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("n_theta=[1,2]", "n_theta must be an integer, got [1, 2]"),
+        ("snapshot_times=5", "snapshot_times must be a list of numbers, got 5"),
+        ("K=null", "K must be a number, got None"),
+        ("t_end=abc", "t_end must be a number, got 'abc'"),
+        ("n_theta=100.7", "n_theta must be an integer, got 100.7"),
+        ("n_samples=2.9", "n_samples must be an integer, got 2.9"),
+        ("t_end=true", "t_end must be a number, got True"),
+        ("m=true", "m must be a number, got True"),
+        ("init_table=7", "init_table must be a string, got 7"),
+        ("init_table=0", "init_table must be a string, got 0"),
+    ],
+)
+def test_cli_refuses_a_config_value_of_the_wrong_type(tmp_path, capsys, override, message):
+    """Each once ended in a traceback, an error naming no key, a silent
+    truncation or cast, or a read of a file descriptor."""
+    argv = ["classify", "--config", _write_cfg(tmp_path), "--set", override]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("solver", ["lagrangian", "both"])
+def test_cli_sweep_refuses_a_solver_other_than_eulerian(tmp_path, capsys, solver):
+    """The sweep ran the finite-volume solver anyway and recorded the
+    other solver in its manifest."""
+    desk = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs",
+                        "hysteresis_desk.yaml")
+    argv = ["sweep", "--config", desk, "--set", f"solver={solver}",
+            "--set", "sweep.k_path=[0.5]", "--set", "sweep.t_max=0.2",
+            "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    message = f"a sweep runs the finite-volume solver only: solver must be eulerian, not {solver}"
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (tmp_path / "x").exists()
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import re
 import time
 import warnings
 
@@ -238,13 +239,38 @@ def test_steady_r_blowup_maps_to_one():
 
 
 def test_steady_r_warns_when_t_max_stops_it_unsettled():
+    """t_max below steady_window: no window elapsed, so no |dr| to report."""
     cfg = _config(n_theta=60)
     sweep = SweepConfig(k_path=(0.1,), steady_window=1.0, t_max=0.5)
-    with pytest.warns(RuntimeWarning, match=r"K=0.1 by t_max=0.5; last \|dr\|"):
+    msg = r"K=0.1: no window of steady_window=1 elapsed by t_max=0.5$"
+    with pytest.warns(RuntimeWarning, match=msg):
         r_inf, final, flag = steady_r(cfg, 0.1, build_state(cfg), sweep)
     assert not flag
     assert final.t == pytest.approx(0.5)
     assert 0.0 < r_inf < 1.0
+
+
+def test_steady_r_warns_with_the_last_dr_once_a_window_elapsed():
+    """A window elapsed before t_max: the warning gives the last |dr| over
+    it, |r(t_max) - r(t_ref)| with t_ref the last step at or before
+    t_max - steady_window."""
+    cfg = _config(n_theta=60)
+    sweep = SweepConfig(k_path=(0.1,), steady_window=0.2, steady_tol=1e-12, t_max=0.5)
+    msg = r"K=0.1 by t_max=0.5; last \|dr\| over the window (\S+) \(tol 1e-12\)$"
+    with pytest.warns(RuntimeWarning, match=msg) as caught:
+        r_inf, final, flag = steady_r(cfg, 0.1, build_state(cfg), sweep)
+    assert not flag
+    assert final.t == pytest.approx(0.5)
+    state, r_ref = build_state(cfg), None
+    while state.t < 0.5 - 1e-12:
+        if state.t <= 0.5 - 0.2:
+            r_ref = order_parameter(state).r
+        state = step_rk2(state, min(cfl_dt(state, cfg.scheme), 0.5 - state.t), cfg.params,
+                         cfg.scheme)
+    assert r_inf == order_parameter(state).r
+    dr = re.search(msg, str(caught[0].message)).group(1)
+    assert dr == f"{abs(r_inf - r_ref):.3g}"
+    assert float(dr) > 1e-12
 
 
 # A plain cfl_dt / step_rk2 / monitor loop, written out here so that the
@@ -623,6 +649,78 @@ def test_run_eulerian_steps_every_record_time_with_one_workspace(monkeypatch):
     assert len(used) > 3 and all(ws is built[0] for ws in used)
 
 
+def test_advance_yields_the_start_state_first():
+    """The first item is the start state itself, with its order parameter,
+    the extrema a fresh monitor observes on it, and no event."""
+    from kurahydro.experiments import _advance
+
+    cfg = _config(**_GAUSSIAN)
+    start = build_state(cfg)
+    state, op, extrema, event = next(_advance(start, cfg.params, cfg.scheme, [0.2]))
+    assert state is start
+    assert op == order_parameter(start)
+    assert extrema == BlowupMonitor(cfg.scheme.blowup_rho_factor).observe(start)
+    assert event is None
+
+
+def test_advance_lands_on_every_stop():
+    from kurahydro.experiments import _advance
+
+    cfg = _config(**_GAUSSIAN)
+    stops = [0.013, 0.2, 0.2 + 1e-9, 0.45, 0.6]
+    times = [state.t for state, *_ in _advance(build_state(cfg), cfg.params, cfg.scheme, stops)]
+    assert times == sorted(set(times)) and times[0] == 0.0
+    for stop in stops:
+        assert min(abs(t - stop) for t in times) <= 1e-12, stop
+    assert abs(times[-1] - stops[-1]) <= 1e-12
+
+
+def test_advance_yields_nothing_after_the_event():
+    """The blown-up state is the last item, though stops lie past it."""
+    from kurahydro.experiments import _advance
+
+    cfg = _config(**_BLOWUP)
+    items = list(_advance(build_state(cfg), cfg.params, cfg.scheme, [0.5, 1.0, 5.0]))
+    events = [event for *_, event in items]
+    assert len(items) > 2
+    assert events[:-1] == [None] * (len(items) - 1)
+    assert events[-1] is not None and events[-1].t == items[-1][0].t < 1.0
+
+
+def test_advance_builds_one_workspace_and_one_monitor_per_call(monkeypatch):
+    """Counted per _advance call, and per run_eulerian and steady_r, which
+    build neither themselves."""
+    from kurahydro import experiments, fv
+
+    built = []
+
+    class CountedWorkspace(fv.Workspace):
+        def __init__(self):
+            super().__init__()
+            built.append("Workspace")
+
+    class CountedMonitor(BlowupMonitor):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append("BlowupMonitor")
+
+    monkeypatch.setattr(experiments, "Workspace", CountedWorkspace)
+    monkeypatch.setattr(experiments, "BlowupMonitor", CountedMonitor)
+    cfg = _config(**_GAUSSIAN)
+    steps = list(experiments._advance(build_state(cfg), cfg.params, cfg.scheme, [0.2, 0.4]))
+    assert len(steps) > 3
+    assert sorted(built) == ["BlowupMonitor", "Workspace"]
+    built.clear()
+    run_eulerian(cfg)
+    assert sorted(built) == ["BlowupMonitor", "Workspace"]
+    built.clear()
+    sweep = SweepConfig(k_path=(cfg.params.K,), steady_window=0.1, t_max=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # unsettled by t_max
+        steady_r(cfg, cfg.params.K, build_state(cfg), sweep)
+    assert sorted(built) == ["BlowupMonitor", "Workspace"]
+
+
 def test_sweep_config_validation_and_branches():
     with pytest.raises(ValueError, match="at least one"):
         SweepConfig(k_path=())
@@ -776,5 +874,6 @@ def test_untimed_result_writes_null_wall_time(tmp_path):
 def test_manifest_round_trip_through_serialization():
     cfg = _config(g="gaussian", n_omega=16, solver="lagrangian")
     assert resolve_config(serialize_config(cfg)) == cfg
-    sweep = SweepConfig(k_path=(0.0, 1.0, 0.0), base=cfg, refine_step=0.05)
+    base = _config(g="gaussian", n_omega=16)  # a sweep runs the finite-volume solver only
+    sweep = SweepConfig(k_path=(0.0, 1.0, 0.0), base=base, refine_step=0.05)
     assert resolve_config(serialize_config(sweep)) == sweep

@@ -377,13 +377,12 @@ def test_advance_step_allocates_few_field_sized_arrays():
     still failing a step that builds full-size temporaries (the np.roll
     step before the workspace peaked at 23 fields).
     """
-    from kurahydro.diagnostics import BlowupMonitor
     from kurahydro.experiments import _advance
 
     state = _gaussian_state(120, 100)
     field_bytes = state.rho.nbytes
-    steps = _advance(state, Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0, fv.Workspace())
-    for _ in range(3):
+    steps = _advance(state, Params(1.0, 3.6), SchemeConfig(), [10.0])
+    for _ in range(4):  # the start state, then three steps
         next(steps)
     peak = peak_fields(lambda: next(steps), field_bytes)
     assert peak <= 8, peak
@@ -398,13 +397,12 @@ def test_advance_step_allocates_at_most_three_field_sized_arrays():
     here) and small arrays; numpy's own 128 KB buffers for a broadcast or
     strided 2-D operand would not fit.  The parent's step peaked at 4.36.
     """
-    from kurahydro.diagnostics import BlowupMonitor
     from kurahydro.experiments import _advance
 
     state = _gaussian_state(120, 100)
     field_bytes = state.rho.nbytes
-    steps = _advance(state, Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0, fv.Workspace())
-    for _ in range(3):
+    steps = _advance(state, Params(1.0, 3.6), SchemeConfig(), [10.0])
+    for _ in range(4):  # the start state, then three steps
         next(steps)
     peak = peak_fields(lambda: next(steps), field_bytes)
     assert peak <= 3, peak
@@ -415,15 +413,22 @@ def test_advance_workspace_holds_no_field_sized_buffer(monkeypatch):
     so after steps on a 3-block grid every workspace buffer is block-sized.
     The parent's workspace kept full-size tendency buffers (drho, du)."""
     from kurahydro import experiments
-    from kurahydro.diagnostics import BlowupMonitor
 
     monkeypatch.setattr(fv, "BLOCK_CELLS", 40 * 100)
     assert [hi - lo for lo, hi in fv._blocks(120, 100)] == [40] * 3
+    built = []
+
+    class Kept(fv.Workspace):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(experiments, "Workspace", Kept)
     state = _gaussian_state(120, 100)
-    ws = fv.Workspace()
-    steps = experiments._advance(state, Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0, ws)
-    for _ in range(3):
+    steps = experiments._advance(state, Params(1.0, 3.6), SchemeConfig(), [10.0])
+    for _ in range(4):  # the start state, then three steps
         next(steps)
+    (ws,) = built
     assert "drho" in ws._flat and "du" in ws._flat
     largest = max(flat.nbytes for flat in ws._flat.values())
     assert largest < state.rho.nbytes, (largest, state.rho.nbytes)
@@ -775,7 +780,6 @@ def test_advance_step_reconstructs_twice_per_block(monkeypatch, blocks):
     """rho and u stacked in one block, once at each of the two stages, on
     every block; cfl_dt reconstructs nothing.  A block is sized on its
     stacked cells, 2 * rows * n_theta."""
-    from kurahydro.diagnostics import BlowupMonitor
     from kurahydro.experiments import _advance
 
     monkeypatch.setattr(fv, "BLOCK_CELLS", 120 // blocks * 2 * 100)
@@ -789,9 +793,10 @@ def test_advance_step_reconstructs_twice_per_block(monkeypatch, blocks):
 
     monkeypatch.setattr(fv, "reconstruct", counting)
     steps = _advance(
-        _gaussian_state(120, 100), Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0, fv.Workspace()
+        _gaussian_state(120, 100), Params(1.0, 3.6), SchemeConfig(), [10.0]
     )
-    next(steps)
+    for _ in range(2):  # the start state, then one step
+        next(steps)
     calls.clear()
     next(steps)
     assert len(calls) == 2 * blocks
@@ -804,7 +809,6 @@ def test_advance_step_takes_the_mean_field_once_per_stage(monkeypatch, blocks):
     parameter that _advance took of the state after the step before, so
     both modules that take one are counted."""
     from kurahydro import experiments
-    from kurahydro.diagnostics import BlowupMonitor
     from kurahydro.experiments import _advance
 
     monkeypatch.setattr(fv, "BLOCK_CELLS", 120 // blocks * 100)
@@ -826,9 +830,10 @@ def test_advance_step_takes_the_mean_field_once_per_stage(monkeypatch, blocks):
         experiments, "order_parameter", counting(experiments, "order_parameter")
     )
     steps = _advance(
-        _gaussian_state(120, 100), Params(1.0, 3.6), SchemeConfig(), BlowupMonitor(), 10.0, fv.Workspace()
+        _gaussian_state(120, 100), Params(1.0, 3.6), SchemeConfig(), [10.0]
     )
-    next(steps)
+    for _ in range(2):  # the start state, then one step
+        next(steps)
     calls.update(dict.fromkeys(calls, 0))
     next(steps)
     assert calls == {"order_parameter": 2, "mean_field_force": 2}

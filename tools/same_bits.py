@@ -36,7 +36,9 @@ relative to the root, so both record it alike), each with its stdout saved to <n
 then compares the two sets of outputs: every CSV and stdout file by relative
 path and by bytes, and every manifest.json as JSON without its
 `wall_time_s`.  Prints one line per difference and a summary; exits 0 when
-nothing differs, 1 otherwise (2 when a command fails).
+nothing differs, 1 otherwise, and 2 when a command fails or a tree lacks
+src/kurahydro/__init__.py or configs/ (checked before anything runs, so an
+installed kurahydro cannot stand in for a tree's missing package).
 """
 from __future__ import annotations
 
@@ -81,6 +83,9 @@ init_table: sub/eulerian/snapshots/t=1.csv
 t_end: 0.5
 solver: eulerian
 """
+
+# What a tree must hold for its commands to run its own code and configs.
+TREE_FILES = ("src/kurahydro/__init__.py", "configs")
 
 # Run in the output root once COMMANDS have run; stdout goes to <name>.stdout.
 ROOT_COMMANDS = {
@@ -160,6 +165,11 @@ def main(argv=None):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     trees = [os.path.abspath(tree) for tree in argv]
+    for tree in trees:
+        missing = [need for need in TREE_FILES if not os.path.exists(os.path.join(tree, need))]
+        if missing:
+            print(f"{tree}: not a source tree, no {' or '.join(missing)}", file=sys.stderr)
+            return 2
     with tempfile.TemporaryDirectory(prefix="same_bits_") as tmp:
         roots = [os.path.join(tmp, side) for side in ("parent", "change")]
         try:
