@@ -6,15 +6,16 @@ here, are the schema.  Each of their fields declared int, float, str, tuple
 is coerced to that type, and a key left out keeps the field's default.  A
 number is a number or a numeric string, never a bool, a null or a list,
 and an int is an integral one; a tuple is a list of numbers and a str a
-string.  A value of the wrong type, m, K, the k range and init_table
-included, is refused naming its key.  The keys, with defaults in
-parentheses:
+string.  rho0 and u0 are a string or a number, a number meaning that
+constant.  A value of the wrong type, m, K, rho0, u0, the k range and
+init_table included, is refused naming its key.  The keys, with defaults
+in parentheses:
 
 Scenario: m, K [required]; n_theta (1000); g: dirac|gaussian (dirac);
 n_omega (600); omega_L (5.0); rho0 (gaussian); u0 ("0"); init_table
-[replaces rho0/u0: a snapshot-format table, read by io.read_snapshot_csv
-into one TableData as the config's init; parse_config takes a relative
-path in a file as relative to that file]; t_end (5.0); record_dt (0.01);
+[replaces rho0/u0: a snapshot .npz, read by io.read_snapshot_csv into
+one TableData as the config's init; parse_config takes a relative path in
+a file as relative to that file]; t_end (5.0); record_dt (0.01);
 snapshot_times ([]); solver: eulerian|lagrangian|both (eulerian);
 n_samples (1024); dt_oracle (1e-2).  A dirac g is the single frequency 0
 (domain.discretize_frequency).  The times are finite, and omega_L
@@ -304,6 +305,11 @@ def _to_str(value):
     return value
 
 
+def _to_profile(value):
+    # a number is the constant profile it spells
+    return value if isinstance(value, str) else repr(_to_float(value))
+
+
 def _to_float_or_none(value):
     return None if value is None else _to_float(value)
 
@@ -314,7 +320,8 @@ def _to_tuple(value):
     return tuple(map(_to_float, value))
 
 
-# Declared field type -> (what a config value must be, its coercion).
+# Declared field type -> (what a config value must be, its coercion); rho0
+# and u0, resolved by hand, are str | float, a profile text or a constant.
 # A number refuses a bool, a null and a list; an int refuses a fraction.
 _COERCE = {
     int: ("an integer", _to_int),
@@ -322,6 +329,7 @@ _COERCE = {
     str: ("a string", _to_str),
     tuple: ("a list of numbers", _to_tuple),
     float | None: ("a number or null", _to_float_or_none),
+    str | float: ("a string or a number", _to_profile),
 }
 
 
@@ -394,8 +402,8 @@ def resolve_config(data):
         init = TableData(*read_snapshot_csv(table_path), path=table_path)
     else:
         init = InitSpec(
-            rho0=parse_rho0(data.get("rho0", "gaussian")),
-            u0=parse_wave_expression(data.get("u0", "0")),
+            rho0=parse_rho0(_coerce(str | float, "rho0", data.get("rho0", "gaussian"))),
+            u0=parse_wave_expression(_coerce(str | float, "u0", data.get("u0", "0"))),
         )
 
     scheme = SchemeConfig(**_resolve_fields(SchemeConfig, scheme_data, "scheme"))

@@ -5,9 +5,9 @@ natural frequencies Omega_k carrying probability weights w_k ~ g(Omega_k).
 A FieldState holds the density rho(theta, Omega) -- per unit theta, each
 Omega-slice carrying unit mass -- and the phase velocity u(theta, Omega).
 Initial data is either symbolic, an InitSpec of a rho0 and a u0 profile,
-or tabulated, one TableData holding both fields: a table in the snapshot
-format, which config.resolve_config reads with io.read_snapshot_csv, the
-one reader of that format, so this module reads no files.
+or tabulated, one TableData holding both fields: a snapshot .npz, which
+config.resolve_config reads with io.read_snapshot_csv, the one reader of
+that format, so this module reads no files.
 """
 from __future__ import annotations
 

@@ -196,11 +196,12 @@ def _manifest_payload(config, wall_time, solver, extra):
 def write_scenario_result(result, out_dir):
     """Write series/snapshots/manifest; 'both' runs get per-solver subdirs.
 
-    A snapshots/ directory holds this run's snapshots only: a t=*.csv file
+    A snapshots/ directory holds this run's snapshots only: a t=*.npz file
     that an earlier run left there and this run does not write is removed,
-    so the directory never mixes two runs.  Each manifest's `wall_time_s`
-    is that solver's own time from `result.wall_times`; a result built
-    outside run_scenario carries no times and writes null.
+    and so is every t=*.csv snapshot of an earlier version, so the
+    directory never mixes two runs or two formats.  Each manifest's
+    `wall_time_s` is that solver's own time from `result.wall_times`; a
+    result built outside run_scenario carries no times and writes null.
     """
     config = result.config
     grid, _ = build_grids(config)
@@ -214,7 +215,8 @@ def write_scenario_result(result, out_dir):
         run_io.write_series_csv(os.path.join(path, "series.csv"), run.series)
         keep = {run_io.snapshot_filename(t_s) for t_s in run.snapshots}
         for name in os.listdir(snap_dir):
-            if run_io.is_snapshot_name(name) and name not in keep:
+            stale = run_io.is_snapshot_name(name) and name not in keep
+            if stale or run_io.is_csv_snapshot_name(name):
                 os.remove(os.path.join(snap_dir, name))
         for t_s, *fields in _snapshot_fields(solver, run, grid):
             run_io.write_snapshot_csv(

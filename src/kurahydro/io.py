@@ -1,50 +1,24 @@
-"""CSV and manifest serialization for run directories.
+"""File formats of run directories: CSV tables, .npz snapshots, manifests.
 
 Layout of a run directory:
     series.csv           diagnostics rows (fixed column order)
-    snapshots/t=<T>.csv  per-slice fields (theta, omega, rho, u); T = format_time(t)
+    snapshots/t=<T>.npz  per-slice fields (theta, omega, rho, u); T = format_time(t)
     sweep.csv            (branch, K, r_inf, blowup_flag)
     manifest.json        resolved config + code version + wall time
 
-File format of series.csv and the snapshots:
-    - the header names the columns in a fixed order (SERIES_COLUMNS for
-      series.csv, SNAPSHOT_COLUMNS for a snapshot); the readers check it and
-      raise ValueError naming the file on any other header;
-    - every number is written with FLOAT_FMT, 17 significant digits, so a
-      float64 reads back bit for bit;
-    - lines end in "\\r\\n", as csv.writer writes them.
+series.csv is a CSV whose header names SERIES_COLUMNS in order; read_series_csv
+checks it and raises ValueError naming the file on any other header.  Every
+number is written with FLOAT_FMT, 17 significant digits, so a float64 reads
+back bit for bit, and lines end in "\\r\\n", as csv.writer writes them.
 
-An initial-condition table (config key init_table) is a snapshot, read by
-the same read_snapshot_csv, so a run restarts from any of its snapshots.
-
-Snapshots and series are formatted in bulk (one `%` per slice or chunk of
-rows) and parsed with numpy's C reader; a 600x1000 snapshot is 49 MB.  A
-snapshot slice whose rho and u have the same bits as the previous slice's
-(every slice of a t=0 state that does not depend on omega) reuses that
-slice's formatted rows.
-
-Snapshot rows may come in any order, but the writer's order, omega then
-theta ascending, is streamed: rho and u are allocated for one row per line
-of the file (a newline count), and the rows are parsed in chunks straight
-into them.  theta and omega are read as texts, not numbers: a slice is a
-run of rows with one omega text, and each chunk is checked as it arrives
-for a slice start exactly every n_theta rows and each row's theta text
-equal to the first slice's.  Only the first slice's theta texts and the
-omega text at each slice start are parsed, once, and must ascend.  That
-parses half the numbers: a 600x1000 snapshot read in 0.62 s instead of
-0.77 s (best of 3), with the same bits.  A chunk is about 1/64 of the
-rows, at least 64 and at most _SNAPSHOT_CHUNK_ROWS, because np.loadtxt
-with max_rows=R allocates its result and buffers for R rows before it
-parses (32k-row chunks peaked at 19 fields on a 64x200 file), and texts
-cost more than numbers there (a chunk of 1/32 peaked at 3.2 fields, 1/64
-at 2.9; 8192 rows of text took 1.2 MB beyond rho and u, 4096 rows 0.6 MB,
-as 8192 rows of numbers did), while each call has a fixed cost (512-row
-chunks read a 600x1000 snapshot about 10% slower than 8192).  Any other
-table -- out of order, ragged, malformed, with lines that are not one row
-each (blank lines, bare CR endings), or with texts that differ but read as
-equal values (omega 1 and 1.0) -- falls back to parsing the whole table
-and sorting it by one lexsort of its rows; the fallback also raises every
-error, so a message names the row in the file, not in a chunk.
+A snapshot is one uncompressed numpy .npz holding the float64 arrays theta
+(n_theta,), omega (n_omega,), rho and u (n_omega, n_theta) under the names
+SNAPSHOT_COLUMNS, so every bit is kept, -0.0 and NaN included.  np.savez
+dates each zip entry 1980-01-01, so the same arrays give the same bytes
+whenever they are written.  An initial-condition table (config key
+init_table) is a snapshot, read by the same read_snapshot_csv, so a run
+restarts from any of its snapshots.  Earlier versions wrote snapshots as
+t=<T>.csv; list_snapshots refuses such a file, naming it.
 """
 from __future__ import annotations
 
@@ -53,6 +27,8 @@ import json
 import math
 import os
 import warnings
+import zipfile
+from io import BytesIO
 
 import numpy as np
 
@@ -62,34 +38,36 @@ FLOAT_FMT = "%.17g"
 SNAPSHOT_COLUMNS = ("theta", "omega", "rho", "u")
 EOL = "\r\n"
 _SERIES_CHUNK_ROWS = 4096
-# Most rows per parse of a streamed snapshot read (see _stream_snapshot).
-_SNAPSHOT_CHUNK_ROWS = 4096
-# Bytes of each theta and omega text in a streamed read: FLOAT_FMT writes
-# at most 24 characters, so a text that fills all 25 may have been cut.
-_TEXT_BYTES = 25
-_SNAPSHOT_ROW = np.dtype([
-    ("theta", f"S{_TEXT_BYTES}"), ("omega", f"S{_TEXT_BYTES}"), ("rho", float), ("u", float)
-])
+# .npy format version -> its header reader; np.savez writes 1.0, or 2.0
+# for a header over 64 KiB
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
 
 
 def _fmt(x):
     return FLOAT_FMT % float(x)
 
 
-def _header(columns):
-    return ",".join(columns) + EOL
+def write_series_csv(path, series):
+    data = series.data
+    row = ",".join([FLOAT_FMT] * data.shape[1]) + EOL
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(SERIES_COLUMNS) + EOL)
+        for i in range(0, data.shape[0], _SERIES_CHUNK_ROWS):
+            chunk = data[i : i + _SERIES_CHUNK_ROWS]
+            fh.write((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
-def _check_header(fh, path, columns):
-    header = fh.readline().rstrip("\r\n")
-    if header != ",".join(columns):
-        raise ValueError(f"{path}: header {header!r} is not {','.join(columns)!r}")
-
-
-def _read_table(path, columns):
-    """Parse a CSV with the given header into an (n_rows, len(columns)) array."""
+def read_series_csv(path):
+    """series.csv back as a TimeSeries; any other header, a malformed row
+    or no rows raise a ValueError naming the file."""
+    columns = ",".join(SERIES_COLUMNS)
     with open(path) as fh:
-        _check_header(fh, path, columns)
+        header = fh.readline().rstrip("\r\n")
+        if header != columns:
+            raise ValueError(f"{path}: header {header!r} is not {columns!r}")
         try:
             with warnings.catch_warnings():
                 # an empty body is reported below, naming the file
@@ -99,23 +77,9 @@ def _read_table(path, columns):
             raise ValueError(f"{path}: {err}") from err
     if data.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
-    if data.shape[1] != len(columns):
-        raise ValueError(f"{path}: {data.shape[1]} columns, header names {len(columns)}")
-    return data
-
-
-def write_series_csv(path, series):
-    data = series.data
-    row = ",".join([FLOAT_FMT] * data.shape[1]) + EOL
-    with open(path, "w", newline="") as fh:
-        fh.write(_header(SERIES_COLUMNS))
-        for i in range(0, data.shape[0], _SERIES_CHUNK_ROWS):
-            chunk = data[i : i + _SERIES_CHUNK_ROWS]
-            fh.write((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
-
-
-def read_series_csv(path):
-    return TimeSeries(_read_table(path, SERIES_COLUMNS))
+    if data.shape[1] != len(SERIES_COLUMNS):
+        raise ValueError(f"{path}: {data.shape[1]} columns, header names {len(SERIES_COLUMNS)}")
+    return TimeSeries(data)
 
 
 def format_time(t):
@@ -125,17 +89,23 @@ def format_time(t):
 
 
 def snapshot_filename(t):
-    return "t=%s.csv" % format_time(t)
+    return "t=%s.npz" % format_time(t)
 
 
 def is_snapshot_name(name):
-    """Whether a file name has the snapshot form t=*.csv."""
+    """Whether a file name has the snapshot form t=*.npz."""
+    return name.startswith("t=") and name.endswith(".npz")
+
+
+def is_csv_snapshot_name(name):
+    """Whether a file name has the form t=*.csv of an earlier version's snapshots."""
     return name.startswith("t=") and name.endswith(".csv")
 
 
 def parse_snapshot_time(filename):
+    """The time of a snapshot name, t=*.npz or an earlier version's t=*.csv."""
     base = os.path.basename(filename)
-    if not is_snapshot_name(base):
+    if not (is_snapshot_name(base) or is_csv_snapshot_name(base)):
         raise ValueError(f"not a snapshot filename: {filename}")
     try:
         t = float(base[2:-4])
@@ -147,32 +117,41 @@ def parse_snapshot_time(filename):
 
 
 def list_snapshots(run_dir):
-    """Map snapshot time -> path for every snapshots/t=*.csv in a run dir.
+    """Map snapshot time -> path for every snapshots/t=*.npz in a run dir.
 
     A name without a nonnegative finite time, or two names of one time_key
-    (t=0.csv and t=0.0.csv), raise a ValueError naming the files.
+    (t=0.npz and t=0.0.npz, or t=0.0.csv), raise a ValueError naming the
+    files; so does, after those checks, a t=*.csv snapshot of an earlier
+    version.
     """
     snap_dir = os.path.join(run_dir, "snapshots")
-    out, first = {}, {}
+    out, first, csv_paths = {}, {}, []
     if os.path.isdir(snap_dir):
-        for name in sorted(filter(is_snapshot_name, os.listdir(snap_dir))):
+        for name in sorted(os.listdir(snap_dir)):
             path = os.path.join(snap_dir, name)
+            if not (is_snapshot_name(name) or is_csv_snapshot_name(name)):
+                continue
             t = parse_snapshot_time(path)
             key = time_key(t)
             if first.setdefault(key, path) != path:
                 raise ValueError(f"{first[key]} and {path} name one snapshot time")
-            out[t] = path
+            if is_csv_snapshot_name(name):
+                csv_paths.append(path)
+            else:
+                out[t] = path
+    if csv_paths:
+        raise ValueError(
+            f"{csv_paths[0]}: a CSV snapshot of an earlier version; snapshots are now .npz"
+        )
     return out
 
 
 def write_snapshot_csv(path, theta, omega_values, rho, u):
-    """Write per-slice fields; rho/u have shape (n_omega, n_theta).
+    """Write per-slice fields as one .npz; rho/u have shape (n_omega, n_theta).
 
-    Rows run over theta within a slice, slices in the given omega order.
-    Each slice is one row template (theta already formatted) filled with
-    that slice's rho and u by a single `%`; a slice whose rho and u rows
-    have the same bits as the previous slice's reuses its formatted body,
-    and only the omega column differs.
+    The arrays are stored uncompressed under the names SNAPSHOT_COLUMNS.
+    The name keeps its _csv suffix, as experiments._field_row is kept,
+    because perfbench's tracer wraps it (ROADMAP item 11).
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     omega_values = np.atleast_1d(np.asarray(omega_values, dtype=float))
@@ -183,152 +162,59 @@ def write_snapshot_csv(path, theta, omega_values, rho, u):
         raise ValueError(
             f"{path}: rho {rho.shape} and u {u.shape} must both have shape {shape}"
         )
-    # "\0" stands for the slice's omega; "%" never occurs in a formatted float
-    rows = "".join(
-        f"{FLOAT_FMT % th},\0,{FLOAT_FMT},{FLOAT_FMT}{EOL}" for th in theta.tolist()
-    )
-    # bits, not values: -0.0 == 0.0, but they print as -0 and 0
-    rho_bits, u_bits = rho.view(np.int64), u.view(np.int64)
-    body = None
-    with open(path, "w", newline="") as fh:
-        fh.write(_header(SNAPSHOT_COLUMNS))
-        for k, om in enumerate(omega_values.tolist()):
-            if body is None or not (
-                np.array_equal(rho_bits[k], rho_bits[k - 1])
-                and np.array_equal(u_bits[k], u_bits[k - 1])
-            ):
-                body = rows % tuple(np.column_stack((rho[k], u[k])).ravel().tolist())
-            fh.write(body.replace("\0", FLOAT_FMT % om))
+    # a file object, so np.savez writes to path itself and adds no ".npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, **dict(zip(SNAPSHOT_COLUMNS, (theta, omega_values, rho, u))))
 
 
-def _count_lines(path):
-    """Lines after the header: newlines, plus an unterminated last line."""
-    n, last = 0, b"\n"
-    with open(path, "rb") as fh:
-        fh.readline()
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            n += block.count(b"\n")
-            last = block[-1:]
-    return n + (last != b"\n")
+def _read_array(npz, name):
+    """The float64 array name of an open NpzFile, as a read-only view of
+    its entry's bytes.
 
-
-def _parse_texts(texts):
-    """The float values of a 1-D array of byte texts, parsed by np.loadtxt
-    as one CSV line (the whole-table reader's parser), or None if one is
-    not a number."""
-    line = b",".join(texts.tolist()).decode("latin-1")
-    try:
-        values = np.loadtxt([line], delimiter=",", ndmin=1)
-    except ValueError:
-        return None
-    return values if values.shape == texts.shape else None
-
-
-def _stream_snapshot(path):
-    """(theta, omega_values, rho, u) of a table in the writer's order, or None.
-
-    The rows are parsed in chunks of 1/64 of the rows (64 to
-    _SNAPSHOT_CHUNK_ROWS), rho and u as numbers straight into arrays
-    preallocated for one row per line of the file, theta and omega as their
-    texts.  A slice is a run of rows with one omega text; each must be
-    n_theta rows long (the first slice's length) and hold the first slice's
-    theta texts in the first slice's order.  Only those n_theta theta texts
-    and the omega text at each slice start are parsed, once, and they must
-    ascend: theta within the slice, omega from slice to slice.  Any other
-    table -- out of order, ragged, malformed, with lines that hold no row,
-    or with texts that differ but read as equal values -- gives None.
+    The entry is read once and its .npy header checked before its data is
+    used, so an object array is never unpickled.  np.load's own npz[name]
+    copies the bytes into a new array, which holds two copies at once.
     """
-    n_rows = _count_lines(path)
-    rho, u = np.empty(n_rows), np.empty(n_rows)
-    theta_parts, omega_parts = [], []
-    theta = n_theta = prev_omega = None
-    with open(path) as fh, warnings.catch_warnings():
-        _check_header(fh, path, SNAPSHOT_COLUMNS)
-        # a file that ends early gives a short chunk, which returns None
-        warnings.simplefilter("ignore", UserWarning)
-        # np.loadtxt allocates its result and buffers for max_rows rows before
-        # it parses, so a chunk is kept to about 1/64 of the rows; each parse
-        # has a fixed cost too, hence at least 64 rows
-        step = min(_SNAPSHOT_CHUNK_ROWS, max(64, n_rows // 64))
-        for done in range(0, n_rows, step):
-            want = min(step, n_rows - done)
-            try:
-                chunk = np.loadtxt(fh, _SNAPSHOT_ROW, delimiter=",", ndmin=1, max_rows=want)
-            except ValueError:
-                return None
-            if chunk.shape != (want,):
-                return None
-            # a text that fills its column may have been cut short: the last
-            # byte of theta's column and of omega's must be the padding 0
-            last = chunk.view(np.uint8).reshape(want, -1)[:, _TEXT_BYTES - 1 :: _TEXT_BYTES]
-            if last[:, :2].any():
-                return None
-            th, om = chunk["theta"], chunk["omega"]
-            # the file's rows where a slice starts
-            starts = done + np.flatnonzero(om[1:] != om[:-1]) + 1
-            if prev_omega != om[0]:
-                starts = np.concatenate(([done], starts))
-            if n_theta is None:
-                theta_parts.append(th.copy())
-                later = starts[starts > 0]
-                n_theta = int(later[0]) if later.size else None
-                if n_theta is not None:
-                    theta = np.concatenate(theta_parts)[:n_theta]
-            if n_theta is not None:
-                first = -(-done // n_theta) * n_theta
-                if not np.array_equal(starts, np.arange(first, done + want, n_theta)):
-                    return None
-                if not np.array_equal(th, theta[np.arange(done, done + want) % n_theta]):
-                    return None
-            omega_parts.append(om[starts - done])
-            rho[done : done + want] = chunk["rho"]
-            u[done : done + want] = chunk["u"]
-            prev_omega = om[-1]
-            del chunk, th, om, last  # before the next chunk is parsed
-        if fh.read().strip():
-            return None  # rows that the line count missed
-    n_theta = n_rows if n_theta is None else n_theta
-    if n_rows == 0 or n_rows % n_theta:
-        return None
-    theta = _parse_texts(np.concatenate(theta_parts) if theta is None else theta)
-    omega = _parse_texts(np.concatenate(omega_parts))
-    # NaN compares false, so a NaN text gives None too
-    if theta is None or omega is None or not (
-        np.all(theta[1:] >= theta[:-1]) and np.all(omega[1:] > omega[:-1])
-    ):
-        return None
-    shape = (n_rows // n_theta, n_theta)
-    return theta, omega, rho.reshape(shape), u.reshape(shape)
+    raw = npz.zip.read(name + ".npy")
+    header = BytesIO(raw)
+    version = np.lib.format.read_magic(header)
+    if version not in _NPY_HEADERS:
+        raise ValueError(f".npy format version {version}")
+    shape, fortran_order, dtype = _NPY_HEADERS[version](header)
+    if dtype != np.float64:
+        raise ValueError(f"{dtype}, not float64")
+    values = np.frombuffer(raw, dtype, math.prod(shape), header.tell())
+    return values.reshape(shape, order="F" if fortran_order else "C")
 
 
 def read_snapshot_csv(path):
-    """Read a snapshot back as (theta, omega_values, rho, u) arrays.
+    """Read a snapshot (or init_table) back as (theta, omega_values, rho, u).
 
-    Rows may come in any order; they are read sorted by omega, then theta.
-    Every slice must hold the first slice's theta values exactly.  A table
-    in the writer's order is streamed into rho and u chunk by chunk
-    (see _stream_snapshot); any other table is parsed whole and sorted by
-    one lexsort of its rows.
+    The file must be an .npz holding exactly the float64 arrays named
+    SNAPSHOT_COLUMNS; anything else raises a ValueError naming the path.
+    The arrays are read-only; their shapes and values are the caller's to
+    check, as domain.TableData checks a table's.  The name keeps its _csv
+    suffix for perfbench's tracer, as write_snapshot_csv's does.
     """
-    fields = _stream_snapshot(path)
-    if fields is not None:
-        return fields
-    data = _read_table(path, SNAPSHOT_COLUMNS)
-    data = data[np.lexsort((data[:, 0], data[:, 1]))]
-    omega_flat = data[:, 1]
-    n_omega = 1 + int(np.count_nonzero(omega_flat[1:] != omega_flat[:-1]))
-    n_theta = omega_flat.size // n_omega
-    table = data[: n_omega * n_theta].reshape(n_omega, n_theta, 4)
-    # sorted, so each slice holds one omega when its first and last rows agree
-    ragged = n_omega * n_theta != omega_flat.size
-    if ragged or np.any(table[:, 0, 1] != table[:, -1, 1]):
-        raise ValueError(f"{path}: ragged snapshot table")
-    if np.any(table[1:, :, 0] != table[0, :, 0]):
-        raise ValueError(f"{path}: slices lie on different theta grids")
-    theta, omega_values, rho, u = (
-        table[0, :, 0], table[:, 0, 1], table[:, :, 2], table[:, :, 3]
-    )
-    return theta.copy(), omega_values.copy(), rho.copy(), u.copy()
+    try:
+        npz = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        npz = None  # empty, text or a pickle, or a damaged zip
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not an .npz snapshot")
+    with npz:
+        if sorted(npz.files) != sorted(SNAPSHOT_COLUMNS):
+            raise ValueError(
+                f"{path}: holds arrays {', '.join(npz.files) or 'none'}; "
+                f"a snapshot holds {', '.join(SNAPSHOT_COLUMNS)}"
+            )
+        fields = []
+        for name in SNAPSHOT_COLUMNS:
+            try:
+                fields.append(_read_array(npz, name))
+            except (ValueError, EOFError, zipfile.BadZipFile) as err:
+                raise ValueError(f"{path}: array {name}: {err}") from None
+    return tuple(fields)
 
 
 def write_sweep_csv(path, result):

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from conftest import BAD_NPZ
 
 import kurahydro
 from kurahydro import (
@@ -179,7 +180,7 @@ def test_resolve_rejects_unknown_and_missing_keys():
     with pytest.raises(ValueError, match="unknown sweep keys: k_top"):
         resolve_config({**_minimal(), "sweep": {"k_top": 1.0}})
     with pytest.raises(ValueError, match="init_table replaces rho0/u0"):
-        resolve_config({**_minimal(), "init_table": "table.csv"})
+        resolve_config({**_minimal(), "init_table": "table.npz"})
 
 
 # Config-dataclass fields that are not plain config keys: m and K build
@@ -410,6 +411,23 @@ def test_cli_refuses_a_config_value_of_the_wrong_type(tmp_path, capsys, override
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_cli_refuses_a_profile_that_is_not_a_string_or_a_number(tmp_path, capsys):
+    """rho0 and u0 take a string or a number; a bool, a null or a list was
+    turned into a profile text by str() and refused without naming its key."""
+    cfg = _write_cfg(tmp_path)
+    for override, message in [
+        ("u0=true", "u0 must be a string or a number, got True"),
+        ("rho0=[1,2]", "rho0 must be a string or a number, got [1, 2]"),
+        ("u0=null", "u0 must be a string or a number, got None"),
+    ]:
+        assert main(["classify", "--config", cfg, "--set", override]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    # a number is a constant profile
+    assert resolve_config({**_minimal(), "u0": 0.3, "rho0": 2}).init == InitSpec(
+        parse_rho0("2"), UConst(0.3)
+    )
+
+
 @pytest.mark.parametrize("solver", ["lagrangian", "both"])
 def test_cli_sweep_refuses_a_solver_other_than_eulerian(tmp_path, capsys, solver):
     """The sweep ran the finite-volume solver anyway and recorded the
@@ -473,8 +491,8 @@ def test_compare_self_parses_each_file_once(tmp_path, monkeypatch):
 
 def test_compare_self_peaks_below_three_and_a_half_fields(tmp_path, rng):
     """A 64x200 snapshot compared with itself: rho and u read (2 fields),
-    and |rho_a - rho_b| taken in one temporary (1 more).  The parent,
-    parsing the whole table and taking abs of a difference, peaked at 6.05."""
+    and |rho_a - rho_b| taken one slice at a time.  Parsing the whole CSV
+    table and taking abs of a difference once peaked at 6.05."""
     from conftest import peak_fields
 
     from kurahydro.diagnostics import TimeSeries
@@ -483,7 +501,7 @@ def test_compare_self_peaks_below_three_and_a_half_fields(tmp_path, rng):
     (tmp_path / "snapshots").mkdir()
     rho = rng.lognormal(size=(64, 200))
     write_snapshot_csv(
-        str(tmp_path / "snapshots" / "t=0.csv"),
+        str(tmp_path / "snapshots" / "t=0.npz"),
         np.linspace(-np.pi, np.pi, 200, endpoint=False),
         np.sort(rng.normal(size=64)),
         rho,
@@ -542,7 +560,7 @@ def test_cli_run_is_bit_identical_across_thread_counts(tmp_path):
     cfg.write_text("m: 0.5\nK: 1.0\nu0: -sin(theta)\ng: gaussian\nn_omega: 64\n"
                    "n_theta: 200\nt_end: 0.2\nsnapshot_times: [0.2]\n")
     outputs = _outputs_at_thread_counts(tmp_path, "run", cfg)
-    for rel in ("series.csv", "snapshots/t=0.2.csv"):
+    for rel in ("series.csv", "snapshots/t=0.2.npz"):
         a, b = ((o / rel).read_bytes() for o in outputs)
         assert a == b, f"{rel} differs between 1 and 2 BLAS/OpenMP threads"
 
@@ -670,17 +688,33 @@ def test_cli_rejects_a_setting_that_became_a_constant(
 def test_cli_run_into_a_used_directory_keeps_only_its_own_snapshots(tmp_path, capsys):
     """A second run into the same --out removes the snapshots of the first
     that it does not write, so the directory, its manifest and compare all
-    tell of one run; files other than t=*.csv stay."""
+    tell of one run; files other than t=*.npz stay."""
     cfg = _write_cfg(tmp_path, snapshot_times="[0, 0.1, 0.2]")
     out = tmp_path / "x"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    assert sorted(os.listdir(out / "snapshots")) == ["t=0.1.csv", "t=0.2.csv", "t=0.csv"]
+    assert sorted(os.listdir(out / "snapshots")) == ["t=0.1.npz", "t=0.2.npz", "t=0.npz"]
     (out / "snapshots" / "notes.txt").write_text("kept")
     argv = ["run", "--config", cfg, "--out", str(out),
             "--set", "snapshot_times=[0.0]", "--set", "K=0.9"]
     assert main(argv) == 0
-    assert sorted(os.listdir(out / "snapshots")) == ["notes.txt", "t=0.csv"]
+    assert sorted(os.listdir(out / "snapshots")) == ["notes.txt", "t=0.npz"]
     assert read_manifest(str(out / "manifest.json"))["config"]["K"] == 0.9
+    capsys.readouterr()
+    assert main(["compare", str(out), str(out)]) == 0
+    assert list(json.loads(capsys.readouterr().out)["l1_rho"]) == ["0"]
+
+
+def test_cli_run_removes_the_csv_snapshots_of_an_earlier_version(tmp_path, capsys):
+    """Snapshots were once t=*.csv files: a run into a directory that holds
+    some removes them all, written at its own times or not, so the
+    directory never mixes two formats and compare reads it."""
+    cfg = _write_cfg(tmp_path, snapshot_times="[0.0]")
+    out = tmp_path / "x"
+    (out / "snapshots").mkdir(parents=True)
+    for name in ("t=0.csv", "t=0.3.csv", "notes.csv"):
+        (out / "snapshots" / name).write_text("theta,omega,rho,u\r\n")
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out / "snapshots")) == ["notes.csv", "t=0.npz"]
     capsys.readouterr()
     assert main(["compare", str(out), str(out)]) == 0
     assert list(json.loads(capsys.readouterr().out)["l1_rho"]) == ["0"]
@@ -689,18 +723,25 @@ def test_cli_run_into_a_used_directory_keeps_only_its_own_snapshots(tmp_path, ca
 @pytest.mark.parametrize(
     "name, message",
     [
+        ("t=backup.npz", "{0}/t=backup.npz: 'backup' is not a snapshot time"),
+        ("t=inf.npz", "{0}/t=inf.npz: 'inf' is not a snapshot time"),
+        ("t=0.0.npz", "{0}/t=0.0.npz and {0}/t=0.npz name one snapshot time"),
         ("t=backup.csv", "{0}/t=backup.csv: 'backup' is not a snapshot time"),
         ("t=inf.csv", "{0}/t=inf.csv: 'inf' is not a snapshot time"),
-        ("t=0.0.csv", "{0}/t=0.0.csv and {0}/t=0.csv name one snapshot time"),
+        ("t=0.0.csv", "{0}/t=0.0.csv and {0}/t=0.npz name one snapshot time"),
+        ("t=0.5.csv",
+         "{0}/t=0.5.csv: a CSV snapshot of an earlier version; snapshots are now .npz"),
     ],
 )
 def test_cli_compare_names_a_bad_snapshot_file(tmp_path, capsys, name, message):
-    """A t=*.csv name without a nonnegative finite time, or a second name
-    of one time, ends compare with an error naming the files."""
+    """A t=*.npz or t=*.csv name without a nonnegative finite time, a second
+    name of one time in either form, or a t=*.csv snapshot of an earlier
+    version, which compare would otherwise skip, ends compare with an error
+    naming the files."""
     cfg = _write_cfg(tmp_path, snapshot_times="[0.0]")
     out = tmp_path / "x"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    shutil.copy(out / "snapshots" / "t=0.csv", out / "snapshots" / name)
+    shutil.copy(out / "snapshots" / "t=0.npz", out / "snapshots" / name)
     capsys.readouterr()
     assert main(["compare", str(out), str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message.format(out / 'snapshots')}\n"
@@ -719,14 +760,14 @@ def test_cli_writes_distinct_snapshot_times_to_distinct_files(tmp_path):
 
 
 def test_both_solvers_name_a_negative_zero_snapshot_t0(tmp_path, capsys):
-    """A snapshot time of -0.0 is the file t=0.csv from either solver, and
+    """A snapshot time of -0.0 is the file t=0.npz from either solver, and
     compare keys it "0"."""
     cfg = _write_cfg(tmp_path, solver="both")
     out = tmp_path / "x"
     argv = ["run", "--config", cfg, "--out", str(out), "--set", "snapshot_times=[-0.0, 0.1]"]
     assert main(argv) == 0
     for solver in ("eulerian", "lagrangian"):
-        assert sorted(os.listdir(out / solver / "snapshots")) == ["t=0.1.csv", "t=0.csv"]
+        assert sorted(os.listdir(out / solver / "snapshots")) == ["t=0.1.npz", "t=0.npz"]
     capsys.readouterr()
     assert main(["compare", str(out / "eulerian"), str(out / "lagrangian")]) == 0
     assert sorted(json.loads(capsys.readouterr().out)["l1_rho"]) == ["0", "0.1"]
@@ -775,12 +816,12 @@ def test_cli_both_solvers_share_their_row_times(tmp_path, capsys):
 
 
 def test_restart_from_a_snapshot_is_bitwise(tmp_path):
-    """A run's snapshots/t=<t>.csv as init_table: u has the snapshot's bits,
+    """A run's snapshots/t=<t>.npz as init_table: u has the snapshot's bits,
     rho those of the snapshot's rho normalized per slice, and the restarted
     run goes on."""
     cfg = _write_cfg(tmp_path, g="gaussian", n_omega=5, snapshot_times="[0.2]")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    snap = tmp_path / "out" / "snapshots" / "t=0.2.csv"
+    snap = tmp_path / "out" / "snapshots" / "t=0.2.npz"
     data = {"m": 0.5, "K": 0.1, "n_theta": 48, "g": "gaussian", "n_omega": 5,
             "t_end": 0.1, "init_table": str(snap)}
     state = build_state(resolve_config(data))
@@ -797,14 +838,14 @@ def test_restart_from_a_snapshot_is_bitwise(tmp_path):
 def test_a_relative_init_table_is_read_from_the_config_files_directory(
     tmp_path, monkeypatch
 ):
-    """A config restarting from ../run/snapshots/t=0.2.csv runs from any
+    """A config restarting from ../run/snapshots/t=0.2.npz runs from any
     working directory (it used to exit 2, file not found), and the manifest
     records that path joined to the config's directory as the command
     named it.  An init_table set on the command line stays relative to the
     working directory."""
     cfg = _write_cfg(tmp_path, snapshot_times="[0.2]")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
-    table = "../run/snapshots/t=0.2.csv"
+    table = "../run/snapshots/t=0.2.npz"
     (tmp_path / "restart").mkdir()
     (tmp_path / "restart" / "restart.yaml").write_text(
         f"m: 0.5\nK: 0.1\nn_theta: 48\nt_end: 0.1\ninit_table: {table}\n"
@@ -826,7 +867,7 @@ def test_cli_rejects_a_table_with_non_finite_values(tmp_path, capsys, name, valu
     theta = make_theta_grid(48).centers
     fields = {"rho": np.ones((1, 48)), "u": np.zeros((1, 48))}
     fields[name][0, 7] = value
-    table = tmp_path / "init.csv"
+    table = tmp_path / "init.npz"
     write_snapshot_csv(str(table), theta, [0.0], fields["rho"], fields["u"])
     path = tmp_path / "table.yaml"
     path.write_text(f"m: 0.5\nK: 0.1\nn_theta: 48\nt_end: 0.1\ninit_table: {table}\n")
@@ -834,6 +875,22 @@ def test_cli_rejects_a_table_with_non_finite_values(tmp_path, capsys, name, valu
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{table}: table {name} has non-finite values" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", list(BAD_NPZ))
+def test_cli_run_refuses_a_bad_init_table(tmp_path, capsys, kind):
+    """A table from outside the program that is not a snapshot .npz (see
+    conftest.BAD_NPZ), a CSV table among them, ends the run with one error
+    line naming the file, before anything runs."""
+    table = tmp_path / "init.npz"
+    make, message = BAD_NPZ[kind]
+    make(table)
+    path = tmp_path / "table.yaml"
+    path.write_text(f"m: 0.5\nK: 0.1\nn_theta: 48\nt_end: 0.1\ninit_table: {table}\n")
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {table}: {message}\n")
     assert not out.exists()
 
 
@@ -846,7 +903,7 @@ def test_cli_rejects_a_table_with_the_oracle(tmp_path, capsys, argv, solver):
     """The oracle samples symbolic initial data only: `run` with solver both
     used to run the finite-volume solver and then die with a TypeError
     traceback, and `oracle` the same; both now stop before any solver runs."""
-    table = tmp_path / "init.csv"
+    table = tmp_path / "init.npz"
     theta = make_theta_grid(48).centers
     write_snapshot_csv(str(table), theta, [0.0], np.ones((1, 48)), np.zeros((1, 48)))
     path = tmp_path / "table.yaml"

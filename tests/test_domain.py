@@ -173,27 +173,21 @@ def _table_spec(path):
 
 
 def test_table_round_trip(tmp_path):
+    """A table made by hand with np.savez, as the README shows."""
     grid = make_theta_grid(16)
     om = discretize_frequency("dirac")
     direct = init_state(InitSpec(RhoGaussian(), USine(-1.0)), grid, om)
-    path = tmp_path / "init.csv"
-    lines = ["theta,omega,rho,u"]
-    for k in range(om.n):
-        for j in range(grid.n):
-            lines.append(
-                "%.17g,%.17g,%.17g,%.17g"
-                % (grid.centers[j], om.nodes[k], direct.rho[k, j], direct.u[k, j])
-            )
-    path.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "init.npz"
+    np.savez(path, theta=grid.centers, omega=om.nodes, rho=direct.rho, u=direct.u)
     spec = _table_spec(path)
     state = init_state(spec, grid, om)
     assert np.allclose(state.rho, direct.rho, atol=1e-15)
-    assert np.allclose(state.u, direct.u, atol=1e-15)
+    assert state.u.tobytes() == direct.u.tobytes()
 
 
 def test_table_grid_mismatch(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("theta,omega,rho,u\n0.1,0,1,0\n0.2,0,1,0\n0.3,0,1,0\n0.4,0,1,0\n")
+    path = tmp_path / "bad.npz"
+    np.savez(path, theta=[0.1, 0.2, 0.3, 0.4], omega=[0.0], rho=np.ones((1, 4)), u=np.zeros((1, 4)))
     spec = _table_spec(path)
     grid = make_theta_grid(4)
     om = discretize_frequency("dirac")
@@ -202,19 +196,24 @@ def test_table_grid_mismatch(tmp_path):
 
 
 def test_table_header_required(tmp_path):
+    """A table is an .npz, which starts with a zip header: a text table,
+    such as the CSV of an earlier version, is refused naming the file."""
     path = tmp_path / "nohdr.csv"
     path.write_text("0.1,0,1,0\n")
-    with pytest.raises(ValueError, match="nohdr.csv: header"):
+    with pytest.raises(ValueError, match="nohdr.csv: not an .npz snapshot"):
         _table_spec(path)
 
 
 @pytest.mark.parametrize("header", ["omega,theta,rho,u", "theta, omega, rho, u"])
 def test_table_header_must_be_the_snapshot_header(tmp_path, header):
-    """A table is read by the snapshot reader: a permuted or space-padded
-    header is rejected, and the error names the file."""
-    path = tmp_path / "permuted.csv"
-    path.write_text(header + "\n0,0,1,0\n")
-    with pytest.raises(ValueError, match="permuted.csv: header"):
+    """A table's arrays are found by the snapshot's names: a table that
+    stores theta, omega, rho and u under permuted or space-padded names is
+    rejected, and the error names the file."""
+    grid = make_theta_grid(16)
+    arrays = (grid.centers, np.zeros(1), np.ones((1, 16)), np.zeros((1, 16)))
+    path = tmp_path / "permuted.npz"
+    np.savez(path, **dict(zip(header.split(","), arrays)))
+    with pytest.raises(ValueError, match="permuted.npz: "):
         _table_spec(path)
 
 

@@ -144,10 +144,10 @@ def test_distinct_snapshot_times_get_distinct_files(tmp_path):
     cfg = _config(t_end=0.2, snapshot_times=(0.1234561, 0.1234564, 0.2, 0.2 + 1e-14))
     run_scenario(cfg, out_dir=str(tmp_path / "fv"))
     names = sorted(os.listdir(tmp_path / "fv" / "snapshots"))
-    assert names == ["t=0.1234561.csv", "t=0.1234564.csv", "t=0.2.csv"]
+    assert names == ["t=0.1234561.npz", "t=0.1234564.npz", "t=0.2.npz"]
     cfg = _config(solver="lagrangian", t_end=0.2, snapshot_times=(0.1, 0.1 + 1e-14))
     run_scenario(cfg, out_dir=str(tmp_path / "oracle"))
-    assert os.listdir(tmp_path / "oracle" / "snapshots") == ["t=0.1.csv"]
+    assert os.listdir(tmp_path / "oracle" / "snapshots") == ["t=0.1.npz"]
     assert _config(snapshot_times=[0.1, 0.1, 0.2]).snapshot_times == (0.1, 0.1, 0.2)
     assert _config(snapshot_times=[0, 0.0]).snapshot_times == (0, 0.0)
 

@@ -1,12 +1,18 @@
 """Run-directory file format: exact bytes, bitwise round trips, loud failures."""
 from __future__ import annotations
 
+import io
+import pickle
+import struct
+import zipfile
+
 import numpy as np
 import pytest
-from conftest import peak_fields
+from conftest import BAD_NPZ, peak_fields
 
 from kurahydro import io as run_io
 from kurahydro.diagnostics import SERIES_COLUMNS, TimeSeries
+from kurahydro.domain import TableData, discretize_frequency, init_state, make_theta_grid
 from kurahydro.io import (
     read_series_csv,
     read_snapshot_csv,
@@ -24,11 +30,11 @@ def test_snapshot_filename_is_the_time_at_12_decimals():
     names; more digits only when needed, none past the 12th decimal, and
     -0.0 is named 0."""
     cases = [
-        (0.0, "t=0.csv"), (-0.0, "t=0.csv"), (5.0, "t=5.csv"), (0.5, "t=0.5.csv"),
-        (0.05, "t=0.05.csv"), (0.62, "t=0.62.csv"), (0.1 + 0.2, "t=0.3.csv"),
-        (0.1234561, "t=0.1234561.csv"), (0.1234564, "t=0.1234564.csv"),
-        (2.5 + 4e-13, "t=2.5.csv"), (1e-12, "t=1e-12.csv"),
-        (123.4567890123456, "t=123.456789012346.csv"),
+        (0.0, "t=0.npz"), (-0.0, "t=0.npz"), (5.0, "t=5.npz"), (0.5, "t=0.5.npz"),
+        (0.05, "t=0.05.npz"), (0.62, "t=0.62.npz"), (0.1 + 0.2, "t=0.3.npz"),
+        (0.1234561, "t=0.1234561.npz"), (0.1234564, "t=0.1234564.npz"),
+        (2.5 + 4e-13, "t=2.5.npz"), (1e-12, "t=1e-12.npz"),
+        (123.4567890123456, "t=123.456789012346.npz"),
     ]
     for t, name in cases:
         assert run_io.snapshot_filename(t) == name
@@ -36,25 +42,39 @@ def test_snapshot_filename_is_the_time_at_12_decimals():
 
 
 # ---------------------------------------------------------------------------
-# golden bytes: header, %.17g, \r\n
+# golden bytes: series.csv's header, %.17g, \r\n; a snapshot's zip entries
 
 
 def test_snapshot_golden_bytes(tmp_path):
-    path = tmp_path / "t=0.csv"
+    """One uncompressed zip entry per array, in SNAPSHOT_COLUMNS order, each
+    exactly numpy's .npy bytes of the array."""
+    path = tmp_path / "t=0.npz"
     theta = np.array([0.0, 0.1, 2.5])
     omega = np.array([-1.0, 0.5])
     rho = np.array([[1.0, 0.25, 1.0 / 3.0], [2.0, 0.0, 1e-300]])
     u = np.array([[-0.5, 0.1, 3.0], [0.0, -2.5, 1e20]])
     write_snapshot_csv(str(path), theta, omega, rho, u)
-    assert path.read_bytes() == (
-        b"theta,omega,rho,u\r\n"
-        b"0,-1,1,-0.5\r\n"
-        b"0.10000000000000001,-1,0.25,0.10000000000000001\r\n"
-        b"2.5,-1,0.33333333333333331,3\r\n"
-        b"0,0.5,2,0\r\n"
-        b"0.10000000000000001,0.5,0,-2.5\r\n"
-        b"2.5,0.5,1e-300,1e+20\r\n"
-    )
+    with zipfile.ZipFile(path) as zf:
+        infos = zf.infolist()
+        assert [info.filename for info in infos] == ["theta.npy", "omega.npy", "rho.npy", "u.npy"]
+        for info, values in zip(infos, (theta, omega, rho, u)):
+            npy = io.BytesIO()
+            np.lib.format.write_array(npy, values)
+            assert info.compress_type == zipfile.ZIP_STORED
+            assert zf.read(info) == npy.getvalue()
+
+
+def test_snapshot_zip_entries_carry_the_fixed_1980_date(tmp_path, rng):
+    """np.savez dates every entry 1980-01-01 00:00, not the clock, so one
+    snapshot written twice has the same bytes and tools/same_bits.py can
+    compare snapshots by bytes."""
+    fields = _signed_zero_snapshot(rng, 3, 8)
+    first, again = tmp_path / "first.npz", tmp_path / "again.npz"
+    write_snapshot_csv(str(first), *fields)
+    write_snapshot_csv(str(again), *fields)
+    with zipfile.ZipFile(first) as zf:
+        assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+    assert first.read_bytes() == again.read_bytes()
 
 
 def test_series_golden_bytes(tmp_path):
@@ -73,34 +93,46 @@ def test_series_golden_bytes(tmp_path):
 # bitwise round trips
 
 
+def _signed_zero_snapshot(rng, n_omega, n_theta):
+    theta = np.linspace(-np.pi, np.pi, n_theta, endpoint=False)
+    omega = np.sort(rng.normal(size=n_omega))
+    rho = rng.lognormal(size=(n_omega, n_theta))
+    u = rng.normal(size=(n_omega, n_theta))
+    rho[:, ::3] = 0.0
+    u[:, 1::4] = -0.0
+    return theta, omega, rho, u
+
+
 @pytest.mark.parametrize("n_omega,n_theta", [(1, 64), (5, 17), (3, 1)])
 def test_snapshot_round_trip_is_bitwise(tmp_path, rng, n_omega, n_theta):
-    path = str(tmp_path / "snap.csv")
+    """Every bit comes back, -0.0, NaN and subnormal or huge values included."""
+    path = str(tmp_path / "snap.npz")
     theta = np.sort(rng.uniform(-np.pi, np.pi, n_theta))
     omega = np.sort(rng.normal(size=n_omega))
     rho = rng.lognormal(size=(n_omega, n_theta)) * 10.0 ** rng.integers(
         -200, 200, size=(n_omega, n_theta)
     )
     u = rng.normal(size=(n_omega, n_theta))
+    rho[:, ::2] = -0.0
+    u[-1, -1] = np.nan
     write_snapshot_csv(path, theta, omega, rho, u)
-    theta_r, omega_r, rho_r, u_r = read_snapshot_csv(path)
-    assert np.array_equal(theta_r, theta)
-    assert np.array_equal(omega_r, omega)
-    assert np.array_equal(rho_r, rho) and rho_r.shape == (n_omega, n_theta)
-    assert np.array_equal(u_r, u) and u_r.shape == (n_omega, n_theta)
+    for written, read in zip((theta, omega, rho, u), read_snapshot_csv(path)):
+        assert read.dtype == np.float64 and read.shape == written.shape
+        assert read.tobytes() == written.tobytes()
 
 
 def test_dirac_snapshot_from_1d_fields(tmp_path, rng):
     """A single slice given as 1-D arrays and a scalar omega."""
-    path = str(tmp_path / "snap.csv")
+    path = str(tmp_path / "snap.npz")
     theta = np.linspace(-np.pi, np.pi, 32, endpoint=False)
     rho, u = rng.random(32), rng.normal(size=32)
+    rho[3], u[5] = -0.0, np.nan
     write_snapshot_csv(path, theta, 0.0, rho, u)
     theta_r, omega_r, rho_r, u_r = read_snapshot_csv(path)
-    assert np.array_equal(theta_r, theta)
+    assert theta_r.tobytes() == theta.tobytes()
     assert np.array_equal(omega_r, [0.0])
-    assert np.array_equal(rho_r, rho[None, :])
-    assert np.array_equal(u_r, u[None, :])
+    assert rho_r.shape == u_r.shape == (1, 32)
+    assert rho_r.tobytes() == rho.tobytes() and u_r.tobytes() == u.tobytes()
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 9000])
@@ -115,68 +147,26 @@ def test_series_round_trip_is_bitwise(tmp_path, rng, n_rows):
     assert np.array_equal(back.data, data)
 
 
-def test_snapshot_with_slices_out_of_order_reads_sorted(tmp_path):
-    path = tmp_path / "snap.csv"
-    path.write_bytes(
-        b"theta,omega,rho,u\r\n"
-        b"0.5,2,5,50\r\n"
-        b"0.25,2,4,40\r\n"
-        b"0.5,-1,2,20\r\n"
-        b"0.25,-1,1,10\r\n"
-        b"0.25,0,3,30\r\n"
-        b"0.5,0,6,60\r\n"
-    )
-    theta, omega, rho, u = read_snapshot_csv(str(path))
-    assert np.array_equal(theta, [0.25, 0.5])
-    assert np.array_equal(omega, [-1.0, 0.0, 2.0])
-    assert np.array_equal(rho, [[1.0, 2.0], [3.0, 6.0], [4.0, 5.0]])
-    assert np.array_equal(u, 10.0 * rho)
-
-
-def _signed_zero_snapshot(rng, n_omega, n_theta):
-    theta = np.linspace(-np.pi, np.pi, n_theta, endpoint=False)
-    omega = np.sort(rng.normal(size=n_omega))
-    rho = rng.lognormal(size=(n_omega, n_theta))
-    u = rng.normal(size=(n_omega, n_theta))
-    rho[:, ::3] = 0.0
-    u[:, 1::4] = -0.0
-    return theta, omega, rho, u
-
-
 def test_shuffled_snapshot_reads_the_same_bits_as_writer_order(tmp_path, rng):
-    path = tmp_path / "snap.csv"
+    """Arrays are read by name: a hand-made .npz that stores them in another
+    order, compressed, reads the writer's bits."""
+    path = tmp_path / "snap.npz"
     fields = _signed_zero_snapshot(rng, 6, 40)
     write_snapshot_csv(str(path), *fields)
+    shuffled = tmp_path / "shuffled.npz"
+    theta, omega, rho, u = fields
+    np.savez_compressed(shuffled, u=u, rho=rho, omega=omega, theta=theta)
     in_order = read_snapshot_csv(str(path))
-    header, *rows = path.read_bytes().split(b"\r\n")[:-1]
-    shuffled = tmp_path / "shuffled.csv"
-    shuffled.write_bytes(b"\r\n".join([header, *rng.permutation(rows)]) + b"\r\n")
     for written, ordered, from_shuffled in zip(fields, in_order, read_snapshot_csv(str(shuffled))):
         assert ordered.tobytes() == from_shuffled.tobytes() == written.tobytes()
         assert ordered.flags.c_contiguous and from_shuffled.flags.c_contiguous
 
 
-def test_snapshot_read_peaks_below_seven_fields(tmp_path, rng):
-    """A writer-ordered 64x200 snapshot is sliced, not sorted.
-
-    The peak is the parsed table (4 fields) with the parser's own overhead,
-    then the table and the copies of rho and u (6 fields).  Sorting the
-    table by np.unique, lexsort and fancy indexing peaked at 9.1 fields.
-    """
-    path = str(tmp_path / "snap.csv")
-    fields = _signed_zero_snapshot(rng, 64, 200)
-    write_snapshot_csv(path, *fields)
-    field_bytes = fields[2].nbytes
-    read_snapshot_csv(path)
-    peak = peak_fields(lambda: read_snapshot_csv(path), field_bytes)
-    assert peak <= 7, peak
-
-
 def test_snapshot_read_peaks_below_three_fields(tmp_path, rng):
-    """A writer-ordered 64x200 snapshot is parsed in small chunks straight
-    into rho and u (2 fields); a chunk and the parser's buffers stay under
-    one more.  Slicing the whole parsed table peaked at 6.0 fields."""
-    path = str(tmp_path / "snap.csv")
+    """A 64x200 snapshot: rho and u are views of their entries' bytes
+    (2 fields), read once each.  np.load's npz[name], which copies an entry
+    into a new array, peaked at 4.2 fields."""
+    path = str(tmp_path / "snap.npz")
     fields = _signed_zero_snapshot(rng, 64, 200)
     write_snapshot_csv(path, *fields)
     read_snapshot_csv(path)
@@ -184,244 +174,208 @@ def test_snapshot_read_peaks_below_three_fields(tmp_path, rng):
     assert peak <= 3, peak
 
 
-def _streamed_only(monkeypatch):
-    """Make the whole-table fallback fail, so a read must stream."""
-
-    def no_fallback(path, columns):
-        raise AssertionError(f"{path} was not streamed")
-
-    monkeypatch.setattr(run_io, "_read_table", no_fallback)
-
-
-@pytest.mark.parametrize("chunk_rows", [1, 3, 39, 40, 41])
-def test_streamed_read_gives_the_writer_bits_at_any_chunk_size(
-    tmp_path, rng, monkeypatch, chunk_rows
-):
-    """Chunks of 1, 3, n_theta - 1, n_theta and n_theta + 1 rows (n_theta = 40)."""
-    path = str(tmp_path / "snap.csv")
-    fields = _signed_zero_snapshot(rng, 6, 40)
-    write_snapshot_csv(path, *fields)
-    monkeypatch.setattr(run_io, "_SNAPSHOT_CHUNK_ROWS", chunk_rows)
-    _streamed_only(monkeypatch)
-    for written, read in zip(fields, read_snapshot_csv(path)):
-        assert read.tobytes() == written.tobytes()
-        assert read.shape == written.shape and read.flags.c_contiguous
-
-
-def _snapshot_rows(tmp_path, rng, n_omega=6, n_theta=40):
-    """A written snapshot's fields, header line and data lines."""
-    fields = _signed_zero_snapshot(rng, n_omega, n_theta)
-    write_snapshot_csv(str(tmp_path / "written.csv"), *fields)
-    header, *rows = (tmp_path / "written.csv").read_bytes().split(b"\r\n")[:-1]
-    return fields, header, rows
-
-
-@pytest.mark.parametrize(
-    "swap",
-    [(100, 101), (139, 140), (159, 160)],
-    ids=["within-a-chunk", "across-chunks", "across-slices"],
-)
-def test_out_of_order_row_in_a_later_chunk_reads_the_writer_bits(
-    tmp_path, rng, monkeypatch, swap
-):
-    """Chunks of 7 rows: the swap sits in chunk 14, across chunks 19 and 20
-    (a slice's theta order), or across slices 3 and 4 (the omega order)."""
-    fields, header, rows = _snapshot_rows(tmp_path, rng)
-    i, j = swap
-    rows[i], rows[j] = rows[j], rows[i]
-    path = tmp_path / "swapped.csv"
-    path.write_bytes(b"\r\n".join([header, *rows]) + b"\r\n")
-    monkeypatch.setattr(run_io, "_SNAPSHOT_CHUNK_ROWS", 7)
-    for written, read in zip(fields, read_snapshot_csv(str(path))):
-        assert read.tobytes() == written.tobytes()
-
-
-@pytest.mark.parametrize(
-    "dropped,repeated",
-    [(12, None), (137, None), (100, 130)],
-    ids=["first-slice", "later-slice", "same-row-count"],
-)
-def test_slice_ragged_across_a_chunk_boundary_names_the_file(
-    tmp_path, rng, monkeypatch, dropped, repeated
-):
-    """One row fewer in a slice (40 rows each), read in chunks of 7 rows,
-    so the short slice ends inside a chunk it shares with the next; in the
-    last case the next slice has one row more (a repeated row), so the
-    table still has 6 x 40 rows."""
-    _, header, rows = _snapshot_rows(tmp_path, rng)
-    if repeated is not None:
-        rows.insert(repeated, rows[repeated])
-    del rows[dropped]
-    path = tmp_path / "bad_snapshot.csv"
-    path.write_bytes(b"\r\n".join([header, *rows]) + b"\r\n")
-    monkeypatch.setattr(run_io, "_SNAPSHOT_CHUNK_ROWS", 7)
-    with pytest.raises(ValueError, match="bad_snapshot.csv: ragged snapshot table"):
-        read_snapshot_csv(str(path))
-
-
-_TWO_THETA_GRIDS = [  # theta 0.1-0.4 at omega 0, 0.5-0.8 at omega 1, writer's order
-    b"%g,%d,1,0" % (0.1 * j + 0.4 * k, k) for k in (0, 1) for j in range(1, 5)
-]
-
-
-@pytest.mark.parametrize("chunk_rows", [3, 8192])
-def test_writer_ordered_slices_on_different_theta_grids_name_the_file(
-    tmp_path, monkeypatch, chunk_rows
-):
-    """The streamed read gives up on the second slice's theta (read in chunks
-    of 3 rows, or in one), and the whole-table read raises."""
-    path = tmp_path / "two_grids.csv"
-    path.write_bytes(b"\r\n".join([b"theta,omega,rho,u", *_TWO_THETA_GRIDS]) + b"\r\n")
-    monkeypatch.setattr(run_io, "_SNAPSHOT_CHUNK_ROWS", chunk_rows)
-    assert run_io._stream_snapshot(str(path)) is None
-    with pytest.raises(ValueError, match="two_grids.csv: slices lie on different theta grids"):
-        read_snapshot_csv(str(path))
-
-
-def test_shuffled_slices_on_different_theta_grids_name_the_file(tmp_path, rng):
-    path = tmp_path / "two_grids.csv"
-    rows = list(rng.permutation(_TWO_THETA_GRIDS))
-    path.write_bytes(b"\r\n".join([b"theta,omega,rho,u", *rows]) + b"\r\n")
-    with pytest.raises(ValueError, match="two_grids.csv: slices lie on different theta grids"):
-        read_snapshot_csv(str(path))
-
-
-def test_one_theta_off_the_grid_in_a_later_chunk_names_the_file(tmp_path, rng, monkeypatch):
-    """Row 10 of slice 3 (file row 130, chunk 19 of 7 rows) moves halfway to
-    its successor: the rows keep their order and count, only theta differs."""
-    fields, header, rows = _snapshot_rows(tmp_path, rng)
-    theta = fields[0]
-    rows[130] = b",".join([b"%.17g" % (0.5 * (theta[10] + theta[11])), *rows[130].split(b",")[1:]])
-    path = tmp_path / "off_grid.csv"
-    path.write_bytes(b"\r\n".join([header, *rows]) + b"\r\n")
-    monkeypatch.setattr(run_io, "_SNAPSHOT_CHUNK_ROWS", 7)
-    assert run_io._stream_snapshot(str(path)) is None
-    with pytest.raises(ValueError, match="off_grid.csv: slices lie on different theta grids"):
-        read_snapshot_csv(str(path))
-
-
-@pytest.mark.parametrize("ending", ["no-final-newline", "lf-only"])
-def test_snapshot_line_endings_read_the_writer_bits(tmp_path, rng, monkeypatch, ending):
-    fields, header, rows = _snapshot_rows(tmp_path, rng)
-    if ending == "lf-only":
-        body = b"\n".join([header, *rows]) + b"\n"
-    else:
-        body = b"\r\n".join([header, *rows])
-    path = tmp_path / "snap.csv"
-    path.write_bytes(body)
-    monkeypatch.setattr(run_io, "_SNAPSHOT_CHUNK_ROWS", 7)
-    _streamed_only(monkeypatch)
-    for written, read in zip(fields, read_snapshot_csv(str(path))):
-        assert read.tobytes() == written.tobytes()
+def test_snapshot_arrays_are_read_only(tmp_path, rng):
+    path = str(tmp_path / "snap.npz")
+    write_snapshot_csv(path, *_signed_zero_snapshot(rng, 2, 8))
+    for values in read_snapshot_csv(path):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
 
 
 def test_repeated_slices_are_written_from_their_own_bits(tmp_path):
-    """A slice equal to the previous one reuses its text, but not across -0.0 == 0.0."""
-    path = tmp_path / "t=0.csv"
+    """Equal slices are each stored as they are, -0.0 apart from 0.0."""
+    path = tmp_path / "t=0.npz"
     theta = np.array([0.0, 0.5])
     omega = np.array([-1.0, 0.0, 1.0, 2.0])
     rho = np.array([[0.25, 0.0], [0.25, 0.0], [0.25, -0.0], [0.25, -0.0]])
     u = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [1.0, 3.0]])
     write_snapshot_csv(str(path), theta, omega, rho, u)
-    assert path.read_bytes() == (
-        b"theta,omega,rho,u\r\n"
-        b"0,-1,0.25,1\r\n0.5,-1,0,2\r\n"
-        b"0,0,0.25,1\r\n0.5,0,0,2\r\n"
-        b"0,1,0.25,1\r\n0.5,1,-0,2\r\n"
-        b"0,2,0.25,1\r\n0.5,2,-0,3\r\n"
-    )
+    for written, read in zip((theta, omega, rho, u), read_snapshot_csv(str(path))):
+        assert read.tobytes() == written.tobytes()
 
 
-def test_snapshot_with_theta_out_of_order_within_a_slice_reads_sorted(tmp_path):
-    """Slices in omega order are not enough: theta must ascend within each."""
-    path = tmp_path / "snap.csv"
-    path.write_bytes(
-        b"theta,omega,rho,u\r\n"
-        b"0.25,-1,1,10\r\n"
-        b"0.5,-1,2,20\r\n"
-        b"0.5,2,5,50\r\n"
-        b"0.25,2,4,40\r\n"
-    )
-    theta, omega, rho, u = read_snapshot_csv(str(path))
-    assert np.array_equal(theta, [0.25, 0.5])
-    assert np.array_equal(omega, [-1.0, 2.0])
-    assert np.array_equal(rho, [[1.0, 2.0], [4.0, 5.0]])
-    assert np.array_equal(u, 10.0 * rho)
+# ---------------------------------------------------------------------------
+# .npy header texts of other writers: the reader parses each header and
+# starts the data where the header's length field says it ends
+
+
+def _npz_with_header(path, fields, name, header, version=(1, 0)):
+    """fields as an .npz whose entry name has the .npy header text header
+    (shape filled in), in format version; the others as np.save writes them."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for key, values in zip(run_io.SNAPSHOT_COLUMNS, fields):
+            npy = io.BytesIO()
+            if key == name:
+                text = header.replace("SHAPE", repr(values.shape)).encode()
+                length = struct.pack("<H" if version == (1, 0) else "<I", len(text))
+                npy.write(np.lib.format.magic(*version) + length + text + values.tobytes())
+            else:
+                np.lib.format.write_array(npy, values)
+            zf.writestr(key + ".npy", npy.getvalue())
+
+
+def _reads_the_writer_bits(tmp_path, rng, name, header, version=(1, 0)):
+    fields = _signed_zero_snapshot(rng, 6, 40)
+    path = tmp_path / "other_writer.npz"
+    _npz_with_header(path, fields, name, header, version)
+    for written, read in zip(fields, read_snapshot_csv(str(path))):
+        assert read.tobytes() == written.tobytes() and read.shape == written.shape
+
+
+@pytest.mark.parametrize(
+    "name, header, version",
+    [
+        ("theta", "{'shape': SHAPE, 'fortran_order': False, 'descr': '<f8'}\n", (1, 0)),
+        ("omega", "{'descr': '<d', 'fortran_order': False, 'shape': SHAPE}\n", (1, 0)),
+        ("rho", "{'descr': '<f8', 'fortran_order': False, 'shape': SHAPE, }\n", (2, 0)),
+    ],
+    ids=["theta-text", "omega-text", "long-text"],
+)
+def test_texts_that_differ_from_the_writers_are_read_whole(tmp_path, rng, name, header, version):
+    """Header texts np.save does not write: theta's keys in another order,
+    omega's dtype spelled '<d', and rho's header in format version 2.0,
+    whose length field is 4 bytes long.  None is padded as np.save pads."""
+    _reads_the_writer_bits(tmp_path, rng, name, header, version)
+
+
+@pytest.mark.parametrize("ending", ["no-final-newline", "lf-only"])
+def test_snapshot_line_endings_read_the_writer_bits(tmp_path, rng, ending):
+    """np.save ends a header text with one LF; rho's header without it
+    reads the same bits."""
+    header = "{'descr': '<f8', 'fortran_order': False, 'shape': SHAPE, }"
+    _reads_the_writer_bits(tmp_path, rng, "rho", header + ("\n" if ending == "lf-only" else ""))
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "{'descr': '<f8',\n\n 'fortran_order': False,\n 'shape': SHAPE}\n",
+        "{'descr': '<f8', 'fortran_order': False, 'shape': SHAPE}\n\n",
+        "{'descr': '<f8',\r 'fortran_order': False,\r 'shape': SHAPE}\r",
+    ],
+    ids=["blank-line", "blank-last-line", "cr-only"],
+)
+def test_snapshot_lines_without_one_row_each_read_whole(tmp_path, rng, header):
+    """np.save writes a header text as one line; u's header over several
+    lines, with a blank line, a blank last line or bare CR endings, is read
+    whole."""
+    _reads_the_writer_bits(tmp_path, rng, "u", header)
 
 
 # ---------------------------------------------------------------------------
 # malformed files raise ValueError naming the file
 
 
-@pytest.mark.parametrize(
-    "body",
-    [
-        b"omega,theta,rho,u\r\n0,0,1,1\r\n",  # columns swapped
-        b"theta,omega,rho\r\n0,0,1\r\n",  # column missing
-        b"theta,omega,rho,u\r\n0,0,1,1\r\n0.5,0,1\r\n",  # ragged row
-        b"theta,omega,rho,u\r\n0,0,1,1\r\n0.5,0,1,1\r\n1,0,1,1\r\n0,1,1,1\r\n",  # 3+1 rows
-        b"theta,omega,rho,u\r\n",  # header only
-        b"",  # empty file
-    ],
-    ids=["swapped-header", "short-header", "ragged-row", "ragged-slices", "header-only", "empty"],
-)
-def test_malformed_snapshot_names_the_file(tmp_path, body):
-    path = tmp_path / "bad_snapshot.csv"
-    path.write_bytes(body)
-    with pytest.raises(ValueError, match="bad_snapshot.csv"):
-        read_snapshot_csv(str(path))
+# The CSV tables an earlier version read, well formed or not: each is now
+# refused as a whole file, with no CSV parser's header, row or column message.
+_CSV_TABLES = {
+    "swapped-header": b"omega,theta,rho,u\r\n0,0,1,1\r\n",
+    "short-header": b"theta,omega,rho\r\n0,0,1\r\n",
+    "ragged-row": b"theta,omega,rho,u\r\n0,0,1,1\r\n0.5,0,1\r\n",
+    "ragged-slices": b"theta,omega,rho,u\r\n0,0,1,1\r\n0.5,0,1,1\r\n1,0,1,1\r\n0,1,1,1\r\n",
+    "header-only": b"theta,omega,rho,u\r\n",
+    "empty": b"",
+    "not-a-number": b"theta,omega,rho,u\r\n0,0,1,1\r\n0.5,0,x,1\r\n",
+    "extra-column": b"theta,omega,rho,u\r\n0,0,1,1,5\r\n",
+}
 
 
-@pytest.mark.parametrize(
-    "body,message",
-    [
-        (b"omega,theta,rho,u\r\n0,0,1,1\r\n",
-         "header 'omega,theta,rho,u' is not 'theta,omega,rho,u'"),
-        (b"theta,omega,rho\r\n0,0,1\r\n", "header 'theta,omega,rho' is not 'theta,omega,rho,u'"),
-        (b"theta,omega,rho,u\r\n0,0,1,1\r\n0.5,0,1\r\n",
-         "the number of columns changed from 4 to 3 at row 2; use `usecols` to select "
-         "a subset and avoid this error"),
-        (b"theta,omega,rho,u\r\n0,0,1,1\r\n0.5,0,1,1\r\n1,0,1,1\r\n0,1,1,1\r\n",
-         "ragged snapshot table"),
-        (b"theta,omega,rho,u\r\n", "no data rows"),
-        (b"", "header '' is not 'theta,omega,rho,u'"),
-        (b"theta,omega,rho,u\r\n0,0,1,1\r\n0.5,0,x,1\r\n",
-         "could not convert string 'x' to float64 at row 1, column 3."),
-        (b"theta,omega,rho,u\r\n0,0,1,1,5\r\n", "5 columns, header names 4"),
-    ],
-    ids=[
-        "swapped-header", "short-header", "ragged-row", "ragged-slices", "header-only",
-        "empty", "not-a-number", "extra-column",
-    ],
-)
-def test_malformed_snapshot_messages_are_whole_file_messages(tmp_path, monkeypatch, body, message):
-    """Chunked parsing does not change what an error says: a row number is
-    the row in the file, never in a chunk."""
-    path = tmp_path / "bad_snapshot.csv"
-    path.write_bytes(body)
-    monkeypatch.setattr(run_io, "_SNAPSHOT_CHUNK_ROWS", 1)
+@pytest.mark.parametrize("kind", [*BAD_NPZ, *(k for k in _CSV_TABLES if k not in BAD_NPZ)])
+def test_malformed_snapshot_names_the_file(tmp_path, kind):
+    """Each kind of file that is not a snapshot .npz (conftest.BAD_NPZ),
+    and the CSV tables of an earlier version."""
+    path = tmp_path / "bad_snapshot.npz"
+    if kind in BAD_NPZ:
+        make, message = BAD_NPZ[kind]
+        make(path)
+    else:
+        path.write_bytes(_CSV_TABLES[kind])
+        message = "not an .npz snapshot"
     with pytest.raises(ValueError) as err:
         read_snapshot_csv(str(path))
     assert str(err.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize("kind", list(_CSV_TABLES))
+def test_malformed_snapshot_messages_are_whole_file_messages(tmp_path, kind):
+    """A CSV table of an earlier version, whatever is wrong with it as a
+    CSV, gets the one message about the file as a whole."""
+    path = tmp_path / "bad_snapshot.csv"
+    path.write_bytes(_CSV_TABLES[kind])
+    with pytest.raises(ValueError) as err:
+        read_snapshot_csv(str(path))
+    assert str(err.value) == f"{path}: not an .npz snapshot"
+
+
 @pytest.mark.parametrize(
-    "body",
-    [
-        b"theta,omega,rho,u\r\n0,0,1,1\r\n\r\n0.5,0,1,1\r\n",
-        b"theta,omega,rho,u\r\n0,0,1,1\r\n0.5,0,1,1\r\n\r\n",
-        b"theta,omega,rho,u\r\n0,0,1,1\r0.5,0,1,1\r",
-    ],
-    ids=["blank-line", "blank-last-line", "cr-only"],
+    "dropped,longer",
+    [(0, None), (3, None), (2, 4)],
+    ids=["first-slice", "later-slice", "same-row-count"],
 )
-def test_snapshot_lines_without_one_row_each_read_whole(tmp_path, body):
-    """Blank lines and bare CR endings break the one-row-per-newline count
-    that the streamed read allocates for; the whole-table parse reads them."""
-    path = tmp_path / "snap.csv"
-    path.write_bytes(body)
-    theta, omega, rho, u = read_snapshot_csv(str(path))
-    assert np.array_equal(theta, [0.0, 0.5]) and np.array_equal(omega, [0.0])
-    assert np.array_equal(rho, [[1.0, 1.0]]) and np.array_equal(u, [[1.0, 1.0]])
+def test_slice_ragged_across_a_chunk_boundary_names_the_file(
+    tmp_path, rng, monkeypatch, dropped, longer
+):
+    """Slices of unequal length can only be stored as an object array of
+    rows: rho with one value fewer in the first slice, in a later one, or
+    also one more in another, so it still holds 6 x 40 values.  The reader
+    refuses it from its .npy header, naming the file, and never unpickles it."""
+    theta, omega, rho, u = _signed_zero_snapshot(rng, 6, 40)
+    rows = [row[:-1] if k == dropped else row for k, row in enumerate(rho)]
+    if longer is not None:
+        rows[longer] = np.append(rows[longer], 1.0)
+    ragged = np.empty(len(rows), dtype=object)
+    ragged[:] = rows
+    path = tmp_path / "bad_snapshot.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, theta=theta, omega=omega, rho=ragged, u=u)
+
+    def no_unpickling(*args, **kwargs):
+        raise AssertionError("an object array was unpickled")
+
+    monkeypatch.setattr(pickle, "load", no_unpickling)
+    monkeypatch.setattr(pickle, "loads", no_unpickling)
+    with pytest.raises(ValueError) as err:
+        read_snapshot_csv(str(path))
+    assert str(err.value) == f"{path}: array rho: object, not float64"
+
+
+def _two_theta_grids(tmp_path, n_theta, omega):
+    """A table that gives each slice its own theta grid, a row of theta
+    (len(omega), n_theta): 0.1-0.4 at omega 0, 0.5-0.8 at omega 1."""
+    theta = np.stack([np.linspace(0.1, 0.4, n_theta) + 0.4 * w for w in omega])
+    path = tmp_path / "two_grids.npz"
+    fields = np.ones((len(omega), n_theta)), np.zeros((len(omega), n_theta))
+    np.savez(path, theta=theta, omega=omega, rho=fields[0], u=fields[1])
+    return str(path)
+
+
+@pytest.mark.parametrize("n_theta", [3, 8192])
+def test_writer_ordered_slices_on_different_theta_grids_name_the_file(tmp_path, n_theta):
+    """An .npz snapshot has one theta for all its slices: a table with one
+    theta row per slice, slices in ascending omega, is refused naming the
+    file, at 3 cells or at 8192."""
+    path = _two_theta_grids(tmp_path, n_theta, [0.0, 1.0])
+    with pytest.raises(ValueError, match="two_grids.npz: table needs 1-D theta and omega"):
+        TableData(*read_snapshot_csv(path), path=path)
+
+
+def test_shuffled_slices_on_different_theta_grids_name_the_file(tmp_path):
+    path = _two_theta_grids(tmp_path, 4, [1.0, 0.0])
+    with pytest.raises(ValueError, match="two_grids.npz: table needs 1-D theta and omega"):
+        TableData(*read_snapshot_csv(path), path=path)
+
+
+def test_one_theta_off_the_grid_in_a_later_chunk_names_the_file(tmp_path):
+    """theta[30] of a 40-cell table moves halfway to its successor: the
+    arrays keep their shapes and order, only theta is off the grid."""
+    grid, om = make_theta_grid(40), discretize_frequency("gaussian", 6)
+    theta = grid.centers.copy()
+    theta[30] = 0.5 * (theta[30] + theta[31])
+    path = str(tmp_path / "off_grid.npz")
+    write_snapshot_csv(path, theta, om.nodes, np.ones((6, 40)), np.zeros((6, 40)))
+    table = TableData(*read_snapshot_csv(path), path=path)
+    with pytest.raises(ValueError, match="off_grid.npz: table theta values do not match the grid"):
+        init_state(table, grid, om)
 
 
 @pytest.mark.parametrize(
@@ -446,56 +400,8 @@ def test_malformed_series_names_the_file(tmp_path, body):
         read_series_csv(str(path))
 
 
-_HEADER = b"theta,omega,rho,u"
-
-
-@pytest.mark.parametrize(
-    "rows, theta, omega",
-    [
-        # a later slice writes theta 0.5 as 0.50
-        ([b"0.5,0,1,2", b"1.5,0,3,4", b"0.50,1,5,6", b"1.5,1,7,8"], [0.5, 1.5], [0.0, 1.0]),
-        # the second slice writes omega 1 as 1.0: one slice by value
-        ([b"0.5,1,1,2", b"1.5,1,3,4", b"0.5,1.0,5,6", b"1.5,1.0,7,8"],
-         [0.5, 0.5, 1.5, 1.5], [1.0]),
-        # 0.1 in 28 characters, which cut to the column's 25 read as 1
-        ([b"1.00000000000000000000000e-1,0,1,2", b"2.5,0,3,4"], [0.1, 2.5], [0.0]),
-    ],
-    ids=["theta-text", "omega-text", "long-text"],
-)
-def test_texts_that_differ_from_the_writers_are_read_whole(tmp_path, rows, theta, omega):
-    """The streamed read compares theta and omega as texts and parses few of
-    them, so it gives up on any table whose texts it cannot vouch for; the
-    whole-table parse reads them by value."""
-    path = tmp_path / "snap.csv"
-    path.write_bytes(b"\r\n".join([_HEADER, *rows]) + b"\r\n")
-    assert run_io._stream_snapshot(str(path)) is None
-    theta_r, omega_r, rho, u = read_snapshot_csv(str(path))
-    assert theta_r.tolist() == theta and omega_r.tolist() == omega
-    values = np.concatenate([rho.ravel(), u.ravel()])
-    assert sorted(values.tolist()) == list(range(1, 2 * len(rows) + 1))
-
-
-def test_streamed_read_parses_theta_once_and_omega_per_slice(tmp_path, rng, monkeypatch):
-    """Of a writer-ordered table's theta and omega texts, only the first
-    slice's theta and each slice's omega are parsed as numbers."""
-    path = str(tmp_path / "snap.csv")
-    write_snapshot_csv(path, *_signed_zero_snapshot(rng, 6, 40))
-    parsed = []
-    real = run_io._parse_texts
-
-    def counting(texts):
-        parsed.append(texts.size)
-        return real(texts)
-
-    monkeypatch.setattr(run_io, "_parse_texts", counting)
-    monkeypatch.setattr(run_io, "_SNAPSHOT_CHUNK_ROWS", 7)
-    _streamed_only(monkeypatch)
-    read_snapshot_csv(path)
-    assert sorted(parsed) == [6, 40]
-
-
 def test_snapshot_write_rejects_mismatched_shapes(tmp_path):
     with pytest.raises(ValueError, match="shape"):
         write_snapshot_csv(
-            str(tmp_path / "s.csv"), np.zeros(4), np.zeros(2), np.zeros((2, 3)), np.zeros((2, 4))
+            str(tmp_path / "s.npz"), np.zeros(4), np.zeros(2), np.zeros((2, 3)), np.zeros((2, 4))
         )

@@ -1,10 +1,14 @@
-"""tools/same_bits.py: the check that refuses a tree before running it."""
+"""tools/same_bits.py: the check that refuses a tree before running it, and the
+comparison of two trees' outputs."""
 from __future__ import annotations
 
 import importlib.util
 import os
 
+import numpy as np
 import pytest
+
+from kurahydro.io import write_snapshot_csv
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -39,3 +43,21 @@ def test_a_tree_without_configs_exits_2_naming_it(same_bits, tmp_path, capsys):
     assert same_bits.main([REPO, str(tree)]) == 2
     assert same_bits.ran == []
     assert capsys.readouterr().err == f"{tree}: not a source tree, no configs\n"
+
+
+def test_a_snapshot_differing_in_one_byte_is_reported(same_bits, tmp_path, capsys):
+    """.npz snapshots are compared by bytes, beside CSVs, stdout files and
+    manifests; one flipped bit of one value is a difference."""
+    roots = [tmp_path / "parent", tmp_path / "change"]
+    for root in roots:
+        (root / "run" / "snapshots").mkdir(parents=True)
+        write_snapshot_csv(
+            str(root / "run" / "snapshots" / "t=0.npz"),
+            np.linspace(-np.pi, np.pi, 8, endpoint=False), 0.0, np.ones(8), np.zeros(8),
+        )
+    changed = roots[1] / "run" / "snapshots" / "t=0.npz"
+    data = bytearray(changed.read_bytes())
+    data[data.rindex(np.zeros(8).tobytes()) + 3] ^= 1  # a bit of one u value
+    changed.write_bytes(bytes(data))
+    assert same_bits.compare(*map(str, roots)) == ["bytes differ: run/snapshots/t=0.npz"]
+    assert "snapshots: 1 in parent, 1 in change, 0 of 1 shared equal\n" in capsys.readouterr().out

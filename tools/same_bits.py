@@ -33,9 +33,10 @@ relative to the root, so both record it alike), each with its stdout saved to <n
     classify restart.yaml
     compare  sub/eulerian sub/lagrangian
 
-then compares the two sets of outputs: every CSV and stdout file by relative
-path and by bytes, and every manifest.json as JSON without its
-`wall_time_s`.  Prints one line per difference and a summary; exits 0 when
+then compares the two sets of outputs: every CSV, .npz snapshot and stdout
+file by relative path and by bytes, and every manifest.json as JSON without
+its `wall_time_s` (10 CSVs, 18 snapshots, 3 stdout files and 10 manifests
+on the shipped configs).  Prints one line per difference and a summary; exits 0 when
 nothing differs, 1 otherwise, and 2 when a command fails or a tree lacks
 src/kurahydro/__init__.py or configs/ (checked before anything runs, so an
 installed kurahydro cannot stand in for a tree's missing package).
@@ -79,7 +80,7 @@ m: 0.5
 K: 0.1
 n_theta: 1000
 g: dirac
-init_table: sub/eulerian/snapshots/t=1.csv
+init_table: sub/eulerian/snapshots/t=1.npz
 t_end: 0.5
 solver: eulerian
 """
@@ -141,6 +142,7 @@ def compare(root_a, root_b):
     lines = []
     for suffix, read, what, kind in (
         (".csv", _read_bytes, "bytes differ", "CSVs"),
+        (".npz", _read_bytes, "bytes differ", "snapshots"),
         (".stdout", _read_bytes, "bytes differ", "stdout files"),
         ("manifest.json", _read_manifest, "differs beyond wall_time_s", "manifests"),
     ):
