@@ -16,9 +16,9 @@ sweep = kh.parse_config(os.path.join(CONFIGS, "hysteresis_desk.yaml"))
 result = kh.hysteresis_sweep(sweep, out_dir="results/hysteresis_m1")
 
 print("     K    r_inf (up)   r_inf (down)")
-backward = {k: r for k, r, _ in result.backward}
-for k, r_up, _ in result.forward:
-    print(f"  {k:4.1f}   {r_up:10.4f}   {backward[k]:12.4f}")
+backward = {p.K: p.r_inf for p in result.backward}
+for p in result.forward:
+    print(f"  {p.K:4.1f}   {p.r_inf:10.4f}   {backward[p.K]:12.4f}")
 
 print()
 print(f"forward jumps:  {result.jumps['forward']}")

@@ -342,6 +342,15 @@ def _coerce(kind, name, value):
         raise ValueError(f"{name} must be {what}, got {value!r}") from None
 
 
+def _parse_profile(parse, name, value):
+    """parse of the string or number value; a ValueError names the key."""
+    value = _coerce(str | float, name, value)
+    try:
+        return parse(value)
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from None
+
+
 @functools.cache
 def _plain_fields(cls):
     """{name: declared type} for each field of a config dataclass with a
@@ -402,8 +411,8 @@ def resolve_config(data):
         init = TableData(*read_snapshot_csv(table_path), path=table_path)
     else:
         init = InitSpec(
-            rho0=parse_rho0(_coerce(str | float, "rho0", data.get("rho0", "gaussian"))),
-            u0=parse_wave_expression(_coerce(str | float, "u0", data.get("u0", "0"))),
+            rho0=_parse_profile(parse_rho0, "rho0", data.get("rho0", "gaussian")),
+            u0=_parse_profile(parse_wave_expression, "u0", data.get("u0", "0")),
         )
 
     scheme = SchemeConfig(**_resolve_fields(SchemeConfig, scheme_data, "scheme"))

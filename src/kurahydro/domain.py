@@ -184,6 +184,18 @@ class UConst:
     value: float = 0.0
 
 
+def check_table_shapes(path, theta, omega, rho, u):
+    """Refuse, naming path, fields other than 1-D theta and omega and rho
+    and u of shape (len(omega), len(theta)): the shapes of every table, and
+    of every snapshot io writes or reads."""
+    shape = (omega.size, theta.size)
+    if theta.ndim != 1 or omega.ndim != 1 or not rho.shape == u.shape == shape:
+        raise ValueError(
+            f"{path}: table needs 1-D theta and omega, and rho and u of shape "
+            f"{shape}; got {rho.shape}/{u.shape}"
+        )
+
+
 @dataclass(frozen=True)
 class TableData:
     """Tabulated initial data: theta (n,), omega (k,), rho and u (k, n), all finite."""
@@ -200,12 +212,7 @@ class TableData:
             object.__setattr__(self, name, values)
             if not np.isfinite(values).all():
                 raise ValueError(f"{self.path}: table {name} has non-finite values")
-        shape = (self.omega.size, self.theta.size)
-        if self.theta.ndim != 1 or self.omega.ndim != 1 or not self.rho.shape == self.u.shape == shape:
-            raise ValueError(
-                f"{self.path}: table needs 1-D theta and omega, and rho and u of shape "
-                f"{shape}; got {self.rho.shape}/{self.u.shape}"
-            )
+        check_table_shapes(self.path, self.theta, self.omega, self.rho, self.u)
 
     def __eq__(self, other):
         if not isinstance(other, TableData):

@@ -5,7 +5,8 @@ choice; run_scenario advances the Eulerian solver and/or the Lagrangian
 oracle to t_end (or blow-up), returning diagnostics series and field
 snapshots, and optionally writing a results directory.  hysteresis_sweep
 walks a coupling path forward and backward with warm starts, reading off
-quasi-steady order parameters.
+quasi-steady order parameters; each point is one io.SweepPoint, a row of
+sweep.csv, that _walk makes and every other reader reads by field name.
 
 Only the generator _advance steps the finite-volume solver.  It owns a
 run's loop state, building its BlowupMonitor and fv.Workspace, yields the
@@ -292,10 +293,10 @@ class SweepResult:
 
     def loop_area(self):
         """Area enclosed between branches: integral of |r_back - r_fwd| dK."""
-        kf = np.array([p[0] for p in self.forward])
-        rf = np.array([p[1] for p in self.forward])
-        kb = np.array([p[0] for p in self.backward])
-        rb = np.array([p[1] for p in self.backward])
+        kf = np.array([p.K for p in self.forward])
+        rf = np.array([p.r_inf for p in self.forward])
+        kb = np.array([p.K for p in self.backward])
+        rb = np.array([p.r_inf for p in self.backward])
         order_f = np.argsort(kf)
         order_b = np.argsort(kb)
         k_all = np.union1d(kf, kb)
@@ -310,7 +311,7 @@ def _walk(config, sweep, k_values, start_state, keep_states):
     state = start_state
     for K in k_values:
         r_inf, state, flag = steady_r(config, K, state, sweep)
-        points.append((float(K), float(r_inf), bool(flag)))
+        points.append(run_io.SweepPoint(float(K), float(r_inf), bool(flag)))
         if keep_states:
             states.append(state)
     return points, states, state
@@ -331,27 +332,26 @@ def _refine_branch(config, sweep, points, states, sign):
         center = 0.5 * (k0 + k1)
         lo, hi = center - REFINE_WINDOW, center + REFINE_WINDOW
         ks = np.arange(lo, hi + 0.5 * sweep.refine_step, sweep.refine_step)
-        existing = {round(k, 9) for k, _, _ in refined}
+        existing = {round(p.K, 9) for p in refined}
         ks = [k for k in ks if k >= 0 and round(k, 9) not in existing]
         ks.sort(key=lambda k: sign * k)
         if not ks:
             continue
         # Warm-start from the last base point on the approach side of the window.
         anchor_idx = max(
-            (i for i, (k, _, _) in enumerate(points) if sign * k <= sign * ks[0]), default=0
+            (i for i, p in enumerate(points) if sign * p.K <= sign * ks[0]), default=0
         )
         new_points, _, _ = _walk(config, sweep, ks, states[anchor_idx], False)
         refined.extend(new_points)
-    refined.sort(key=lambda p: sign * p[0])
+    refined.sort(key=lambda p: sign * p.K)
     return refined
 
 
 def _jumps_of(points):
-    out = []
-    for (k0, r0, _), (k1, r1, _) in zip(points, points[1:]):
-        if abs(r1 - r0) > 0.1:
-            out.append((k0, k1, r1 - r0))
-    return out
+    # a SweepPoint, or a (K, r_inf, blowup_flag) tuple from perfbench's self-test
+    points = [run_io.SweepPoint._make(p) for p in points]
+    pairs = zip(points, points[1:])
+    return [(a.K, b.K, b.r_inf - a.r_inf) for a, b in pairs if abs(b.r_inf - a.r_inf) > 0.1]
 
 
 def hysteresis_sweep(sweep, out_dir=None):

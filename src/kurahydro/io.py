@@ -3,7 +3,7 @@
 Layout of a run directory:
     series.csv           diagnostics rows (fixed column order)
     snapshots/t=<T>.npz  per-slice fields (theta, omega, rho, u); T = format_time(t)
-    sweep.csv            (branch, K, r_inf, blowup_flag)
+    sweep.csv            branch, then the fields of SweepPoint (K, r_inf, blowup_flag)
     manifest.json        resolved config + code version + wall time
 
 series.csv is a CSV whose header names SERIES_COLUMNS in order; read_series_csv
@@ -13,12 +13,17 @@ back bit for bit, and lines end in "\\r\\n", as csv.writer writes them.
 
 A snapshot is one uncompressed numpy .npz holding the float64 arrays theta
 (n_theta,), omega (n_omega,), rho and u (n_omega, n_theta) under the names
-SNAPSHOT_COLUMNS, so every bit is kept, -0.0 and NaN included.  np.savez
+SNAPSHOT_COLUMNS, so every bit is kept, -0.0 and NaN included; other
+shapes are refused on writing and on reading, naming the file
+(domain.check_table_shapes), and so is any dtype but float64.  np.savez
 dates each zip entry 1980-01-01, so the same arrays give the same bytes
 whenever they are written.  An initial-condition table (config key
 init_table) is a snapshot, read by the same read_snapshot_csv, so a run
 restarts from any of its snapshots.  Earlier versions wrote snapshots as
 t=<T>.csv; list_snapshots refuses such a file, naming it.
+
+sweep.csv has one row per sweep point: its branch, forward or backward, then
+the fields of SweepPoint, K and r_inf in FLOAT_FMT and blowup_flag as 0 or 1.
 """
 from __future__ import annotations
 
@@ -28,22 +33,26 @@ import math
 import os
 import warnings
 import zipfile
+import zlib
 from io import BytesIO
+from typing import NamedTuple
 
 import numpy as np
 
 from .diagnostics import SERIES_COLUMNS, TimeSeries, time_key
+from .domain import check_table_shapes
 
 FLOAT_FMT = "%.17g"
 SNAPSHOT_COLUMNS = ("theta", "omega", "rho", "u")
 EOL = "\r\n"
-_SERIES_CHUNK_ROWS = 4096
 # .npy format version -> its header reader; np.savez writes 1.0, or 2.0
 # for a header over 64 KiB
 _NPY_HEADERS = {
     (1, 0): np.lib.format.read_array_header_1_0,
     (2, 0): np.lib.format.read_array_header_2_0,
 }
+# Bytes inflated at a time from a compressed .npz entry
+_INFLATE_CHUNK = 1 << 14
 
 
 def _fmt(x):
@@ -51,13 +60,9 @@ def _fmt(x):
 
 
 def write_series_csv(path, series):
-    data = series.data
-    row = ",".join([FLOAT_FMT] * data.shape[1]) + EOL
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(SERIES_COLUMNS) + EOL)
-        for i in range(0, data.shape[0], _SERIES_CHUNK_ROWS):
-            chunk = data[i : i + _SERIES_CHUNK_ROWS]
-            fh.write((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+        np.savetxt(fh, series.data, fmt=FLOAT_FMT, delimiter=",", newline=EOL,
+                   header=",".join(SERIES_COLUMNS), comments="")
 
 
 def read_series_csv(path):
@@ -157,33 +162,50 @@ def write_snapshot_csv(path, theta, omega_values, rho, u):
     omega_values = np.atleast_1d(np.asarray(omega_values, dtype=float))
     rho = np.atleast_2d(np.asarray(rho, dtype=float))
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    shape = (omega_values.size, theta.size)
-    if rho.shape != shape or u.shape != shape:
-        raise ValueError(
-            f"{path}: rho {rho.shape} and u {u.shape} must both have shape {shape}"
-        )
+    check_table_shapes(path, theta, omega_values, rho, u)
     # a file object, so np.savez writes to path itself and adds no ".npz"
     with open(path, "wb") as fh:
         np.savez(fh, **dict(zip(SNAPSHOT_COLUMNS, (theta, omega_values, rho, u))))
 
 
-def _read_array(npz, name):
-    """The float64 array name of an open NpzFile, as a read-only view of
-    its entry's bytes.
-
-    The entry is read once and its .npy header checked before its data is
-    used, so an object array is never unpickled.  np.load's own npz[name]
-    copies the bytes into a new array, which holds two copies at once.
-    """
-    raw = npz.zip.read(name + ".npy")
-    header = BytesIO(raw)
-    version = np.lib.format.read_magic(header)
+def _npy_header(fh):
+    """(shape, fortran_order) of the .npy header read from fh; any format
+    version np.savez does not write, or any dtype but float64, raises."""
+    version = np.lib.format.read_magic(fh)
     if version not in _NPY_HEADERS:
         raise ValueError(f".npy format version {version}")
-    shape, fortran_order, dtype = _NPY_HEADERS[version](header)
+    shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
     if dtype != np.float64:
         raise ValueError(f"{dtype}, not float64")
-    values = np.frombuffer(raw, dtype, math.prod(shape), header.tell())
+    return shape, fortran_order
+
+
+def _read_array(npz, name):
+    """The float64 array name of an open NpzFile, read-only.
+
+    The entry's .npy header is checked before its data is read, so an
+    object array is never unpickled.  A stored entry, as np.savez writes
+    it, is read once and viewed in place: np.load's own npz[name] copies
+    the bytes into a new array, which holds two copies at once.  A
+    compressed entry is inflated _INFLATE_CHUNK bytes at a time into its
+    array.
+    """
+    entry = name + ".npy"
+    if npz.zip.getinfo(entry).compress_type == zipfile.ZIP_STORED:
+        raw = npz.zip.read(entry)
+        header = BytesIO(raw)
+        shape, fortran_order = _npy_header(header)
+        values = np.frombuffer(raw, np.float64, math.prod(shape), header.tell())
+    else:
+        with npz.zip.open(entry) as fh:
+            shape, fortran_order = _npy_header(fh)
+            values = np.empty(math.prod(shape))
+            data = memoryview(values).cast("B")
+            for i in range(0, len(data), _INFLATE_CHUNK):
+                chunk = data[i : i + _INFLATE_CHUNK]
+                if fh.readinto(chunk) < len(chunk):
+                    raise ValueError(f"entry ends before the {shape} array its header names")
+        values.flags.writeable = False
     return values.reshape(shape, order="F" if fortran_order else "C")
 
 
@@ -191,10 +213,11 @@ def read_snapshot_csv(path):
     """Read a snapshot (or init_table) back as (theta, omega_values, rho, u).
 
     The file must be an .npz holding exactly the float64 arrays named
-    SNAPSHOT_COLUMNS; anything else raises a ValueError naming the path.
-    The arrays are read-only; their shapes and values are the caller's to
-    check, as domain.TableData checks a table's.  The name keeps its _csv
-    suffix for perfbench's tracer, as write_snapshot_csv's does.
+    SNAPSHOT_COLUMNS in the shapes domain.check_table_shapes asks; anything
+    else raises a ValueError naming the path.  The arrays are read-only;
+    their values are the caller's to check, as domain.TableData checks a
+    table's.  The name keeps its _csv suffix for perfbench's tracer, as
+    write_snapshot_csv's does.
     """
     try:
         npz = np.load(path, allow_pickle=False)
@@ -212,41 +235,42 @@ def read_snapshot_csv(path):
         for name in SNAPSHOT_COLUMNS:
             try:
                 fields.append(_read_array(npz, name))
-            except (ValueError, EOFError, zipfile.BadZipFile) as err:
+            except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as err:
                 raise ValueError(f"{path}: array {name}: {err}") from None
+    check_table_shapes(path, *fields)
     return tuple(fields)
+
+
+class SweepPoint(NamedTuple):
+    """One point of a sweep leg, one row of sweep.csv after its branch."""
+
+    K: float
+    r_inf: float  # quasi-steady r; 1.0 when the point blew up
+    blowup_flag: bool  # blow-up or a clip abort stopped the point
 
 
 def write_sweep_csv(path, result):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["branch", "K", "r_inf", "blowup_flag"])
+        writer.writerow(["branch", *SweepPoint._fields])
         for branch, points in (("forward", result.forward), ("backward", result.backward)):
-            for K, r_inf, flag in points:
-                writer.writerow([branch, _fmt(K), _fmt(r_inf), int(flag)])
+            for p in points:
+                writer.writerow([branch, _fmt(p.K), _fmt(p.r_inf), int(p.blowup_flag)])
 
 
 def read_sweep_csv(path):
+    """sweep.csv back as (forward, backward) lists of SweepPoints."""
     forward, backward = [], []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            point = (float(row["K"]), float(row["r_inf"]), bool(int(row["blowup_flag"])))
+        for row in csv.DictReader(fh):
+            point = SweepPoint(float(row["K"]), float(row["r_inf"]), bool(int(row["blowup_flag"])))
             (forward if row["branch"] == "forward" else backward).append(point)
     return forward, backward
 
 
-def _json_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
-
-
 def write_manifest(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -76,6 +76,10 @@ BAD_NPZ = {
         lambda path: _npz(path, **_table_fields(), v=np.zeros((1, 48))),
         "holds arrays theta, omega, rho, u, v; a snapshot holds theta, omega, rho, u",
     ),
+    "misshaped-rho": (
+        lambda path: _npz(path, **{**_table_fields(), "rho": np.ones((2, 48))}),
+        "table needs 1-D theta and omega, and rho and u of shape (1, 48); got (2, 48)/(1, 48)",
+    ),
     "int-array": (lambda path: _npz(path, **_table_fields(int)), "array rho: int64, not float64"),
     "object-array": (lambda path: _npz(path, **_table_fields(object)),
                      "array rho: object, not float64"),

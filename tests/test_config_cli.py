@@ -41,11 +41,13 @@ from kurahydro import (
     write_config,
 )
 from kurahydro.cli import compare_runs, main
+from kurahydro.diagnostics import TimeSeries
 from kurahydro.io import (
     list_snapshots,
     read_manifest,
     read_series_csv,
     read_snapshot_csv,
+    write_series_csv,
     write_snapshot_csv,
 )
 
@@ -428,6 +430,24 @@ def test_cli_refuses_a_profile_that_is_not_a_string_or_a_number(tmp_path, capsys
     )
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("u0=abc", "u0: cannot parse profile expression 'abc': expected "
+                   "'A*sin(c*theta)+B', 'A*cos(c*theta)+B', or a constant"),
+        ("rho0=gaussian(1)", "rho0: gaussian(mu, sigma) takes exactly two arguments"),
+    ],
+    ids=["u0", "rho0"],
+)
+def test_cli_refuses_a_profile_that_does_not_parse_naming_its_key(
+    tmp_path, capsys, override, message
+):
+    """The parser's message once came without the key it was parsing."""
+    argv = ["classify", "--config", _write_cfg(tmp_path), "--set", override]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("solver", ["lagrangian", "both"])
 def test_cli_sweep_refuses_a_solver_other_than_eulerian(tmp_path, capsys, solver):
     """The sweep ran the finite-volume solver anyway and recorded the
@@ -522,6 +542,23 @@ def test_cli_compare_mismatched_grids_errors(tmp_path, capsys):
                  "--set", "n_theta=64"]) == 0
     assert main(["compare", str(out_a), str(out_b)]) == 2
     assert "mismatched grids" in capsys.readouterr().err
+
+
+def test_cli_compare_refuses_a_snapshot_of_the_wrong_shape(tmp_path, capsys):
+    """Two runs whose t=0 snapshots share theta (8 cells) and omega (2
+    nodes), one holding rho of shape (1, 8): compare once paired its one
+    slice with the other's first and exited 0."""
+    theta = np.linspace(-np.pi, np.pi, 8, endpoint=False)
+    for name, n_rho in (("a", 1), ("b", 2)):
+        (tmp_path / name / "snapshots").mkdir(parents=True)
+        write_series_csv(str(tmp_path / name / "series.csv"), TimeSeries(np.zeros((3, 14))))
+        with open(tmp_path / name / "snapshots" / "t=0.npz", "wb") as fh:
+            np.savez(fh, theta=theta, omega=np.array([-1.0, 1.0]), rho=np.ones((n_rho, 8)),
+                     u=np.zeros((2, 8)))
+    assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 2
+    path = tmp_path / "a" / "snapshots" / "t=0.npz"
+    message = "table needs 1-D theta and omega, and rho and u of shape (2, 8); got (1, 8)/(2, 8)"
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 def test_cli_compare_two_solvers(tmp_path, capsys):

@@ -45,7 +45,7 @@ from kurahydro import (
 from kurahydro.diagnostics import _field_cell_masses, kinetic_energy
 from kurahydro.domain import FieldState
 from kurahydro.experiments import ScenarioResult, write_scenario_result
-from kurahydro.io import list_snapshots, read_manifest, read_series_csv, read_sweep_csv
+from kurahydro.io import SweepPoint, list_snapshots, read_manifest, read_series_csv, read_sweep_csv
 
 
 def _config(**kw):
@@ -755,8 +755,8 @@ def test_single_point_sweep_zero_loop():
     sweep = SweepConfig(k_path=(0.5,), steady_window=0.2, t_max=3.0, base=cfg)
     with pytest.warns(RuntimeWarning, match="did not settle"):  # t_max cuts it short
         result = hysteresis_sweep(sweep)
-    assert [k for k, _, _ in result.forward] == [0.5]
-    assert [k for k, _, _ in result.backward] == [0.5]
+    assert [p.K for p in result.forward] == [0.5]
+    assert [p.K for p in result.backward] == [0.5]
     assert result.loop_area() == 0.0
     assert result.jumps == {"forward": [], "backward": []}
 
@@ -770,8 +770,8 @@ def test_sweep_result_records_and_bounds():
         result = hysteresis_sweep(sweep)
     for branch in (result.forward, result.backward):
         assert len(branch) == 3
-        for _, r_inf, _ in branch:
-            assert 0.0 <= r_inf <= 1.0 + 1e-12
+        for p in branch:
+            assert 0.0 <= p.r_inf <= 1.0 + 1e-12
 
 
 def test_sweep_warm_start_continuity():
@@ -805,11 +805,11 @@ def test_refinement_inserts_points():
     )
     with pytest.warns(RuntimeWarning, match="did not settle"):  # t_max cuts it short
         result = hysteresis_sweep(sweep)
-    fwd_k = [k for k, _, _ in result.forward]
+    fwd_k = [p.K for p in result.forward]
     assert fwd_k == sorted(fwd_k)
     if result.jumps["forward"]:
         assert len(fwd_k) > 4  # refinement added interior points
-    bwd_k = [k for k, _, _ in result.backward]
+    bwd_k = [p.K for p in result.backward]
     assert bwd_k == sorted(bwd_k, reverse=True)
     # every added point lies within REFINE_WINDOW of a midpoint of the path
     mids = [0.5 * (k0 + k1) for k0, k1 in zip(ks, ks[1:])]
@@ -841,10 +841,13 @@ def test_sweep_writes_results_layout(tmp_path):
     sweep = SweepConfig(k_path=(0.0, 0.5, 0.0), steady_window=0.2, t_max=2.0, base=cfg)
     t0 = time.perf_counter()
     with pytest.warns(RuntimeWarning, match="did not settle"):  # t_max cuts it short
-        hysteresis_sweep(sweep, out_dir=str(out))
+        result = hysteresis_sweep(sweep, out_dir=str(out))
     total = time.perf_counter() - t0
+    # every field of every point reads back, as a SweepPoint, in leg order
     forward, backward = read_sweep_csv(str(out / "sweep.csv"))
-    assert len(forward) == 2 and len(backward) == 2
+    assert (forward, backward) == (result.forward, result.backward)
+    assert {type(p) for p in forward + backward} == {SweepPoint}
+    assert [p.K for p in forward + backward] == [0.0, 0.5, 0.5, 0.0]
     manifest = read_manifest(str(out / "manifest.json"))
     assert manifest["sweep"]["k_path"] == [0.0, 0.5, 0.0]
     assert 0.0 < manifest["wall_time_s"] <= total

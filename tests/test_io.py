@@ -5,6 +5,7 @@ import io
 import pickle
 import struct
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -86,6 +87,26 @@ def test_series_golden_bytes(tmp_path):
         b"0,0.25,0.5,0.75,1,1.25,1.5,1.75,2,2.25,2.5,2.75,3,3.25\r\n"
         + b",".join([b"0.33333333333333331"] * 14)
         + b"\r\n"
+    )
+
+
+def test_series_golden_bytes_of_special_values(tmp_path):
+    """Signed zeros, NaN, infinities, the smallest subnormals, a huge value,
+    0.1 and 1/3, cycled through three rows: the text the writer has written
+    since series.csv took %.17g."""
+    path = tmp_path / "series.csv"
+    values = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300, 0.1, 1.0 / 3.0]
+    write_series_csv(str(path), TimeSeries(np.resize(values, (3, 14))))
+    assert path.read_bytes() == (
+        b"t,r,phi,Ek,Ep,vc,etac,d_eta,d_v,L,mass_err,min_du,max_rho,Ek_integral\r\n"
+        b"0,-0,nan,inf,-inf,4.9406564584124654e-324,-4.9406564584124654e-324,"
+        b"1.0000000000000001e+300,0.10000000000000001,0.33333333333333331,0,-0,nan,inf\r\n"
+        b"-inf,4.9406564584124654e-324,-4.9406564584124654e-324,1.0000000000000001e+300,"
+        b"0.10000000000000001,0.33333333333333331,0,-0,nan,inf,-inf,4.9406564584124654e-324,"
+        b"-4.9406564584124654e-324,1.0000000000000001e+300\r\n"
+        b"0.10000000000000001,0.33333333333333331,0,-0,nan,inf,-inf,4.9406564584124654e-324,"
+        b"-4.9406564584124654e-324,1.0000000000000001e+300,0.10000000000000001,"
+        b"0.33333333333333331,0,-0\r\n"
     )
 
 
@@ -172,6 +193,40 @@ def test_snapshot_read_peaks_below_three_fields(tmp_path, rng):
     read_snapshot_csv(path)
     peak = peak_fields(lambda: read_snapshot_csv(path), fields[2].nbytes)
     assert peak <= 3, peak
+
+
+def test_compressed_snapshot_read_peaks_within_a_quarter_field_of_stored(tmp_path, rng):
+    """A 256x1000 table saved with np.savez_compressed is inflated a chunk
+    at a time into its arrays, with the stored table's bits.  Reading each
+    deflated entry whole peaked at 5.7 fields, against 2.0 stored."""
+    fields = dict(zip(run_io.SNAPSHOT_COLUMNS, _signed_zero_snapshot(rng, 256, 1000)))
+    stored, compressed = str(tmp_path / "stored.npz"), str(tmp_path / "compressed.npz")
+    np.savez(stored, **fields)
+    np.savez_compressed(compressed, **fields)
+    for a, b in zip(read_snapshot_csv(stored), read_snapshot_csv(compressed)):
+        assert a.tobytes() == b.tobytes() and not b.flags.writeable
+    peak_stored, peak_compressed = (
+        peak_fields(lambda path=path: read_snapshot_csv(path), fields["rho"].nbytes)
+        for path in (stored, compressed)
+    )
+    assert peak_compressed <= peak_stored + 0.25, (peak_compressed, peak_stored)
+
+
+def test_a_compressed_entry_that_does_not_inflate_names_the_file(tmp_path):
+    """A damaged deflate stream raised zlib.error past the reader's checks:
+    a traceback, not an error line, in the command line."""
+    path = tmp_path / "damaged.npz"
+    rho = np.ones((1, 3))
+    np.savez_compressed(path, theta=np.zeros(3), omega=np.zeros(1), rho=rho, u=np.zeros((1, 3)))
+    npy = io.BytesIO()
+    np.lib.format.write_array(npy, rho)
+    deflate = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15)
+    stream = deflate.compress(npy.getvalue()) + deflate.flush()
+    data = path.read_bytes()
+    at = data.index(stream)
+    path.write_bytes(data[:at] + b"\xff" * len(stream) + data[at + len(stream):])
+    with pytest.raises(ValueError, match="damaged.npz: array rho: "):
+        read_snapshot_csv(str(path))
 
 
 def test_snapshot_arrays_are_read_only(tmp_path, rng):

@@ -8,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from kurahydro.io import write_snapshot_csv
+from kurahydro.diagnostics import TimeSeries
+from kurahydro.io import write_series_csv, write_snapshot_csv
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -61,3 +62,35 @@ def test_a_snapshot_differing_in_one_byte_is_reported(same_bits, tmp_path, capsy
     changed.write_bytes(bytes(data))
     assert same_bits.compare(*map(str, roots)) == ["bytes differ: run/snapshots/t=0.npz"]
     assert "snapshots: 1 in parent, 1 in change, 0 of 1 shared equal\n" in capsys.readouterr().out
+
+
+def test_a_csv_differing_on_line_3_is_reported_with_both_lines(same_bits, tmp_path, capsys):
+    """A CSV or stdout difference names the first differing line and shows
+    it on both sides, each cut to 120 characters."""
+    roots = [tmp_path / "parent", tmp_path / "change"]
+    for root, first in zip(roots, (1.0 / 3.0, 0.25)):
+        (root / "run").mkdir(parents=True)
+        data = np.full((3, 14), 1.0 / 3.0)
+        data[1, 0] = first
+        write_series_csv(str(root / "run" / "series.csv"), TimeSeries(data))
+    third = "0.33333333333333331,"  # 20 characters
+    assert same_bits.compare(*map(str, roots)) == [
+        "bytes differ: run/series.csv\n"
+        "  first at line 3:\n"
+        f"    parent: '{third * 6}'\n"
+        f"    change: '0.25,{third * 5}0.3333333333333'"
+    ]
+    assert "CSVs: 1 in parent, 1 in change, 0 of 1 shared equal\n" in capsys.readouterr().out
+
+
+def test_a_stdout_file_that_ends_early_is_reported_at_its_end(same_bits, tmp_path):
+    roots = [tmp_path / "parent", tmp_path / "change"]
+    for root, text in zip(roots, (b"a\r\nb\n", b"a\r\n")):
+        root.mkdir()
+        (root / "compare.stdout").write_bytes(text)
+    assert same_bits.compare(*map(str, roots)) == [
+        "bytes differ: compare.stdout\n"
+        "  first at line 2:\n"
+        "    parent: 'b\\n'\n"
+        "    change: end of file"
+    ]

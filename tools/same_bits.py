@@ -36,13 +36,16 @@ relative to the root, so both record it alike), each with its stdout saved to <n
 then compares the two sets of outputs: every CSV, .npz snapshot and stdout
 file by relative path and by bytes, and every manifest.json as JSON without
 its `wall_time_s` (10 CSVs, 18 snapshots, 3 stdout files and 10 manifests
-on the shipped configs).  Prints one line per difference and a summary; exits 0 when
-nothing differs, 1 otherwise, and 2 when a command fails or a tree lacks
-src/kurahydro/__init__.py or configs/ (checked before anything runs, so an
-installed kurahydro cannot stand in for a tree's missing package).
+on the shipped configs).  Prints each difference, a CSV or stdout file's
+with its first differing line on both sides, each cut to 120 characters,
+and a summary; exits 0 when nothing differs, 1 otherwise, and 2 when a
+command fails or a tree lacks src/kurahydro/__init__.py or configs/
+(checked before anything runs, so an installed kurahydro cannot stand in
+for a tree's missing package).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -84,6 +87,10 @@ init_table: sub/eulerian/snapshots/t=1.npz
 t_end: 0.5
 solver: eulerian
 """
+
+# Outputs whose difference shows the first differing line, LINE_CHARS at most
+TEXT_SUFFIXES = (".csv", ".stdout")
+LINE_CHARS = 120
 
 # What a tree must hold for its commands to run its own code and configs.
 TREE_FILES = ("src/kurahydro/__init__.py", "configs")
@@ -136,9 +143,26 @@ def _read_manifest(path):
     return data
 
 
+def first_differing_line(data_a, data_b):
+    """The number of the first line that differs between two unequal texts,
+    and that line on each side ("end of file" past a side's last line)."""
+    # surrogateescape keeps every byte, so unequal texts have unequal lines
+    lines_a, lines_b = (
+        data.decode("utf-8", "surrogateescape").splitlines(keepends=True)
+        for data in (data_a, data_b)
+    )
+    pairs = itertools.zip_longest(lines_a, lines_b)
+    number, (line_a, line_b) = next((n, p) for n, p in enumerate(pairs, 1) if p[0] != p[1])
+    shown_a, shown_b = (
+        "end of file" if line is None else repr(line[:LINE_CHARS]) for line in (line_a, line_b)
+    )
+    return f"  first at line {number}:\n    parent: {shown_a}\n    change: {shown_b}"
+
+
 def compare(root_a, root_b):
-    """Lines naming each difference between two output trees; prints a count
-    of the equal files of each kind."""
+    """One entry naming each difference between two output trees, a text
+    file's with its first differing line; prints a count of the equal files
+    of each kind."""
     lines = []
     for suffix, read, what, kind in (
         (".csv", _read_bytes, "bytes differ", "CSVs"),
@@ -152,8 +176,11 @@ def compare(root_a, root_b):
         shared = sorted(names_a & names_b)
         same = 0
         for name in shared:
-            if read(os.path.join(root_a, name)) == read(os.path.join(root_b, name)):
+            data_a, data_b = (read(os.path.join(root, name)) for root in (root_a, root_b))
+            if data_a == data_b:
                 same += 1
+            elif suffix in TEXT_SUFFIXES:
+                lines.append(f"{what}: {name}\n{first_differing_line(data_a, data_b)}")
             else:
                 lines.append(f"{what}: {name}")
         print(f"{kind}: {len(names_a)} in parent, {len(names_b)} in change, "
