@@ -396,7 +396,7 @@ def resolve_config(data):
     data = dict(data)
     is_sweep = "sweep" in data  # an empty section (YAML null) included
     sweep_data = data.pop("sweep", None)
-    scheme_data = data.pop("scheme", None) or {}
+    scheme_data = data.pop("scheme", None)
     by_hand = ("m", "K", "rho0", "u0", "init_table")
     kwargs = _resolve_fields(ScenarioConfig, data, "config", by_hand)
     missing = [k for k in ("m", "K") if k not in data]
@@ -415,6 +415,7 @@ def resolve_config(data):
             u0=_parse_profile(parse_wave_expression, "u0", data.get("u0", "0")),
         )
 
+    scheme_data = {} if scheme_data is None else scheme_data  # absent, or YAML null
     scheme = SchemeConfig(**_resolve_fields(SchemeConfig, scheme_data, "scheme"))
     scenario = ScenarioConfig(
         params=Params(*(_coerce(float, k, data[k]) for k in ("m", "K"))),

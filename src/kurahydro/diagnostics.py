@@ -4,17 +4,21 @@ asymptotic order-parameter prediction, Dirac-distance bound, blow-up monitor.
 Most quantities exist in two guises -- over an Eulerian FieldState (mass
 weights dtheta*rho*w_k) or over a Lagrangian sample ensemble (quadrature
 weights) -- and the public functions dispatch on the argument type.
-series_row is the one row of the SERIES_COLUMNS series for both solvers,
-and record_run the one rule that chooses a run's rows and snapshots.
+series_row is the one row of the SERIES_COLUMNS series for both solvers:
+it computes the columns they share, and each solver hands in the ones it
+computes its own way (E_k, the order parameter, mass_err, max_rho and
+min_du).  record_run is the one rule that chooses a run's rows and
+snapshots.
 
-Support.  Over an ensemble, the diameters and the min_du column span only the
-samples with positive weight: a zero-weight sample is a quadrature node
-that carries no mass (a point-cell datum puts all mass on one node), so its
-phase, velocity and gradient say nothing about the solution.  Over a field,
-min_grad_u spans every cell, empty ones included: the scheme solves u in
-every cell and carries it into cells that hold mass, so a steepening where
-rho = 0 is part of the computed flow, and a density floor would make the
-column and the blow-up monitor depend on a threshold.
+Support.  Over an ensemble, the diameters and the oracle's min_du column
+span only the samples with positive weight: a zero-weight sample is a
+quadrature node that carries no mass (a point-cell datum puts all mass on
+one node), so its phase, velocity and gradient say nothing about the
+solution.  Over a field, min_grad_u spans every cell, empty ones included:
+the scheme solves u in every cell and carries it into cells that hold
+mass, so a steepening where rho = 0 is part of the computed flow, and a
+density floor would make the column and the blow-up monitor depend on a
+threshold.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import FieldState
-from .meanfield import ensemble_order_parameter, order_parameter, weighted_sum
+from .meanfield import weighted_sum
 
 # Cells per chunk of min_grad_u's temporary: 2^13 float64 values, 64 KB.
 GRAD_CHUNK_CELLS = 1 << 13
@@ -34,6 +38,11 @@ GRAD_CHUNK_CELLS = 1 << 13
 # du/dtheta fires below -BLOWUP_GRAD.  (The oracle times a collapse as the
 # zero of its Jacobian row instead; see lagrangian._oracle_states.)
 BLOWUP_GRAD = 1e6
+
+# Relative density floor of a field's support: the cells with rho above
+# SUPPORT_FLOOR * max(rho), a run taking the max of its start state (see
+# diameters).
+SUPPORT_FLOOR = 1e-8
 
 SERIES_COLUMNS = (
     "t",
@@ -116,9 +125,9 @@ def mean_phase(obj):
     return _wsum(w, ang)
 
 
-def kinetic_energy(w, v, vc=None):
-    """E_k = (1/2) sum w (v - v_c)^2 with v_c = sum w v (pass it if known)."""
-    vc = _wsum(w, v) if vc is None else vc
+def kinetic_energy(w, v):
+    """E_k = (1/2) sum w (v - v_c)^2 with v_c = sum w v."""
+    vc = _wsum(w, v)
     # one temporary the size of v, squared and weighted in place
     dev = np.subtract(v, vc)
     np.square(dev, out=dev)
@@ -217,12 +226,13 @@ def diameters(obj, eps_supp=None):
 
     Ensembles use unwrapped sample phases (max - min).  Eulerian states use
     the cells with rho > eps_supp; the phase diameter is then the shortest
-    covering arc on the circle.  eps_supp defaults to 1e-8 * max(rho) -- pass
-    the value derived from the initial state for time-consistent support.
+    covering arc on the circle.  eps_supp defaults to SUPPORT_FLOOR * max(rho)
+    -- pass the value derived from the initial state for time-consistent
+    support.
     """
     if isinstance(obj, FieldState):
         if eps_supp is None:
-            eps_supp = 1e-8 * float(obj.rho.max())
+            eps_supp = SUPPORT_FLOOR * float(obj.rho.max())
         mask = obj.rho > eps_supp
         if mask.all():  # the plain arrays: the same values in the same order
             u, support_angles = obj.u, obj.grid.centers
@@ -255,59 +265,29 @@ def _range_over(x, mask):
     return float(high - np.minimum.reduce(x, axis=None, where=mask, initial=np.inf))
 
 
-def series_row(obj, params, Ek_integral, support=None, trig=None, *, Ek=None,
-               op=None, extrema=None, mass_err=None):
+def series_row(obj, params, Ek_integral, support, trig, *, Ek, op, mass_err, extrema):
     """The SERIES_COLUMNS row of a FieldState or of a sample ensemble.
 
-    The guise decides r and phi (moments of rho, or of the sample weights),
-    mass_err (worst slice, or |sum w - 1|), min_du (min_grad_u over every
-    cell, or the least d over the support) and max_rho (max rho, or
-    exp(max log rho)).  An ensemble is any object with the attributes eta,
-    v, d, log_rho, weight and t.  support is the field's support floor
-    eps_supp (see diameters), or the ensemble's sample_support mask; trig is
-    (cos eta, sin eta) of an ensemble if the caller has them.  Ek, op (the
-    OrderParam), extrema (the pair max_rho, min_du; either may be None) and
-    mass_err, if given, are those values as the caller computed them on
-    this very obj, and are taken as they are.  The field's cell masses are
-    formed once, for E_k, L, v_c and eta_c.
+    The row computes what both solvers share: the diameters, v_c, eta_c,
+    E_p and L.  Every other column is the caller's, computed on this very
+    obj and taken as it is: Ek, op (the OrderParam, which gives r and phi),
+    mass_err and extrema, the pair (max_rho, min_du).  An ensemble is any
+    object with the attributes eta, v, weight and t.  support is the
+    field's support floor eps_supp (see diameters), or the ensemble's
+    sample_support mask; trig is (cos, sin) of the phases, the grid's for a
+    field.  The field's cell masses are formed once, for L, v_c and eta_c.
     """
-    max_rho, min_du = (None, None) if extrema is None else extrema
     if isinstance(obj, FieldState):
         # before the cell masses: the support mask and the u values on it
         # are temporaries of their own
         d_eta, d_v = diameters(obj, support)
-        trig = (obj.grid.cos, obj.grid.sin)
-        if op is None:
-            op = order_parameter(obj)
-        if mass_err is None:
-            mass_err = float(np.abs(obj.per_slice_mass() - 1.0).max())
-        if min_du is None:
-            min_du = min_grad_u(obj)
-        if max_rho is None:
-            max_rho = float(obj.rho.max())
     else:
-        if trig is None:
-            trig = (np.cos(obj.eta), np.sin(obj.eta))
-        if op is None:
-            op = ensemble_order_parameter(obj.eta, obj.weight, trig)
-        if support is None:
-            support = sample_support(obj)
-        if mass_err is None:
-            mass_err = abs(float(np.sum(obj.weight)) - 1.0)
-        if min_du is None:
-            min_du = float(
-                np.minimum.reduce(obj.d, axis=None, where=support, initial=np.inf)
-            )
-        if max_rho is None:
-            with np.errstate(over="ignore"):
-                max_rho = float(np.exp(obj.log_rho.max()))
         d_eta, d_v = _ensemble_diameters(obj, support)
     w, ang, v = _weighted(obj)
     vc, etac = _wsum(w, v), _wsum(w, ang)
-    if Ek is None:
-        Ek = kinetic_energy(w, v, vc)
     Ep = _potential_energy(op, params)
     L = _lyapunov(w, v, op, params, trig)
+    max_rho, min_du = extrema
     return (obj.t, op.r, op.phi, Ek, Ep, vc, etac, d_eta, d_v, L, mass_err, min_du,
             max_rho, Ek_integral)
 
@@ -532,8 +512,8 @@ class BlowupMonitor:
 
     def observe(self, state):
         """Observe a FieldState; returns (max rho, min_grad_u) as computed on
-        it, for its series row, with min_grad_u None where an entry is
-        non-finite (it is then skipped).  The event, if any, is self.event.
+        it, for its series row, non-finite states included.  The event, if
+        any, is self.event.
 
         The oracle does not come through here: lagrangian.evolve runs its
         own finiteness test and its gradient-collapse test, J <= 0, on the
@@ -544,6 +524,7 @@ class BlowupMonitor:
         rho, u = state.rho, state.u
         max_rho = float(rho.max())
         finite = all(map(math.isfinite, (max_rho, rho.min(), u.max(), u.min())))
-        min_du = min_grad_u(state) if finite else None
-        self.observe_values(state.t, max_rho, min_du if finite else -math.inf, finite)
+        with np.errstate(invalid="ignore"):  # inf - inf where u is not finite
+            min_du = min_grad_u(state)
+        self.observe_values(state.t, max_rho, min_du, finite)
         return max_rho, min_du

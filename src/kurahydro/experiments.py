@@ -28,6 +28,7 @@ from . import __version__
 from . import io as run_io
 from .config import ScenarioConfig, serialize_config
 from .diagnostics import (
+    SUPPORT_FLOOR,
     BlowupMonitor,
     RunResult,
     _field_cell_masses,
@@ -47,11 +48,7 @@ from .meanfield import order_parameter
 
 def build_grids(config):
     grid = make_theta_grid(config.n_theta)
-    if config.g == "dirac":
-        omega = discretize_frequency("dirac")
-    else:
-        omega = discretize_frequency("gaussian", config.n_omega, config.omega_L)
-    return grid, omega
+    return grid, discretize_frequency(config.g, config.n_omega, config.omega_L)
 
 
 def build_state(config):
@@ -94,17 +91,20 @@ def _field_states(state, config, stops):
     state when a step fails with MassClipError.
 
     A row takes the order parameter and monitor extrema that _advance
-    yielded with its state and the state's E_k from the trapezoid sum.
+    yielded with its state, the state's E_k from the trapezoid sum, the
+    grid's (cos, sin) and the worst slice's mass error, which it computes.
     row and stored read the current state, so record_run calls them
     before the next step.
     """
     params = config.params
-    eps_supp = 1e-8 * float(np.max(state.rho))
+    eps_supp = SUPPORT_FLOOR * float(np.max(state.rho))
+    trig = (state.grid.cos, state.grid.sin)
     Ek_integral, Ek_now = 0.0, None
 
     def row():
-        return _field_row(state, params, Ek_integral, eps_supp, Ek=Ek_now, op=op,
-                          extrema=extrema)
+        mass_err = float(np.abs(state.per_slice_mass() - 1.0).max())
+        return _field_row(state, params, Ek_integral, eps_supp, trig, Ek=Ek_now, op=op,
+                          mass_err=mass_err, extrema=extrema)
 
     def stored():
         return state

@@ -259,13 +259,21 @@ def write_sweep_csv(path, result):
 
 
 def read_sweep_csv(path):
-    """sweep.csv back as (forward, backward) lists of SweepPoints."""
-    forward, backward = [], []
+    """sweep.csv back as (forward, backward) lists of SweepPoints.  Any other
+    header, or a branch other than forward or backward, raises a ValueError
+    naming the file."""
+    header = ["branch", *SweepPoint._fields]
+    legs = {"forward": [], "backward": []}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            point = SweepPoint(float(row["K"]), float(row["r_inf"]), bool(int(row["blowup_flag"])))
-            (forward if row["branch"] == "forward" else backward).append(point)
-    return forward, backward
+        rows = csv.reader(fh)
+        found = next(rows, [])
+        if found != header:
+            raise ValueError(f"{path}: header {','.join(found)!r} is not {','.join(header)!r}")
+        for branch, K, r_inf, flag in rows:
+            if branch not in legs:
+                raise ValueError(f"{path}: branch {branch!r} is neither forward nor backward")
+            legs[branch].append(SweepPoint(float(K), float(r_inf), bool(int(flag))))
+    return legs["forward"], legs["backward"]
 
 
 def write_manifest(path, payload):

@@ -37,10 +37,13 @@ next step's first stage's.
 
 A series row reads the state array in place, through StateRows: eta and v
 are y's rows, and d = P / J, log rho and the unit phasor are written into
-arrays the run allocates once.  It takes the run's values as they are: the
-E_k the step computed, the support mask and |sum w - 1| (the weights never
-change, so those are computed once per run).  Only snapshots and the final
-ensemble are copied out into a validated CharEnsemble.
+arrays the run allocates once.  The oracle computes its own columns: r and
+phi from the unit phasor, min_du as the least d over the support and
+max_rho as exp(max log rho).  It hands them to series_row with the run's
+values as they are: the E_k the step computed, the support mask and
+|sum w - 1| (the weights never change, so those are computed once per
+run).  Only snapshots and the final ensemble are copied out into a
+validated CharEnsemble.
 
 J and P feed no tendency of eta, cos, sin or v, so at a given dt those rows
 take the same bits as in the earlier formulation that carried d and
@@ -78,7 +81,7 @@ from .domain import (
     rho0_profile,
     wrap_angle,
 )
-from .meanfield import weighted_sum
+from .meanfield import ensemble_order_parameter, weighted_sum
 
 
 @dataclass(frozen=True)
@@ -184,15 +187,13 @@ def _derivs(w, Omega, y, m, K, out):
 
 class StateRows:
     """What series_row reads of an ensemble at time t: eta and v are views
-    of the state array's rows, d and log_rho the arrays _oracle_states
-    writes them into.  Nothing is copied or checked, so it holds only until
-    the next row is made."""
+    of the state array's rows.  Nothing is copied or checked, so it holds
+    only until the next step."""
 
-    __slots__ = ("eta", "v", "d", "log_rho", "weight", "t")
+    __slots__ = ("eta", "v", "weight", "t")
 
-    def __init__(self, eta, v, d, log_rho, weight, t):
-        self.eta, self.v, self.d, self.log_rho = eta, v, d, log_rho
-        self.weight, self.t = weight, t
+    def __init__(self, eta, v, weight, t):
+        self.eta, self.v, self.weight, self.t = eta, v, weight, t
 
 
 def _unit_phasor(y, out):
@@ -262,8 +263,9 @@ def _oracle_states(ens, params, n_steps, dt):
     them before the next step.
 
     A row's d, log rho and unit phasor are written into arrays allocated
-    once for the run, which the next row overwrites; stored() copies them
-    out with eta and v.
+    once for the run, which the next row overwrites; the row takes r and
+    phi, min_du and max_rho of them, and stored() copies d and log rho out
+    with eta and v.
     """
     m, K = params.m, params.K
     w, Omega, n = ens.weight, ens.Omega, ens.n
@@ -286,19 +288,23 @@ def _oracle_states(ens, params, n_steps, dt):
     t = ens.t
     d, log_rho, trig = np.empty(n), np.empty(n), (np.empty(n), np.empty(n))
 
-    def rows():
+    def gradient_and_density():  # d and log rho of y
         with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite state
             np.divide(y[P], y[J], out=d)
             np.log(y[J], out=log_rho)
             np.subtract(ens.log_rho, log_rho, out=log_rho)
-        return StateRows(y[ETA], y[V], d, log_rho, w, t)
 
     def row():
-        _unit_phasor(y, trig)
-        return _row(rows(), params, Ek_integral, support, trig, Ek=Ek_now, mass_err=mass_err)
+        gradient_and_density()
+        op = ensemble_order_parameter(y[ETA], w, _unit_phasor(y, trig))
+        min_du = float(np.minimum.reduce(d, axis=None, where=support, initial=np.inf))
+        with np.errstate(over="ignore"):
+            max_rho = float(np.exp(log_rho.max()))
+        return _row(StateRows(y[ETA], y[V], w, t), params, Ek_integral, support, trig,
+                    Ek=Ek_now, op=op, mass_err=mass_err, extrema=(max_rho, min_du))
 
     def stored():
-        rows()
+        gradient_and_density()
         return replace(ens, eta=y[ETA].copy(), v=y[V].copy(), d=d.copy(),
                        log_rho=log_rho.copy(), t=t)
 

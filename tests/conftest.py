@@ -1,4 +1,5 @@
-"""Shared fixtures: seeded RNG and random normalized field states."""
+"""Shared fixtures: seeded RNG and random normalized field states, and the
+series row of a state from scratch."""
 from __future__ import annotations
 
 import tracemalloc
@@ -10,8 +11,18 @@ from hypothesis import settings
 from kurahydro import (
     FieldState,
     discretize_frequency,
+    ensemble_order_parameter,
     make_theta_grid,
     normalize_slices,
+    order_parameter,
+)
+from kurahydro.diagnostics import (
+    SUPPORT_FLOOR,
+    _field_cell_masses,
+    kinetic_energy,
+    min_grad_u,
+    sample_support,
+    series_row,
 )
 
 
@@ -33,6 +44,40 @@ def peak_fields(fn, field_bytes):
     finally:
         tracemalloc.stop()
     return peak / field_bytes
+
+
+def row_from_scratch(obj, params, Ek_integral, support=None, trig=None):
+    """The series_row of a FieldState or CharEnsemble with every column a
+    solver hands in computed here from the primitives: the reference that
+    the solvers' rows are compared with, bit for bit.
+
+    support defaults to the field's floor on its own max rho, or the
+    ensemble's sample_support; trig to cos and sin of the phases (the grid
+    centres of a field).
+    """
+    field = isinstance(obj, FieldState)
+    if trig is None:
+        phases = obj.grid.centers if field else obj.eta
+        trig = (np.cos(phases), np.sin(phases))
+    if field:
+        if support is None:
+            support = SUPPORT_FLOOR * float(obj.rho.max())
+        op = order_parameter(obj)
+        Ek = kinetic_energy(_field_cell_masses(obj), obj.u)
+        mass_err = float(np.abs(obj.per_slice_mass() - 1.0).max())
+        extrema = (float(obj.rho.max()), min_grad_u(obj))
+    else:
+        if support is None:
+            support = sample_support(obj)
+        op = ensemble_order_parameter(obj.eta, obj.weight, trig)
+        Ek = kinetic_energy(obj.weight, obj.v)
+        mass_err = abs(float(np.sum(obj.weight)) - 1.0)
+        with np.errstate(over="ignore"):
+            max_rho = float(np.exp(obj.log_rho.max()))
+        min_du = float(np.minimum.reduce(obj.d, axis=None, where=support, initial=np.inf))
+        extrema = (max_rho, min_du)
+    return series_row(obj, params, Ek_integral, support, trig, Ek=Ek, op=op,
+                      mass_err=mass_err, extrema=extrema)
 
 
 def _npz(path, **arrays):

@@ -179,6 +179,8 @@ def test_resolve_rejects_unknown_and_missing_keys():
         resolve_config({**_minimal(), "scheme": {"cfll": 0.3}})
     with pytest.raises(ValueError, match="scheme section must be a key:value mapping"):
         resolve_config({**_minimal(), "scheme": [0.3]})
+    # only an absent or null section is an empty one
+    assert resolve_config({**_minimal(), "scheme": None}).scheme == SchemeConfig()
     with pytest.raises(ValueError, match="unknown sweep keys: k_top"):
         resolve_config({**_minimal(), "sweep": {"k_top": 1.0}})
     with pytest.raises(ValueError, match="init_table replaces rho0/u0"):
@@ -403,11 +405,15 @@ def test_cli_refuses_a_non_finite_parameter(tmp_path, capsys, command, override,
         ("m=true", "m must be a number, got True"),
         ("init_table=7", "init_table must be a string, got 7"),
         ("init_table=0", "init_table must be a string, got 0"),
+        ("scheme=0", "scheme section must be a key:value mapping"),
+        ("scheme=false", "scheme section must be a key:value mapping"),
+        ("scheme=[]", "scheme section must be a key:value mapping"),
     ],
 )
 def test_cli_refuses_a_config_value_of_the_wrong_type(tmp_path, capsys, override, message):
     """Each once ended in a traceback, an error naming no key, a silent
-    truncation or cast, or a read of a file descriptor."""
+    truncation or cast, a read of a file descriptor, or (a falsy scheme)
+    an empty section."""
     argv = ["classify", "--config", _write_cfg(tmp_path), "--set", override]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")

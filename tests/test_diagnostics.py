@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from conftest import row_from_scratch
 
 from kurahydro import (
     BlowupMonitor,
@@ -154,8 +156,8 @@ def test_field_vs_ensemble_moments():
     assert op_f.r == pytest.approx(op_e.r, abs=1e-12)
     # series_row over either guise: the same row where the columns agree
     params = Params(0.7, 1.3)
-    row_f = series_row(state, params, 0.25)
-    row_e = series_row(ens, params, 0.25)
+    row_f = row_from_scratch(state, params, 0.25)
+    row_e = row_from_scratch(ens, params, 0.25)
     assert len(row_f) == len(row_e) == len(SERIES_COLUMNS)
     assert row_f[-1] == row_e[-1] == 0.25  # Ek_integral, the last column
     for name in ("t", "r", "phi", "Ek", "Ep", "vc", "etac", "L"):
@@ -362,26 +364,34 @@ def _row_bits(row):
     return np.array(row, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("bad", [None, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf])
 def test_field_row_from_handed_values_is_the_row_from_scratch(random_state_factory, bad):
-    """E_k, the order parameter, and the extrema that the monitor's observe
-    returns on this very state, handed to series_row, give the bits of a row
-    that computes them.  On a non-finite state observe skips min_grad_u and
-    hands only max rho."""
+    """The monitor's observe returns (max rho, min_grad_u) of this very
+    state, bit for bit, min_grad_u too where u holds NaN or +-inf, and
+    warns of neither (a sweep point that ends non-finite is quiet).  Those
+    extrema, E_k, the order parameter, the grid's (cos, sin) and the mass
+    error, handed to series_row, give the bits of the row from scratch."""
     state = random_state_factory(n_theta=32, n_omega=3, kind="gaussian")
     if bad is not None:
         u = np.array(state.u)
         u[1, 7] = bad
+        u[1, 9] = bad  # u[1, 9] - u[1, 7] is inf - inf for an infinite bad
         state = FieldState(state.grid, state.omega, state.rho, u, t=0.5)
     params = Params(0.7, 1.3)
-    extrema = BlowupMonitor().observe(state)
-    assert extrema[0] == float(np.max(state.rho))
-    assert (extrema[1] is None) == (bad is not None)
+    monitor = BlowupMonitor()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        extrema = monitor.observe(state)
+    assert monitor.fired == (bad is not None)
     with np.errstate(invalid="ignore"):
+        assert _row_bits(extrema) == _row_bits((np.max(state.rho), min_grad_u(state)))
         Ek = kinetic_energy(_field_cell_masses(state), state.u)
         op = order_parameter(state)
-        handed = series_row(state, params, 0.25, 1e-9, Ek=Ek, op=op, extrema=extrema)
-        scratch = series_row(state, params, 0.25, 1e-9)
+        mass_err = float(np.abs(state.per_slice_mass() - 1.0).max())
+        trig = (state.grid.cos, state.grid.sin)
+        handed = series_row(state, params, 0.25, 1e-9, trig, Ek=Ek, op=op,
+                            mass_err=mass_err, extrema=extrema)
+        scratch = row_from_scratch(state, params, 0.25, 1e-9)
     assert _row_bits(handed) == _row_bits(scratch)
 
 

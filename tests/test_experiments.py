@@ -1,18 +1,22 @@
 """Scenario runner, marginals, steady-state detection, hysteresis sweeps."""
 from __future__ import annotations
 
+import math
 import os
 import re
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import peak_fields
+from conftest import peak_fields, row_from_scratch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kurahydro import (
+    SERIES_COLUMNS,
+    BlowupEvent,
     BlowupMonitor,
     InitSpec,
     Params,
@@ -42,7 +46,7 @@ from kurahydro import (
     steady_r,
     step_rk2,
 )
-from kurahydro.diagnostics import _field_cell_masses, kinetic_energy
+from kurahydro.diagnostics import _field_cell_masses, kinetic_energy, min_grad_u
 from kurahydro.domain import FieldState
 from kurahydro.experiments import ScenarioResult, write_scenario_result
 from kurahydro.io import SweepPoint, list_snapshots, read_manifest, read_series_csv, read_sweep_csv
@@ -357,9 +361,7 @@ def test_ek_integral_is_the_trapezoid_over_every_step_bitwise():
 @pytest.mark.parametrize("kw", [_GAUSSIAN, _BLOWUP], ids=["gaussian", "blowup"])
 def test_run_eulerian_rows_are_the_rows_from_scratch(kw):
     """Each row, built from the E_k and the monitor extrema that the run
-    computed, has the bits of series_row computing them on that state."""
-    from kurahydro.diagnostics import series_row
-
+    computed, has the bits of the row from scratch on that state."""
     cfg = _config(**kw)
     times = [round(k * cfg.record_dt, 12) for k in range(round(cfg.t_end / cfg.record_dt) + 1)]
     cfg = _config(**kw, snapshot_times=times)
@@ -372,17 +374,17 @@ def test_run_eulerian_rows_are_the_rows_from_scratch(kw):
     assert len(states) == len(run.series) > 2
     for row, state in zip(run.series.data, states):
         assert row[0] == state.t
-        scratch = series_row(state, cfg.params, row[-1], eps_supp)
+        scratch = row_from_scratch(state, cfg.params, row[-1], eps_supp)
         assert row.tobytes() == np.array(scratch).tobytes()
 
 
 def _count_order_parameters(monkeypatch):
     """Record every order_parameter call in the modules that take one of a
     field, and every state that experiments.step_rk2 steps from."""
-    from kurahydro import diagnostics, experiments, fv
+    from kurahydro import experiments, fv
 
     calls = []
-    for module in (experiments, fv, diagnostics):
+    for module in (experiments, fv):
         real = module.order_parameter
 
         def counting(state, real=real):
@@ -454,8 +456,6 @@ def test_clip_abort_ends_the_run_on_the_last_good_state(monkeypatch, k):
     none past that state.  _GAUSSIAN takes 20 steps per row; a clip on the
     first step toward a row time leaves the state recorded last, which gets
     no second row and no snapshot under the next time's name."""
-    from kurahydro.diagnostics import series_row
-
     cfg = _config(**_GAUSSIAN, snapshot_times=(0.0, 0.2, 0.4, 0.6))
     start = build_state(cfg)
     seen = _clip_at(monkeypatch, k)
@@ -467,7 +467,8 @@ def test_clip_abort_ends_the_run_on_the_last_good_state(monkeypatch, k):
     assert run.final is last
     row = run.series.data[-1]
     eps_supp = 1e-8 * float(np.max(start.rho))
-    assert row.tobytes() == np.array(series_row(last, cfg.params, row[-1], eps_supp)).tobytes()
+    scratch = row_from_scratch(last, cfg.params, row[-1], eps_supp)
+    assert row.tobytes() == np.array(scratch).tobytes()
     assert np.all(np.diff(run.series.t) > 0)
     assert all(round(snap.t, 12) == t_s <= last.t for t_s, snap in run.snapshots.items())
 
@@ -476,8 +477,6 @@ def test_a_clip_after_a_snapshot_only_time_ends_on_one_row_of_that_state(monkeyp
     """_GAUSSIAN steps to 0.1 in 10 steps and 0.1 is a snapshot time off the
     record grid: it gets a snapshot and no row.  A clip on the next step
     ends the run on that state, which then gets its one row."""
-    from kurahydro.diagnostics import series_row
-
     cfg = _config(**_GAUSSIAN, snapshot_times=(0.0, 0.1))
     start = build_state(cfg)
     seen = _clip_at(monkeypatch, 11)
@@ -489,7 +488,70 @@ def test_a_clip_after_a_snapshot_only_time_ends_on_one_row_of_that_state(monkeyp
     assert run.snapshots == {0.0: start, 0.1: last}
     eps_supp = 1e-8 * float(np.max(start.rho))
     row = run.series.data[-1]
-    assert row.tobytes() == np.array(series_row(last, cfg.params, row[-1], eps_supp)).tobytes()
+    scratch = row_from_scratch(last, cfg.params, row[-1], eps_supp)
+    assert row.tobytes() == np.array(scratch).tobytes()
+
+
+def _non_finite_at(monkeypatch, k, bad):
+    """Make experiments.step_rk2 put bad into u, in two cells two apart, of
+    the state its k-th call returns; returns the list of states it returned."""
+    from kurahydro import experiments
+
+    made = []
+    real_step = experiments.step_rk2
+
+    def poisoning(*args):
+        state = real_step(*args)
+        if len(made) + 1 == k:
+            u = np.array(state.u)
+            u[2, 10] = u[2, 12] = bad  # their difference is inf - inf for an infinite bad
+            state = replace(state, u=u)
+        made.append(state)
+        return state
+
+    monkeypatch.setattr(experiments, "step_rk2", poisoning)
+    return made
+
+
+@pytest.mark.parametrize("k", [7, 20], ids=["mid-interval", "on-a-row-time"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_run_that_turns_non_finite_ends_on_that_state(monkeypatch, k, bad):
+    """A step that leaves NaN or +-inf in u ends the run on that state with a
+    "non-finite" event at its t.  Its row, the last, has the bits of the row
+    from scratch, and its min_du those of min_grad_u on the state.
+    _GAUSSIAN takes 20 steps per row."""
+    cfg = _config(**_GAUSSIAN)
+    start = build_state(cfg)
+    made = _non_finite_at(monkeypatch, k, bad)
+    run = run_eulerian(cfg, start)
+    last = made[-1]
+    assert len(made) == k
+    assert run.blowup == BlowupEvent(last.t, "non-finite")
+    assert run.failure is None
+    assert run.final is last
+    row = run.series.data[-1]
+    assert row[0] == last.t
+    eps_supp = 1e-8 * float(np.max(start.rho))
+    with np.errstate(invalid="ignore", over="ignore"):
+        scratch = row_from_scratch(last, cfg.params, row[-1], eps_supp)
+        min_du = min_grad_u(last)
+    assert row.tobytes() == np.array(scratch).tobytes()
+    assert row[SERIES_COLUMNS.index("min_du")].tobytes() == np.float64(min_du).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_sweep_point_that_turns_non_finite_is_flagged_without_a_warning(monkeypatch, bad):
+    """steady_r maps a non-finite state to r_inf = 1 with the flag set and
+    the last finite state, and nothing on the way warns."""
+    cfg = _config(**_GAUSSIAN)
+    sweep = SweepConfig(k_path=(cfg.params.K,), steady_window=1.0, t_max=0.6)
+    made = _non_finite_at(monkeypatch, 5, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r_inf, state, flag = steady_r(cfg, cfg.params.K, build_state(cfg), sweep)
+    assert (r_inf, flag) == (1.0, True)
+    assert len(made) == 5
+    assert state is made[-2]
 
 
 @st.composite

@@ -460,3 +460,28 @@ def test_snapshot_write_rejects_mismatched_shapes(tmp_path):
         write_snapshot_csv(
             str(tmp_path / "s.npz"), np.zeros(4), np.zeros(2), np.zeros((2, 3)), np.zeros((2, 4))
         )
+
+
+# ---------------------------------------------------------------------------
+# sweep.csv
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("branch,K,blowup_flag\r\nforward,0.5,0\r\n",
+         "header 'branch,K,blowup_flag' is not 'branch,K,r_inf,blowup_flag'"),
+        ("", "header '' is not 'branch,K,r_inf,blowup_flag'"),
+        ("branch,K,r_inf,blowup_flag\r\nforward,0.5,0.25,0\r\nsideways,1,0.5,0\r\n",
+         "branch 'sideways' is neither forward nor backward"),
+    ],
+    ids=["no-r_inf-column", "empty", "sideways-branch"],
+)
+def test_malformed_sweep_names_the_file(tmp_path, body, message):
+    """A sideways row was read as a backward point, and a file without an
+    r_inf column raised a bare KeyError."""
+    path = tmp_path / "bad_sweep.csv"
+    path.write_text(body, newline="")
+    with pytest.raises(ValueError) as err:
+        run_io.read_sweep_csv(str(path))
+    assert str(err.value) == f"{path}: {message}"

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import row_from_scratch
 
 from kurahydro import (
     CharEnsemble,
@@ -28,7 +29,7 @@ from kurahydro import (
 )
 from kurahydro import lagrangian
 from kurahydro.config import parse_config
-from kurahydro.diagnostics import TimeSeries, kinetic_energy, series_row
+from kurahydro.diagnostics import TimeSeries, kinetic_energy
 from kurahydro.domain import TableData
 from kurahydro.experiments import build_grids
 
@@ -417,7 +418,7 @@ def _plain_rk4(ens, params, T, dt, record_every):
     y = (ens.eta, ens.v, ens.d, ens.log_rho)
     n_steps = int(round((T - ens.t) / dt))
     Ek_integral = 0.0
-    rows = [series_row(ens, params, Ek_integral)]
+    rows = [row_from_scratch(ens, params, Ek_integral)]
     for step in range(1, n_steps + 1):
         k1 = _plain_derivs(*y[:3], w, Omega, m, K)
         s2 = tuple(a + 0.5 * dt * b for a, b in zip(y[:3], k1))
@@ -435,7 +436,7 @@ def _plain_rk4(ens, params, T, dt, record_every):
         )
         if step % record_every == 0 or step == n_steps:
             now = replace(ens, eta=y[0], v=y[1], d=y[2], log_rho=y[3], t=ens.t + step * dt)
-            rows.append(series_row(now, params, Ek_integral))
+            rows.append(row_from_scratch(now, params, Ek_integral))
     return TimeSeries(rows), y
 
 
@@ -485,9 +486,9 @@ def test_oracle_row_of_state_rows_is_the_row_from_scratch(case, monkeypatch):
     """evolve's rows read the state array in place, write d, log rho and the
     unit phasor into arrays held for the run, and take the run's support,
     |sum w - 1| and E_k as they are.  On every state of the run the row has
-    the bits of series_row on the CharEnsemble that stored() copies out of
-    the same state, which computes all of them: zero-weight samples and a
-    NaN velocity included.  A CharEnsemble keeps no phasor, so the row from
+    the bits of row_from_scratch on the CharEnsemble that stored() copies
+    out of the same state, which computes all of them: zero-weight samples
+    and a NaN velocity included.  A CharEnsemble keeps no phasor, so the row from
     scratch is handed the one the run's row took."""
     if case == "point-cell":
         ens = _identical_ensemble(64, u0=USine(0.1), rho0=RhoPointCell(0.0))
@@ -511,7 +512,7 @@ def test_oracle_row_of_state_rows_is_the_row_from_scratch(case, monkeypatch):
     for _, row, stored in lagrangian._oracle_states(ens, params, 6, 0.05):
         handed = row()
         states.append(stored())
-        scratch = series_row(states[-1], params, handed[integral], trig=phasors[-1])
+        scratch = row_from_scratch(states[-1], params, handed[integral], trig=phasors[-1])
         assert np.array(handed).tobytes() == np.array(scratch).tobytes()
     assert len(states) == (2 if case == "non-finite" else 7)
     # J has moved off 1, so d and log rho are formed, not copied
@@ -538,7 +539,7 @@ _PHASOR_FREE = [
 def test_oracle_rows_keep_the_bits_of_rows_from_scratch(u0, T, record_every):
     """Every row's E_k is the one the step computed at its end (or, after a
     collapse, at the start it went back to), and its other phasor-free
-    columns have the bits of series_row on the snapshot at that step."""
+    columns have the bits of row_from_scratch on the snapshot at that step."""
     ens = _identical_ensemble(96, u0=u0)
     params, dt = Params(1.0, 1.0), 1e-2
     times = [round(k * dt, 12) for k in range(round(T / dt) + 1)]
@@ -548,5 +549,5 @@ def test_oracle_rows_keep_the_bits_of_rows_from_scratch(u0, T, record_every):
     for row in run.series.data:
         snap = run.snapshots[min(run.snapshots, key=lambda ts: abs(ts - row[0]))]
         assert snap.t == row[0]
-        scratch = np.array(series_row(snap, params, row[-1]))
+        scratch = np.array(row_from_scratch(snap, params, row[-1]))
         assert row[_PHASOR_FREE].tobytes() == scratch[_PHASOR_FREE].tobytes()

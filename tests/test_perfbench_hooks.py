@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 import warnings
 
 from kurahydro import (
@@ -85,3 +87,12 @@ def test_tracer_counts_what_the_runs_did(monkeypatch):
     assert metrics["experiments.sweep_points"] == 3  # K = 0, 0.5 forward; 0.5 back
     assert metrics["diagnostics.rows"] == fv_run.series.t.size + oracle.series.t.size
     assert metrics["lagrangian.sample_steps"] == 50 * ens.n
+
+
+def test_perfbench_selftest_passes():
+    """The benchmark runs its self-test before measuring, and stops on a
+    failure there; a program change that breaks what the self-test calls
+    shows here, not first in a benchmark round."""
+    done = subprocess.run([sys.executable, os.path.join("perfbench", "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
